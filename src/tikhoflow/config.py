@@ -183,6 +183,13 @@ def _get_float(data: dict, key: str) -> float:
     return float(val)
 
 
+def _get_count(data: dict, key: str) -> int:
+    val = _get_float(data, key)
+    if not val.is_integer():
+        raise ConfigError(f"{key}: expected a whole number, got {data[key]!r}")
+    return int(val)
+
+
 def build_objective(data: dict) -> tuple[ObjectiveSpec, dict]:
     name = data.get("problem.name", DEFAULTS["problem.name"])
     try:
@@ -287,7 +294,7 @@ def resolve(data: dict, out_override=None) -> ExperimentConfig:
             horizon=horizon,
             rel_tol=_get_float(merged, "dynamics.rel_tol"),
             abs_tol=_get_float(merged, "dynamics.abs_tol"),
-            sample_count=int(_get_float(merged, "dynamics.sample_count")),
+            sample_count=_get_count(merged, "dynamics.sample_count"),
             sample_spacing=str(merged["dynamics.sample_spacing"]),
         )
     except ValueError as exc:

@@ -265,7 +265,7 @@ def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> T
     xstar = _reference_minimizer(obj)
     alpha, beta = cfg.alpha, cfg.beta
     grad = obj.gradient
-    eps = s.eps
+    eps = s._scalar_eps(cfg.t0, cfg.horizon)
     init = lift_initial_conditions(obj, beta, cfg.u0, cfg.v0)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
@@ -274,12 +274,13 @@ def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> T
         g = grad(x)
         dx = y - beta * g
         e = eps(t)
+        e_t = e / t
         out = np.empty(2 * d + 3)
         out[:d] = dx
         out[d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
-        out[2 * d] = e / t
+        out[2 * d] = e_t
         diff = x - xstar
-        out[2 * d + 1] = (e / t) * np.dot(diff, diff)
+        out[2 * d + 1] = e_t * np.dot(diff, diff)
         out[2 * d + 2] = np.dot(dx, dx) / t
         return out
 
@@ -305,19 +306,20 @@ def integrate_direct(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfi
     xstar = _reference_minimizer(obj)
     alpha, beta = cfg.alpha, cfg.beta
     grad, hvp = obj.gradient, obj.hessian_vec
-    eps = s.eps
+    eps = s._scalar_eps(cfg.t0, cfg.horizon)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         x = z[:d]
         v = z[d : 2 * d]
         g = grad(x)
         e = eps(t)
+        e_t = e / t
         out = np.empty(2 * d + 3)
         out[:d] = v
         out[d : 2 * d] = -(alpha / t) * v - beta * hvp(x, v) - g - e * x
-        out[2 * d] = e / t
+        out[2 * d] = e_t
         diff = x - xstar
-        out[2 * d + 1] = (e / t) * np.dot(diff, diff)
+        out[2 * d + 1] = e_t * np.dot(diff, diff)
         out[2 * d + 2] = np.dot(v, v) / t
         return out
 

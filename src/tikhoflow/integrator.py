@@ -7,9 +7,16 @@ controlled by the standard proportional-integral rule; a step shrinking below
 1e-14 * t is diagnosed as a failure instead of silently stalling. Everything
 is plain float64 arithmetic in a fixed order, so identical inputs produce
 bit-identical output.
+
+For small states numpy's per-call overhead, not arithmetic, sets the cost, so
+everything invariant across attempts (stage rows, views of K, the step floor
+between accepted steps) is built once. `dynamics` checks the schedule domain
+once per run before calling `solve`; the public `TikhonovSchedule.eps` still
+checks on every call.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,7 +65,8 @@ class IntegrationError(RuntimeError):
 
 
 def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+    # bit-equal to np.sqrt(np.mean(v * v)): mean is the same add.reduce over n
+    return math.sqrt(float(np.add.reduce(v * v)) / v.shape[0])
 
 
 def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
@@ -93,54 +101,63 @@ def solve(
     m = z.shape[0]
     out = np.empty((n, m))
     out[0] = z
-    stats = {"steps": 0, "rejected": 0, "rhs_evals": 0}
+    steps = rejected = evals = 0
+
+    def stats() -> dict:
+        return {"steps": steps, "rejected": rejected, "rhs_evals": evals}
+
     if n == 1:
-        return out, stats
+        return out, stats()
 
     t = float(t_samples[0])
     f = rhs(t, z)
-    stats["rhs_evals"] += 1
-    if not np.all(np.isfinite(f)):
+    evals += 1
+    if not np.isfinite(f).all():
         raise IntegrationError("non-finite derivative at the initial state",
-                               t=t, state=z, rows=out[:1].copy(), stats=stats)
+                               t=t, state=z, rows=out[:1].copy(), stats=stats())
     h = _initial_step(rhs, t, z, f, rel_tol, abs_tol, float(t_samples[-1]) - t)
-    stats["rhs_evals"] += 1
+    evals += 1
 
+    # stage k: time offset c_k, weights a_k over the earlier stages K[:k]
     K = np.empty((7, m))
+    K[0] = f  # FSAL: after an accepted step K[0] takes over K[6]
+    stages = tuple((k, float(_C[k]), _A[k][:k], K[:k]) for k in range(1, 6))
+    K6 = K[:6]
+    floor = _STEP_FLOOR * max(abs(t), 1.0)
     err_prev = 1e-4
     just_rejected = False
     next_i = 1
     while next_i < n:
-        if stats["steps"] + stats["rejected"] > _MAX_STEPS:
+        if steps + rejected > _MAX_STEPS:
             raise IntegrationError("step budget exhausted", t=t, state=z,
-                                   rows=out[:next_i].copy(), stats=stats)
+                                   rows=out[:next_i].copy(), stats=stats())
         target = float(t_samples[next_i])
         remaining = target - t
         clamped = h >= remaining
         h_try = remaining if clamped else h
-        if h_try < _STEP_FLOOR * max(abs(t), 1.0) and not clamped:
+        if not clamped and h_try < floor:
             raise IntegrationError(
                 f"step size underflow at t={t:.6g} (h={h_try:.3g})",
-                t=t, state=z, rows=out[:next_i].copy(), stats=stats,
+                t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
             )
-        K[0] = f
-        for i in range(1, 6):
-            K[i] = rhs(t + _C[i] * h_try, z + h_try * (_A[i][:i] @ K[:i]))
-        z_new = z + h_try * (_B @ K[:6])
+        for k, c, a, Kk in stages:
+            K[k] = rhs(t + c * h_try, z + h_try * (a @ Kk))
+        z_new = z + h_try * (_B @ K6)
         t_new = target if clamped else t + h_try
         K[6] = rhs(t_new, z_new)  # FSAL stage
-        stats["rhs_evals"] += 6
-        if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(K))):
+        evals += 6
+        if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
             raise IntegrationError(
                 f"non-finite state encountered near t={t_new:.6g}",
-                t=t, state=z, rows=out[:next_i].copy(), stats=stats,
+                t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
             )
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
         err = _rms(h_try * (_E @ K) / sc)
         if err <= 1.0:
-            stats["steps"] += 1
+            steps += 1
             t, z = t_new, z_new
-            f = K[6].copy()
+            K[0] = K[6]
+            floor = _STEP_FLOOR * max(abs(t), 1.0)
             if clamped:
                 out[next_i] = z
                 next_i += 1
@@ -156,12 +173,12 @@ def solve(
             err_prev = max(err, 1e-4)
             just_rejected = False
         else:
-            stats["rejected"] += 1
+            rejected += 1
             just_rejected = True
             h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            if h < _STEP_FLOOR * max(abs(t), 1.0):
+            if h < floor:
                 raise IntegrationError(
                     f"step size underflow at t={t:.6g} (h={h:.3g})",
-                    t=t, state=z, rows=out[:next_i].copy(), stats=stats,
+                    t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
                 )
-    return out, stats
+    return out, stats()

@@ -115,19 +115,41 @@ class TikhonovSchedule:
             if tmax > hi * (1.0 + 1e-12):
                 raise ValueError(f"tabulated schedule evaluated at t={tmax:g} beyond grid end {hi:g}")
 
+    def _eval(self, t):
+        """eps at a float or a float array, without the domain check."""
+        if self.kind == "power":
+            # np.power, not Python's **: the two round differently
+            return self.scale * np.power(t, -self.gamma)
+        if self.kind == "logarithmic":
+            return 1.0 / np.log(self.offset + t)
+        if self.kind == "zero":
+            return np.zeros_like(t)
+        return np.interp(t, self.grid_t, self.grid_eps)
+
     def eps(self, t):
-        """eps(t); accepts scalars or arrays, errors below t0 / beyond a grid."""
+        """eps(t); accepts scalars or arrays, errors below t0 / beyond a grid.
+
+        The domain is checked on every call. The integrators instead check
+        their span once per run and then evaluate through `_scalar_eps`.
+        """
         t_arr = np.asarray(t, dtype=float)
         self._check_domain(t_arr)
-        if self.kind == "power":
-            out = self.scale * t_arr ** (-self.gamma)
-        elif self.kind == "logarithmic":
-            out = 1.0 / np.log(self.offset + t_arr)
-        elif self.kind == "zero":
-            out = np.zeros_like(t_arr)
-        else:
-            out = np.interp(t_arr, self.grid_t, self.grid_eps)
+        out = self._eval(t_arr)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def _scalar_eps(self, lo: float, hi: float):
+        """Check [lo, hi] against the domain once; return an unchecked float
+        evaluator t -> eps(t) for t in [lo, hi], bit-equal to `eps`."""
+        try:
+            self._check_domain(np.array([lo, hi], dtype=float))
+        except ValueError as exc:
+            end = f"{self.grid_t[-1]:g}" if self.kind == "tabulated" else "inf"
+            raise ValueError(
+                f"schedule domain [{self.t0:g}, {end}] does not cover the run "
+                f"[t0, horizon] = [{lo:g}, {hi:g}]: {exc}"
+            ) from None
+        ev = self._eval
+        return lambda t: float(ev(t))
 
     def eps_dot(self, t):
         """d eps / dt; piecewise slope for tabulated grids."""

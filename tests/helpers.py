@@ -1,12 +1,18 @@
-"""Shared test oracles: finite differences, synthetic trajectories, and the
-exponent-arithmetic truth table for power-law schedules.
+"""Shared test oracles: finite differences, synthetic trajectories, the
+exponent-arithmetic truth table for power-law schedules, and a frozen copy of
+the stepping core.
 
 The finite-difference routines depend only on the objective's value/gradient
 callables, so they stay independent of the analytic derivatives they check.
 """
+from typing import Callable
+
 import numpy as np
 
 from tikhoflow import Trajectory
+from tikhoflow.dynamics import _finish, _reference_minimizer, lift_initial_conditions, sample_times
+from tikhoflow.integrator import IntegrationError
+from tikhoflow.problems import _as_vector
 
 # Truth table for eps(t) = t^-gamma (scale 1, t0 1), derived by exponent
 # arithmetic before the checkers were written. Columns: finiteness of
@@ -70,3 +76,189 @@ def synthetic_trajectory(t, x, eps, xstar, v=None) -> Trajectory:
         int_vel=cum(w3),
         meta={"synthetic": True},
     )
+
+
+# -- cross-version reference -------------------------------------------------
+# The stepping core and the two right-hand sides as they stood before their
+# per-call overhead was cut, copied verbatim. The current code must reproduce
+# them bit for bit: same arrays, same counters, same failures.
+
+# classic Dormand-Prince coefficients; B is the 5th-order weight row and E the
+# difference against the embedded 4th-order row (error estimate)
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_A = (
+    np.array([0.0, 0, 0, 0, 0]),
+    np.array([1 / 5, 0, 0, 0, 0]),
+    np.array([3 / 40, 9 / 40, 0, 0, 0]),
+    np.array([44 / 45, -56 / 15, 32 / 9, 0, 0]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_BETA_PI = 0.04
+_ALPHA_PI = 0.2 - 0.75 * _BETA_PI
+_STEP_FLOOR = 1e-14
+_MAX_STEPS = 20_000_000
+
+
+def _ref_rms(v: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(v * v)))
+
+
+def _ref_initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
+    sc = atol + rtol * np.abs(z0)
+    d0, d1 = _ref_rms(z0 / sc), _ref_rms(f0 / sc)
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = rhs(t0 + h0, z0 + h0 * f0)
+    d2 = _ref_rms((f1 - f0) / sc) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span)
+
+
+def reference_solve(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    z0: np.ndarray,
+    t_samples: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+) -> tuple[np.ndarray, dict]:
+    """Integrate from t_samples[0] to t_samples[-1], returning states at all samples.
+
+    Raises IntegrationError on step underflow, non-finite state, or step-budget
+    exhaustion; the exception carries the rows filled so far.
+    """
+    t_samples = np.asarray(t_samples, dtype=float)
+    n = t_samples.shape[0]
+    z = np.array(z0, dtype=float)
+    m = z.shape[0]
+    out = np.empty((n, m))
+    out[0] = z
+    stats = {"steps": 0, "rejected": 0, "rhs_evals": 0}
+    if n == 1:
+        return out, stats
+
+    t = float(t_samples[0])
+    f = rhs(t, z)
+    stats["rhs_evals"] += 1
+    if not np.all(np.isfinite(f)):
+        raise IntegrationError("non-finite derivative at the initial state",
+                               t=t, state=z, rows=out[:1].copy(), stats=stats)
+    h = _ref_initial_step(rhs, t, z, f, rel_tol, abs_tol, float(t_samples[-1]) - t)
+    stats["rhs_evals"] += 1
+
+    K = np.empty((7, m))
+    err_prev = 1e-4
+    just_rejected = False
+    next_i = 1
+    while next_i < n:
+        if stats["steps"] + stats["rejected"] > _MAX_STEPS:
+            raise IntegrationError("step budget exhausted", t=t, state=z,
+                                   rows=out[:next_i].copy(), stats=stats)
+        target = float(t_samples[next_i])
+        remaining = target - t
+        clamped = h >= remaining
+        h_try = remaining if clamped else h
+        if h_try < _STEP_FLOOR * max(abs(t), 1.0) and not clamped:
+            raise IntegrationError(
+                f"step size underflow at t={t:.6g} (h={h_try:.3g})",
+                t=t, state=z, rows=out[:next_i].copy(), stats=stats,
+            )
+        K[0] = f
+        for i in range(1, 6):
+            K[i] = rhs(t + _C[i] * h_try, z + h_try * (_A[i][:i] @ K[:i]))
+        z_new = z + h_try * (_B @ K[:6])
+        t_new = target if clamped else t + h_try
+        K[6] = rhs(t_new, z_new)  # FSAL stage
+        stats["rhs_evals"] += 6
+        if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(K))):
+            raise IntegrationError(
+                f"non-finite state encountered near t={t_new:.6g}",
+                t=t, state=z, rows=out[:next_i].copy(), stats=stats,
+            )
+        sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
+        err = _ref_rms(h_try * (_E @ K) / sc)
+        if err <= 1.0:
+            stats["steps"] += 1
+            t, z = t_new, z_new
+            f = K[6].copy()
+            if clamped:
+                out[next_i] = z
+                next_i += 1
+            else:
+                if err == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = _SAFETY * err ** (-_ALPHA_PI) * err_prev ** _BETA_PI
+                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                if just_rejected:
+                    factor = min(1.0, factor)
+                h *= factor
+            err_prev = max(err, 1e-4)
+            just_rejected = False
+        else:
+            stats["rejected"] += 1
+            just_rejected = True
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            if h < _STEP_FLOOR * max(abs(t), 1.0):
+                raise IntegrationError(
+                    f"step size underflow at t={t:.6g} (h={h:.3g})",
+                    t=t, state=z, rows=out[:next_i].copy(), stats=stats,
+                )
+    return out, stats
+
+
+def reference_integrate(obj, s, cfg, formulation="lifted"):
+    """The reference counterpart of `integrate` / `integrate_direct`."""
+    d = obj.dimension
+    xstar = _reference_minimizer(obj)
+    alpha, beta = cfg.alpha, cfg.beta
+    grad, hvp = obj.gradient, obj.hessian_vec
+    eps = s.eps
+    if formulation == "lifted":
+        init = lift_initial_conditions(obj, beta, cfg.u0, cfg.v0)
+        z0 = np.concatenate([init.x, init.y, np.zeros(3)])
+
+        def rhs(t: float, z: np.ndarray) -> np.ndarray:
+            x = z[:d]
+            y = z[d : 2 * d]
+            g = grad(x)
+            dx = y - beta * g
+            e = eps(t)
+            out = np.empty(2 * d + 3)
+            out[:d] = dx
+            out[d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
+            out[2 * d] = e / t
+            diff = x - xstar
+            out[2 * d + 1] = (e / t) * np.dot(diff, diff)
+            out[2 * d + 2] = np.dot(dx, dx) / t
+            return out
+
+    else:
+        z0 = np.concatenate([_as_vector(cfg.u0, d, "u0"), _as_vector(cfg.v0, d, "v0"), np.zeros(3)])
+
+        def rhs(t: float, z: np.ndarray) -> np.ndarray:
+            x = z[:d]
+            v = z[d : 2 * d]
+            g = grad(x)
+            e = eps(t)
+            out = np.empty(2 * d + 3)
+            out[:d] = v
+            out[d : 2 * d] = -(alpha / t) * v - beta * hvp(x, v) - g - e * x
+            out[2 * d] = e / t
+            diff = x - xstar
+            out[2 * d + 1] = (e / t) * np.dot(diff, diff)
+            out[2 * d + 2] = np.dot(v, v) / t
+            return out
+
+    ts = sample_times(cfg)
+    Z, stats = reference_solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+    return _finish(obj, s, cfg, ts, Z, stats, formulation)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tikhoflow.cli import main
+from tikhoflow.config import ConfigError, load_config, resolve
 from tikhoflow.dynamics import IntegrationError
 
 
@@ -90,6 +91,18 @@ def test_unknown_problem_exits_2_without_artifacts(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, count", [("400", 400), ("4e2", 400), ("400.7", None)])
+def test_sample_count_must_be_whole(tmp_path, raw, count):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE.replace("dynamics.sample_count = 120", f"dynamics.sample_count = {raw}"))
+    if count is None:
+        with pytest.raises(ConfigError, match="dynamics.sample_count"):
+            resolve(load_config(cfg))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    else:
+        assert resolve(load_config(cfg)).dynamics.sample_count == count
 
 
 def test_unknown_key_exits_2(tmp_path):

@@ -13,6 +13,7 @@ from tikhoflow import (
     power_schedule,
     recover_velocity,
     sample_times,
+    tabulated_schedule,
     vector_field,
     zero_schedule,
 )
@@ -285,3 +286,20 @@ def test_step_underflow_is_diagnosed():
 
     with pytest.raises(IntegrationError, match="underflow|non-finite"):
         solve(rhs, np.array([0.0]), np.array([1.0, 2.0]), 1e-9, 1e-12)
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_direct])
+@pytest.mark.parametrize(
+    "schedule, domain",
+    [
+        (tabulated_schedule([1.0, 10.0, 50.0], [1.0, 0.5, 0.25]), r"\[1, 50\]"),  # ends early
+        (power_schedule(1.5, t0=2.0), r"\[2, inf\]"),  # starts late
+    ],
+)
+def test_schedule_not_covering_run_fails_before_stepping(run, schedule, domain, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("stepping started")
+
+    monkeypatch.setattr("tikhoflow.dynamics.solve", no_solve)
+    with pytest.raises(ValueError, match=domain + r".*\[t0, horizon\] = \[1, 100\]"):
+        run(builtin("paper1d"), schedule, cfg1d())
