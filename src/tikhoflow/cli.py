@@ -3,6 +3,10 @@
 Verbs: ``run`` (single experiment), ``compare`` (zero schedule against a list
 of power-law decays, shared dynamics), ``sweep`` (Cartesian grid over alpha,
 beta, gamma), ``check-schedule`` (hypothesis verdicts only, no integration).
+``compare`` and ``sweep`` step their runs (cells) as lanes of one integration
+loop (`dynamics.integrate_lanes`) once they have `_LANE_MIN_CELLS` of them;
+each cell's artifacts are byte-identical to ``run`` on its manifest. Memory
+grows as cells x samples x (2d+3) floats.
 
 Each run writes three artifacts into <out>/<label>/: ``trajectory.csv`` with
 the fixed column schema, ``report.json`` with the requested diagnostics, and
@@ -25,10 +29,13 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import ConfigError, ExperimentConfig, load_config, resolve
-from .dynamics import IntegrationError, Trajectory, integrate, sample_times
+from .dynamics import IntegrationError, Trajectory, integrate, integrate_lanes, sample_times
 from .schedules import check_strong_convergence_hypotheses, crossing_time_on_grid, t2eps_threshold
 
 _FMT = "%.17g"
+# Fewest cells integrated as lanes: on paper1d two lanes took 1.2x as long
+# as two one-by-one runs, three about as long, four 0.8x.
+_LANE_MIN_CELLS = 3
 
 
 def _fmt(value: float) -> str:
@@ -179,12 +186,19 @@ def _summary_block(traj: Trajectory) -> dict:
     }
 
 
-def run_experiment(exp: ExperimentConfig) -> tuple[Path, Trajectory]:
-    """Integrate and write trajectory.csv, report.json and manifest.json."""
+def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajectory]:
+    """Integrate and write trajectory.csv, report.json and manifest.json.
+
+    ``outcome`` is the run's result when it was already integrated as a lane
+    of `integrate_lanes`: its Trajectory, or its IntegrationError, which is
+    raised here after the partial run is flushed, as for ``run``.
+    """
     run_dir = exp.out_dir / exp.label
     obj, s, dyn = exp.objective, exp.schedule, exp.dynamics
     try:
-        traj = integrate(obj, s, dyn)
+        traj = integrate(obj, s, dyn) if outcome is None else outcome
+        if isinstance(traj, IntegrationError):
+            raise traj
     except IntegrationError as exc:
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "manifest.json", exp.resolved)
@@ -215,16 +229,53 @@ def run_experiment(exp: ExperimentConfig) -> tuple[Path, Trajectory]:
     return run_dir, traj
 
 
-def _variant(exp: ExperimentConfig, label: str, schedule_keys: dict) -> ExperimentConfig:
+def _variant(exp: ExperimentConfig, label: str, overrides: dict) -> ExperimentConfig:
+    """A cell of ``compare``/``sweep``: exp with its schedule keys replaced by
+    the ``schedule.*`` keys in overrides and the other overrides applied,
+    written under <out>/<exp label>/<label>."""
     data = {
         k: v
         for k, v in exp.resolved.items()
         if not k.startswith("schedule.") and k not in ("label", "output.dir")
     }
-    data.update(schedule_keys)
+    data.update(overrides)
     data["label"] = label
     data["output.dir"] = str(exp.out_dir / exp.label)
     return resolve(data)
+
+
+def _run_cells(exp: ExperimentConfig, variants: Sequence[tuple[str, dict]]) -> list:
+    """Resolve and run the cells of ``compare``/``sweep`` in order and return
+    (cell, trajectory) pairs. From `_LANE_MIN_CELLS` cells up they are
+    integrated as lanes of one loop; the artifacts and the order of failure
+    are those of running the cells one after another: a config or
+    integration error at a cell leaves every earlier cell complete and no
+    later one started."""
+    cells, error = [], None
+    try:
+        for label, overrides in variants:
+            cells.append(_variant(exp, label, overrides))
+    except ConfigError as exc:
+        error = exc
+    outcomes = [None] * len(cells)
+    if len(cells) >= _LANE_MIN_CELLS:
+        outcomes = integrate_lanes(cells[0].objective, [(c.schedule, c.dynamics) for c in cells])
+    done = [(cell, run_experiment(cell, outcome)[1]) for cell, outcome in zip(cells, outcomes)]
+    if error is not None:
+        raise error
+    return done
+
+
+def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence]):
+    """A summary CSV: strings as they are, booleans as 1/0, numbers as %.17g."""
+    def field(value) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return _fmt(value)
+
+    path.write_text("\n".join(",".join(map(field, row)) for row in [header, *rows]) + "\n")
 
 
 def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
@@ -241,22 +292,17 @@ def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
             )
         )
     rows = []
-    top = exp.out_dir / exp.label
-    for name, keys in variants:
-        sub = _variant(exp, name, keys)
-        _, traj = run_experiment(sub)
+    for sub, traj in _run_cells(exp, variants):
         x_norms = np.linalg.norm(traj.x, axis=1)
-        gamma_val = keys.get("schedule.gamma", float("nan"))
+        gamma_val = sub.resolved.get("schedule.gamma", float("nan"))
         rows.append(
-            [name, gamma_val, float(traj.gap[-1]), float(np.min(x_norms))]
+            [sub.label, gamma_val, float(traj.gap[-1]), float(np.min(x_norms))]
             + [float(v) for v in traj.x[-1]]
         )
     d = exp.objective.dimension
     header = ["run", "gamma", "final_gap", "min_x_norm"] + [f"final_x_{i}" for i in range(d)]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([row[0]] + [_fmt(v) for v in row[1:]]))
-    (top / "comparison.csv").write_text("\n".join(lines) + "\n")
+    top = exp.out_dir / exp.label
+    _write_rows(top / "comparison.csv", header, rows)
     return top
 
 
@@ -287,56 +333,41 @@ def sweep_experiment(
     """Cartesian-product runs over (alpha, beta, gamma) with a crossing-time summary."""
     if not alphas or not betas or not gammas:
         raise ConfigError("sweep needs nonempty alpha, beta and gamma grids")
-    top = exp.out_dir / exp.label
-    rows = []
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                name = "alpha_%g__beta_%g__gamma_%g" % (alpha, beta, gamma)
-                data = {
-                    k: v
-                    for k, v in exp.resolved.items()
-                    if not k.startswith("schedule.") and k not in ("label", "output.dir")
-                }
-                data.update(
-                    {
-                        "label": name,
-                        "output.dir": str(top),
-                        "schedule.kind": "power",
-                        "schedule.gamma": float(gamma),
-                        "schedule.scale": exp.resolved.get("schedule.scale", 1.0),
-                        "dynamics.alpha": float(alpha),
-                        "dynamics.beta": float(beta),
-                    }
-                )
-                sub = resolve(data)
-                _, traj = run_experiment(sub)
-                bound = t2eps_threshold(float(alpha), float(beta), exp.growth_constant)
-                grid = _extended_times(sub, sub.dynamics)
-                t_cross = crossing_time_on_grid(sub.schedule, bound, grid)
-                rows.append(
-                    {
-                        "alpha": float(alpha),
-                        "beta": float(beta),
-                        "gamma": float(gamma),
-                        "threshold": bound,
-                        "t_cross": float("nan") if t_cross is None else t_cross,
-                        "within_horizon": bool(t_cross is not None and t_cross <= sub.dynamics.horizon),
-                        "final_gap": float(traj.gap[-1]),
-                        "min_x_norm": float(np.min(np.linalg.norm(traj.x, axis=1))),
-                    }
-                )
-    header = ["alpha", "beta", "gamma", "threshold", "t_cross", "within_horizon", "final_gap", "min_x_norm"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [_fmt(r["alpha"]), _fmt(r["beta"]), _fmt(r["gamma"]), _fmt(r["threshold"]),
-                 _fmt(r["t_cross"]), "1" if r["within_horizon"] else "0",
-                 _fmt(r["final_gap"]), _fmt(r["min_x_norm"])]
-            )
+    variants = [
+        (
+            "alpha_%g__beta_%g__gamma_%g" % (alpha, beta, gamma),
+            {
+                "schedule.kind": "power",
+                "schedule.gamma": float(gamma),
+                "schedule.scale": exp.resolved.get("schedule.scale", 1.0),
+                "dynamics.alpha": float(alpha),
+                "dynamics.beta": float(beta),
+            },
         )
-    (top / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
+        for alpha in alphas
+        for beta in betas
+        for gamma in gammas
+    ]
+    rows = []
+    for sub, traj in _run_cells(exp, variants):
+        alpha, beta = sub.dynamics.alpha, sub.dynamics.beta
+        bound = t2eps_threshold(alpha, beta, exp.growth_constant)
+        t_cross = crossing_time_on_grid(sub.schedule, bound, _extended_times(sub, sub.dynamics))
+        rows.append(
+            [
+                alpha,
+                beta,
+                sub.schedule.gamma,
+                bound,
+                float("nan") if t_cross is None else t_cross,
+                bool(t_cross is not None and t_cross <= sub.dynamics.horizon),
+                float(traj.gap[-1]),
+                float(np.min(np.linalg.norm(traj.x, axis=1))),
+            ]
+        )
+    header = ["alpha", "beta", "gamma", "threshold", "t_cross", "within_horizon", "final_gap", "min_x_norm"]
+    top = exp.out_dir / exp.label
+    _write_rows(top / "sweep_summary.csv", header, rows)
     return top
 
 

@@ -10,7 +10,9 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
     x' = y - beta * grad g(x)
     y' = -(alpha/t) y - (1 - alpha*beta/t) grad g(x) - eps(t) x.
 
-`integrate` uses the lifted form; `integrate_direct` integrates the original
+`integrate` uses the lifted form; `integrate_lanes` integrates several runs of
+it that differ only in alpha, beta and the schedule as lanes of one loop, each
+byte-identical to `integrate`; `integrate_direct` integrates the original
 second-order system in (x, x') via Hessian-vector products and serves as a
 cross-validation oracle. Running integrals needed by the ergodic diagnostics
 are accumulated as extra state components, not by post-hoc quadrature.
@@ -18,13 +20,13 @@ are accumulated as extra state components, not by post-hoc quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .integrator import IntegrationError, solve
+from .integrator import IntegrationError, solve, solve_lanes
 from .problems import ObjectiveSpec, _as_vector
-from .schedules import TikhonovSchedule
+from .schedules import TikhonovSchedule, _lanes_eps
 
 __all__ = [
     "DynamicsConfig",
@@ -36,6 +38,7 @@ __all__ = [
     "recover_velocity",
     "vector_field",
     "integrate",
+    "integrate_lanes",
     "integrate_direct",
     "sample_times",
 ]
@@ -266,7 +269,6 @@ def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> T
     alpha, beta = cfg.alpha, cfg.beta
     grad = obj.gradient
     eps = s._scalar_eps(cfg.t0, cfg.horizon)
-    init = lift_initial_conditions(obj, beta, cfg.u0, cfg.v0)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         x = z[:d]
@@ -284,16 +286,82 @@ def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> T
         out[2 * d + 2] = np.dot(dx, dx) / t
         return out
 
-    z0 = np.concatenate([init.x, init.y, np.zeros(3)])
     ts = sample_times(cfg)
     try:
-        Z, stats = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+        Z, stats = solve(rhs, _lifted_z0(obj, cfg), ts, cfg.rel_tol, cfg.abs_tol)
     except IntegrationError as exc:
         if exc.rows is not None:
             exc.partial = _finish(obj, s, cfg, ts[: exc.rows.shape[0]], exc.rows,
                                   exc.stats, "lifted")
         raise
     return _finish(obj, s, cfg, ts, Z, stats, "lifted")
+
+
+def _lifted_z0(obj: ObjectiveSpec, cfg: DynamicsConfig) -> np.ndarray:
+    init = lift_initial_conditions(obj, cfg.beta, cfg.u0, cfg.v0)
+    return np.concatenate([init.x, init.y, np.zeros(3)])
+
+
+def _row_dots(D: np.ndarray) -> np.ndarray:
+    # one BLAS ddot per row, the call np.dot makes on a single row
+    return np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
+
+
+def integrate_lanes(
+    obj: ObjectiveSpec, runs: Sequence[tuple[TikhonovSchedule, DynamicsConfig]]
+) -> list:
+    """`integrate` for several runs, stepped together as lanes of `solve_lanes`.
+
+    The runs share the objective and every DynamicsConfig field but alpha
+    and beta; each has its own schedule. Entry i of the result is what
+    `integrate` gives run i alone, byte for byte: its Trajectory, or the
+    IntegrationError it raises, with ``partial`` attached. A failed run does
+    not stop the others. Memory: the samples of all runs are held at once.
+    """
+    def shared(cfg: DynamicsConfig) -> dict:
+        return {k: v for k, v in cfg.to_dict().items() if k not in ("alpha", "beta")}
+
+    cfg = runs[0][1]
+    if any(shared(c) != shared(cfg) for _, c in runs):
+        raise ValueError("lanes must share every dynamics setting but alpha and beta")
+    d = obj.dimension
+    xstar = _reference_minimizer(obj)
+    grad = obj.gradient
+    eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
+    alphas = np.array([c.alpha for _, c in runs])
+    betas = np.array([c.beta for _, c in runs])
+    alpha_betas = alphas * betas
+
+    # `integrate`'s rhs, operation for operation, on rows of lanes; the
+    # gradient stays one call per lane
+    def rhs(t: np.ndarray, Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        alpha, beta, alpha_beta = alphas[lanes], betas[lanes], alpha_betas[lanes]
+        X = Z[:, :d]
+        Y = Z[:, d : 2 * d]
+        G = np.array([grad(x) for x in X])
+        DX = Y - beta[:, None] * G
+        e = eps(t, lanes)
+        e_t = e / t
+        out = np.empty(Z.shape)
+        out[:, :d] = DX
+        out[:, d : 2 * d] = (
+            -(alpha / t)[:, None] * Y - (1.0 - alpha_beta / t)[:, None] * G - e[:, None] * X
+        )
+        out[:, 2 * d] = e_t
+        out[:, 2 * d + 1] = e_t * _row_dots(X - xstar)
+        out[:, 2 * d + 2] = _row_dots(DX) / t
+        return out
+
+    ts = sample_times(cfg)
+    z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
+    outcomes = []
+    for (s, c), res in zip(runs, solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)):
+        if isinstance(res, IntegrationError):
+            res.partial = _finish(obj, s, c, ts[: res.rows.shape[0]], res.rows, res.stats, "lifted")
+            outcomes.append(res)
+        else:
+            outcomes.append(_finish(obj, s, c, ts, *res, "lifted"))
+    return outcomes
 
 
 def integrate_direct(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> Trajectory:

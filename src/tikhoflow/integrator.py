@@ -13,6 +13,15 @@ everything invariant across attempts (stage rows, views of K, the step floor
 between accepted steps) is built once. `dynamics` checks the schedule domain
 once per run before calling `solve`; the public `TikhonovSchedule.eps` still
 checks on every call.
+
+`solve_lanes` spreads that overhead over many runs (lanes) on one sample
+grid, as `compare` and `sweep` use it: each attempt does its elementwise work
+and DP5 weight products for all active lanes at once, while the initial
+step, acceptance and the step-size law `_next_h` stay per lane in Python
+floats. Each lane's samples, counters and failure are byte-identical to
+`solve` on that lane alone. One lane runs 1.5-2x slower through it than
+through `solve`, so single runs keep `solve`. Memory: lanes x samples x m
+floats for the samples.
 """
 from __future__ import annotations
 
@@ -81,6 +90,23 @@ def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, span)
+
+
+def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
+    """The step-size law: the step to try after an attempt of size h_try with
+    error norm err, when h was the step size before it (both loops use it)."""
+    if err > 1.0:
+        return h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+    if clamped:
+        return h  # a step shortened onto a sample time leaves h as it was
+    if err == 0.0:
+        factor = _MAX_FACTOR
+    else:
+        factor = _SAFETY * err ** (-_ALPHA_PI) * err_prev ** _BETA_PI
+        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+    if just_rejected:
+        factor = min(1.0, factor)
+    return h * factor
 
 
 def solve(
@@ -153,6 +179,7 @@ def solve(
             )
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
         err = _rms(h_try * (_E @ K) / sc)
+        h = _next_h(err, h, h_try, clamped, err_prev, just_rejected)
         if err <= 1.0:
             steps += 1
             t, z = t_new, z_new
@@ -161,24 +188,168 @@ def solve(
             if clamped:
                 out[next_i] = z
                 next_i += 1
-            else:
-                if err == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = _SAFETY * err ** (-_ALPHA_PI) * err_prev ** _BETA_PI
-                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                if just_rejected:
-                    factor = min(1.0, factor)
-                h *= factor
             err_prev = max(err, 1e-4)
             just_rejected = False
         else:
             rejected += 1
             just_rejected = True
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             if h < floor:
                 raise IntegrationError(
                     f"step size underflow at t={t:.6g} (h={h:.3g})",
                     t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
                 )
     return out, stats()
+
+
+class _Lane:
+    """Step-control state of one lane of `solve_lanes`, in Python floats."""
+
+    __slots__ = ("i", "t", "h", "h_try", "t_new", "clamped", "floor", "err_prev",
+                 "just_rejected", "next_i", "steps", "rejected", "evals")
+
+    def __init__(self, i: int, t: float):
+        self.i, self.t = i, t
+        self.floor = _STEP_FLOOR * max(abs(t), 1.0)
+        self.err_prev = 1e-4
+        self.just_rejected = False
+        self.next_i = 1
+        self.steps = self.rejected = self.evals = 0
+
+    def stats(self) -> dict:
+        return {"steps": self.steps, "rejected": self.rejected, "rhs_evals": self.evals}
+
+    def error(self, message: str, state: np.ndarray, out: np.ndarray) -> IntegrationError:
+        return IntegrationError(message, t=self.t, state=state.copy(),
+                                rows=out[self.i, : self.next_i].copy(), stats=self.stats())
+
+
+def _one_lane(rhs, i: int):
+    lane = np.array([i])
+    return lambda t, z: rhs(np.array([t]), z[None], lane)[0]
+
+
+def solve_lanes(
+    rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    z0: np.ndarray,
+    t_samples: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+) -> list:
+    """Integrate the lanes z0[l] over one shared sample grid, each under its own step control.
+
+    ``rhs(t, Z, lanes)`` evaluates the right-hand sides of the lanes whose
+    indices are in ``lanes`` (shape (a,)) at times t (a,) and states Z (a, m)
+    and returns their derivatives (a, m). Each attempt does the elementwise
+    arithmetic and the DP5 weight products of all active lanes at once, as
+    stacked matmuls that run the same per-lane BLAS calls as `solve`. The
+    initial step, acceptance and the step-size law run per lane with `solve`'s
+    arithmetic, so every lane gets exactly the bits `solve` gives it alone.
+    Lanes that finish or fail leave the arrays; the others run on.
+
+    Returns one entry per lane: ``(samples, stats)`` as `solve` returns them,
+    or the IntegrationError `solve` raises on that lane alone. Exceptions
+    raised by rhs propagate. The samples of all lanes share one
+    (lanes, samples, m) buffer.
+    """
+    t_samples = np.asarray(t_samples, dtype=float)
+    n = t_samples.shape[0]
+    Z = np.array(z0, dtype=float)
+    L, m = Z.shape
+    out = np.empty((L, n, m))
+    out[:, 0] = Z
+    t = float(t_samples[0])
+    live = [_Lane(i, t) for i in range(L)]
+    results: list = [None] * L
+    if n == 1:
+        return [(out[ln.i], ln.stats()) for ln in live]
+
+    idx = np.arange(L)
+    F = rhs(np.full(L, t), Z, idx)
+    span = float(t_samples[-1]) - t
+    for ln in live:
+        ln.evals = 1
+        if not np.isfinite(F[ln.i]).all():
+            results[ln.i] = ln.error("non-finite derivative at the initial state", Z[ln.i], out)
+            continue
+        ln.h = _initial_step(_one_lane(rhs, ln.i), t, Z[ln.i], F[ln.i], rel_tol, abs_tol, span)
+        ln.evals += 1
+    live = [ln for ln in live if results[ln.i] is None]
+    idx = np.array([ln.i for ln in live], dtype=np.intp)
+    Z = Z[idx]
+    K = np.empty((len(live), 7, m))
+    K[:, 0] = F[idx]
+    stages = tuple((k, float(_C[k]), _A[k][:k]) for k in range(1, 6))
+    grid = t_samples.tolist()
+    while live:
+        go = []
+        for p, ln in enumerate(live):
+            if ln.steps + ln.rejected > _MAX_STEPS:
+                results[ln.i] = ln.error("step budget exhausted", Z[p], out)
+                continue
+            target = grid[ln.next_i]
+            remaining = target - ln.t
+            ln.clamped = clamped = ln.h >= remaining
+            ln.h_try = h_try = remaining if clamped else ln.h
+            if not clamped and h_try < ln.floor:
+                results[ln.i] = ln.error(
+                    f"step size underflow at t={ln.t:.6g} (h={h_try:.3g})", Z[p], out)
+                continue
+            ln.t_new = target if clamped else ln.t + h_try
+            go.append(p)
+        if len(go) < len(live):
+            live, Z, K, idx = [live[p] for p in go], Z[go], K[go], idx[go]
+            if not live:
+                break
+        T = np.array([ln.t for ln in live])
+        H = np.array([ln.h_try for ln in live])
+        Hc = H[:, None]
+        for k, c, a in stages:
+            K[:, k] = rhs(T + c * H, Z + Hc * np.matmul(a, K[:, :k]), idx)
+        Z_new = Z + Hc * np.matmul(_B, K[:, :6])
+        K[:, 6] = rhs(np.array([ln.t_new for ln in live]), Z_new, idx)  # FSAL stage
+        finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
+        go = []
+        for p, ln in enumerate(live):
+            ln.evals += 6
+            if finite[p]:
+                go.append(p)
+            else:
+                results[ln.i] = ln.error(
+                    f"non-finite state encountered near t={ln.t_new:.6g}", Z[p], out)
+        if len(go) < len(live):
+            live, Z, K, idx, Z_new, Hc = ([live[p] for p in go], Z[go], K[go], idx[go],
+                                          Z_new[go], Hc[go])
+            if not live:
+                break
+        sc = abs_tol + rel_tol * np.maximum(np.abs(Z), np.abs(Z_new))
+        v = Hc * np.matmul(_E, K) / sc
+        errs = np.sqrt(np.add.reduce(v * v, axis=1) / m).tolist()
+        accepted, go = [], []
+        for p, (ln, err) in enumerate(zip(live, errs)):
+            ln.h = _next_h(err, ln.h, ln.h_try, ln.clamped, ln.err_prev, ln.just_rejected)
+            if err <= 1.0:
+                ln.steps += 1
+                ln.t = ln.t_new
+                ln.floor = _STEP_FLOOR * max(abs(ln.t), 1.0)
+                accepted.append(p)
+                if ln.clamped:
+                    out[ln.i, ln.next_i] = Z_new[p]
+                    ln.next_i += 1
+                ln.err_prev = max(err, 1e-4)
+                ln.just_rejected = False
+                if ln.next_i == n:
+                    results[ln.i] = (out[ln.i], ln.stats())
+                    continue
+            else:
+                ln.rejected += 1
+                ln.just_rejected = True
+                if ln.h < ln.floor:
+                    results[ln.i] = ln.error(
+                        f"step size underflow at t={ln.t:.6g} (h={ln.h:.3g})", Z[p], out)
+                    continue
+            go.append(p)
+        Z[accepted] = Z_new[accepted]
+        K[accepted, 0] = K[accepted, 6]
+        if len(go) < len(live):
+            live, Z, K, idx = [live[p] for p in go], Z[go], K[go], idx[go]
+    return results

@@ -56,6 +56,24 @@ def _unknown(note: str = "") -> Verdict:
     return Verdict("unknown", note=note)
 
 
+def _power_eps(t, scale, gamma):
+    # np.power, not Python's **: the two round differently
+    return scale * np.power(t, -gamma)
+
+
+def _lanes_eps(schedules, lo: float, hi: float):
+    """Check [lo, hi] against each schedule's domain once; return an
+    unchecked evaluator (t, lanes) -> eps of schedules[lanes[j]] at t[j],
+    bit-equal per lane to `_scalar_eps`: one `np.power` call when every
+    schedule is a power law, one scalar evaluation per lane otherwise."""
+    scalar = [s._scalar_eps(lo, hi) for s in schedules]
+    if all(s.kind == "power" for s in schedules):
+        scale = np.array([s.scale for s in schedules])
+        gamma = np.array([s.gamma for s in schedules])
+        return lambda t, lanes: _power_eps(t, scale[lanes], gamma[lanes])
+    return lambda t, lanes: np.array([scalar[i](x) for i, x in zip(lanes.tolist(), t.tolist())])
+
+
 @dataclass(frozen=True, eq=False)
 class TikhonovSchedule:
     """A nonincreasing C^1 regularization weight on [t0, infinity).
@@ -118,8 +136,7 @@ class TikhonovSchedule:
     def _eval(self, t):
         """eps at a float or a float array, without the domain check."""
         if self.kind == "power":
-            # np.power, not Python's **: the two round differently
-            return self.scale * np.power(t, -self.gamma)
+            return _power_eps(t, self.scale, self.gamma)
         if self.kind == "logarithmic":
             return 1.0 / np.log(self.offset + t)
         if self.kind == "zero":
