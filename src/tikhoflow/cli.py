@@ -4,9 +4,10 @@ Verbs: ``run`` (single experiment), ``compare`` (zero schedule against a list
 of power-law decays, shared dynamics), ``sweep`` (Cartesian grid over alpha,
 beta, gamma), ``check-schedule`` (hypothesis verdicts only, no integration).
 ``compare`` and ``sweep`` step their runs (cells) as lanes of one integration
-loop (`dynamics.integrate_lanes`) once they have `_LANE_MIN_CELLS` of them;
-each cell's artifacts are byte-identical to ``run`` on its manifest. Memory
-grows as cells x samples x (2d+3) floats.
+loop (`dynamics.integrate_lanes`); each cell's artifacts are byte-identical to
+``run`` on its manifest. Memory grows as cells x samples x (2d+3) floats for
+the samples of all cells, plus samples x (d+3) floats for each of the at most
+two finished cells in hand.
 
 Each run writes three artifacts into <out>/<label>/: ``trajectory.csv`` with
 the fixed column schema, ``report.json`` with the requested diagnostics, and
@@ -23,7 +24,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,9 +34,6 @@ from .dynamics import IntegrationError, Trajectory, integrate, integrate_lanes, 
 from .schedules import check_strong_convergence_hypotheses, crossing_time_on_grid, t2eps_threshold
 
 _FMT = "%.17g"
-# Fewest cells integrated as lanes: on paper1d two lanes took 1.2x as long
-# as two one-by-one runs, three about as long, four 0.8x.
-_LANE_MIN_CELLS = 3
 
 
 def _fmt(value: float) -> str:
@@ -244,26 +242,26 @@ def _variant(exp: ExperimentConfig, label: str, overrides: dict) -> ExperimentCo
     return resolve(data)
 
 
-def _run_cells(exp: ExperimentConfig, variants: Sequence[tuple[str, dict]]) -> list:
-    """Resolve and run the cells of ``compare``/``sweep`` in order and return
-    (cell, trajectory) pairs. From `_LANE_MIN_CELLS` cells up they are
-    integrated as lanes of one loop; the artifacts and the order of failure
-    are those of running the cells one after another: a config or
-    integration error at a cell leaves every earlier cell complete and no
-    later one started."""
+def _run_cells(
+    exp: ExperimentConfig, variants: Sequence[tuple[str, dict]]
+) -> Iterator[tuple[ExperimentConfig, Trajectory]]:
+    """Resolve the cells of ``compare``/``sweep``, integrate them as lanes of
+    one loop and write them in order, yielding (cell, trajectory) as each is
+    written. The artifacts and the order of failure are those of running the
+    cells one after another: a config or integration error at a cell leaves
+    every earlier cell complete and no later one started."""
     cells, error = [], None
     try:
         for label, overrides in variants:
             cells.append(_variant(exp, label, overrides))
     except ConfigError as exc:
         error = exc
-    outcomes = [None] * len(cells)
-    if len(cells) >= _LANE_MIN_CELLS:
+    if cells:
         outcomes = integrate_lanes(cells[0].objective, [(c.schedule, c.dynamics) for c in cells])
-    done = [(cell, run_experiment(cell, outcome)[1]) for cell, outcome in zip(cells, outcomes)]
+        for cell, outcome in zip(cells, outcomes):
+            yield cell, run_experiment(cell, outcome)[1]
     if error is not None:
         raise error
-    return done
 
 
 def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence]):

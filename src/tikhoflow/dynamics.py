@@ -309,14 +309,17 @@ def _row_dots(D: np.ndarray) -> np.ndarray:
 
 def integrate_lanes(
     obj: ObjectiveSpec, runs: Sequence[tuple[TikhonovSchedule, DynamicsConfig]]
-) -> list:
+) -> Iterator:
     """`integrate` for several runs, stepped together as lanes of `solve_lanes`.
 
     The runs share the objective and every DynamicsConfig field but alpha
-    and beta; each has its own schedule. Entry i of the result is what
-    `integrate` gives run i alone, byte for byte: its Trajectory, or the
+    and beta; each has its own schedule. All runs are integrated before this
+    returns; the result then yields, for each run in order, what `integrate`
+    gives that run alone, byte for byte: its Trajectory, or the
     IntegrationError it raises, with ``partial`` attached. A failed run does
-    not stop the others. Memory: the samples of all runs are held at once.
+    not stop the others. Memory: the samples of all runs, lanes x samples x
+    (2d+3) floats, are held at once; each Trajectory is finished only when
+    it is drawn, so a caller that drops it holds no more than that.
     """
     def shared(cfg: DynamicsConfig) -> dict:
         return {k: v for k, v in cfg.to_dict().items() if k not in ("alpha", "beta")}
@@ -352,16 +355,16 @@ def integrate_lanes(
         out[:, 2 * d + 2] = _row_dots(DX) / t
         return out
 
-    ts = sample_times(cfg)
-    z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
-    outcomes = []
-    for (s, c), res in zip(runs, solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)):
+    def finish(s: TikhonovSchedule, c: DynamicsConfig, res):
         if isinstance(res, IntegrationError):
             res.partial = _finish(obj, s, c, ts[: res.rows.shape[0]], res.rows, res.stats, "lifted")
-            outcomes.append(res)
-        else:
-            outcomes.append(_finish(obj, s, c, ts, *res, "lifted"))
-    return outcomes
+            return res
+        return _finish(obj, s, c, ts, *res, "lifted")
+
+    ts = sample_times(cfg)
+    z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
+    results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+    return (finish(s, c, res) for (s, c), res in zip(runs, results))
 
 
 def integrate_direct(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> Trajectory:

@@ -94,8 +94,9 @@ def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
 
 def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     """The step-size law: the step to try after an attempt of size h_try with
-    error norm err, when h was the step size before it (both loops use it)."""
-    if err > 1.0:
+    error norm err, when h was the step size before it (both loops use it).
+    A NaN err takes the reject law, as it fails the loops' test err <= 1."""
+    if not err <= 1.0:
         return h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
     if clamped:
         return h  # a step shortened onto a sample time leaves h as it was

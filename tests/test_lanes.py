@@ -22,8 +22,10 @@ from tikhoflow import (
 )
 from tikhoflow.cli import main
 from tikhoflow.dynamics import integrate_lanes
-from tikhoflow.integrator import solve, solve_lanes
+from tikhoflow.integrator import _MIN_FACTOR, _next_h, solve, solve_lanes
 from tikhoflow.problems import ObjectiveSpec
+
+from helpers import reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
 BASE = dict(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0, sample_count=40)
@@ -63,7 +65,7 @@ def _assert_same_trajectory(got, ref):
 
 
 def _assert_lanes_match_integrate(obj, runs):
-    lanes = integrate_lanes(obj, runs)
+    lanes = list(integrate_lanes(obj, runs))
     assert len(lanes) == len(runs)
     for (s, cfg), got in zip(runs, lanes):
         ref = _outcome(integrate, obj, s, cfg)
@@ -177,6 +179,30 @@ def test_single_sample_grid_returns_initial_states():
         assert stats == {"steps": 0, "rejected": 0, "rhs_evals": 0}
 
 
+
+def test_nan_error_norm_takes_the_reject_law():
+    # NaN fails the loops' `err <= 1.0`, so the step-size law must reject,
+    # also on a step clamped onto a sample time
+    for clamped in (False, True):
+        assert _next_h(float("nan"), 0.5, 0.25, clamped, 1e-4, False) == 0.25 * _MIN_FACTOR
+
+
+def test_zero_component_without_abs_tol_matches_reference():
+    # with abs_tol = 0 a constant-zero component scales to 0/0; the initial
+    # step turns NaN, and every stepper must fail on the first attempt as the
+    # reference does
+    def rhs(t, z):
+        return np.array([-z[0], 0.0])
+
+    z0, ts = np.array([1.0, 0.0]), np.linspace(0.0, 5.0, 6)
+    with np.errstate(invalid="ignore"):
+        got = _outcome(solve, rhs, z0, ts, 1e-6, 0.0)
+        ref = _outcome(reference_solve, rhs, z0, ts, 1e-6, 0.0)
+        lane = solve_lanes(lambda t, Z, lanes: np.array([rhs(t[0], Z[0])]), z0[None], ts, 1e-6, 0.0)
+    assert "non-finite state" in str(ref)
+    _assert_same_failure(got, ref)
+    _assert_same_failure(lane[0], ref)
+
 CELL_CONFIG = """
 label = demo
 problem.name = paper1d
@@ -239,11 +265,11 @@ def test_sweep_middle_cell_failure_stops_like_sequential_cells(cell_config, tmp_
     real = cli_mod.integrate_lanes
 
     def middle_lane_fails(obj, runs):
-        outcomes = real(obj, runs)
+        outcomes = list(real(obj, runs))
         s, cfg = runs[1]
         blown_up = dataclasses.replace(cfg, u0=np.array([800.0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            outcomes[1] = real(COSH, [(s, blown_up), (s, blown_up)])[0]
+            outcomes[1] = next(real(COSH, [(s, blown_up), (s, blown_up)]))
         assert isinstance(outcomes[1], IntegrationError)
         return outcomes
 
