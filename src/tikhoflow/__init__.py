@@ -28,7 +28,6 @@ from .schedules import (
     check_strong_convergence_hypotheses,
     classify_integrals,
     crossing_time_on_grid,
-    eps,
     logarithmic_schedule,
     power_schedule,
     t2eps_threshold,
@@ -40,7 +39,6 @@ from .dynamics import (
     IntegrationError,
     LiftedState,
     Trajectory,
-    TrajectorySample,
     integrate,
     integrate_direct,
     lift_initial_conditions,
@@ -58,13 +56,9 @@ from .diagnostics import (
     averaged_t_eps,
     default_energy_index,
     eb_drift_bound_check,
-    energy_Eb,
-    energy_Eb_regrouped,
     energy_Eb_series,
     energy_Ebp,
-    energy_W,
     energy_W_series,
-    energy_wellposedness,
     ergodic_deviation,
     monotonicity_check,
     rate_report,

@@ -137,15 +137,12 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
             params = diag.strong_convergence_energy_params(dyn.alpha, xstar)
             if exp.energy_p is not None:
                 params = diag.EnergyParams(b=params.b, p=exp.energy_p, xstar=xstar)
-            values = [
-                diag.energy_Ebp(obj, s, dyn, params, traj.sample(i))
-                for i in range(traj.n_samples)
-            ]
+            values = diag.energy_Ebp(obj, s, dyn, params, traj)
             out["Ebp"] = {
                 "b": params.b,
                 "p": params.p,
                 "times": traj.t.tolist(),
-                "values": values,
+                "values": values.tolist(),
             }
         except ValueError as exc:
             out["Ebp"] = {"error": str(exc)}

@@ -214,13 +214,11 @@ def build_objective(data: dict) -> tuple[ObjectiveSpec, dict]:
     raise ConfigError(f"problem.name: unknown problem {name!r}")
 
 
-def build_schedule(data: dict, t0: float, gamma_override: Optional[float] = None) -> tuple[TikhonovSchedule, dict]:
+def build_schedule(data: dict, t0: float) -> tuple[TikhonovSchedule, dict]:
     kind = data.get("schedule.kind", DEFAULTS["schedule.kind"])
     try:
         if kind == "power":
-            gamma = gamma_override if gamma_override is not None else float(
-                data.get("schedule.gamma", DEFAULTS["schedule.gamma"])
-            )
+            gamma = float(data.get("schedule.gamma", DEFAULTS["schedule.gamma"]))
             scale = float(data.get("schedule.scale", DEFAULTS["schedule.scale"]))
             sched = TikhonovSchedule(kind="power", t0=t0, gamma=gamma, scale=scale)
             return sched, {"schedule.gamma": gamma, "schedule.scale": scale}

@@ -4,7 +4,10 @@ Everything here is a pure evaluation over an immutable Trajectory: the
 descent energy W, the quadratically weighted energies E_b and E_b^p whose
 drift bounds drive the convergence analysis, tail-decay verdicts for the
 claimed rates, the ergodic deviation, and a Newton solver for the Tikhonov
-curve point grad g(x) + eps*x = 0.
+curve point grad g(x) + eps*x = 0. Each energy is one function returning its
+value at every sample; it reads x' + beta*grad g from the trajectory's y
+column and the gap and eps from their columns, so a single state is
+evaluated as a 1-sample Trajectory.
 
 Tail verdicts are deliberately conservative: an asymptotic o(.) claim is not
 decidable from a finite run, so a series is reported "consistent-with-o" only
@@ -19,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, Trajectory, TrajectorySample
+from .dynamics import DynamicsConfig, Trajectory, _row_dots
 from .problems import ObjectiveSpec
-from .schedules import TikhonovSchedule, check_condition_a, check_condition_b
+from .schedules import TikhonovSchedule, _simpson, check_condition_a, check_condition_b
 
 CONSISTENT = "consistent-with-o"
 INCONCLUSIVE = "inconclusive"
@@ -78,80 +81,13 @@ def _validate_b(alpha: float, b: float, strict: bool = False):
 # -- energies ----------------------------------------------------------------
 
 
-def energy_W(obj: ObjectiveSpec, s: TikhonovSchedule, sample: TrajectorySample) -> float:
-    """Descent energy W = g(x) + |x'|^2 / 2 + eps(t) |x|^2 / 2."""
-    return (
-        float(obj.value(sample.x))
-        + 0.5 * float(np.dot(sample.v, sample.v))
-        + 0.5 * s.eps(sample.t) * float(np.dot(sample.x, sample.x))
-    )
-
-
-def energy_wellposedness(obj: ObjectiveSpec, s: TikhonovSchedule, sample: TrajectorySample) -> float:
-    """Same quantity grouped as kinetic + potential + regularization (identity check path)."""
-    kinetic = 0.5 * float(np.dot(sample.v, sample.v))
-    potential = float(obj.value(sample.x))
-    regularization = 0.5 * s.eps(sample.t) * float(np.dot(sample.x, sample.x))
-    return kinetic + potential + regularization
-
-
 def energy_W_series(obj: ObjectiveSpec, s: TikhonovSchedule, traj: Trajectory) -> np.ndarray:
+    """Descent energy W = g(x) + |x'|^2 / 2 + eps(t) |x|^2 / 2 at every sample."""
     g_vals = traj.gap + obj.min_value
     return (
         g_vals
         + 0.5 * np.einsum("ij,ij->i", traj.v, traj.v)
         + 0.5 * traj.eps * np.einsum("ij,ij->i", traj.x, traj.x)
-    )
-
-
-def energy_Eb(
-    obj: ObjectiveSpec,
-    s: TikhonovSchedule,
-    cfg: DynamicsConfig,
-    params: EnergyParams,
-    sample: TrajectorySample,
-) -> float:
-    """Weighted energy in its defining form.
-
-    E_b = (t^2 - beta(b+2-alpha) t) (g - min g) + (t^2 eps / 2) |x|^2
-          + |b(x - x*) + t(x' + beta grad g)|^2 / 2
-          + b(alpha-1-b)/2 |x - x*|^2.
-    """
-    _validate_b(cfg.alpha, params.b)
-    t, b, beta, alpha = sample.t, params.b, cfg.beta, cfg.alpha
-    x, v = sample.x, sample.v
-    diff = x - params.xstar
-    w = v + beta * np.asarray(obj.gradient(x), dtype=float)
-    gap = float(obj.value(x)) - obj.min_value
-    combo = b * diff + t * w
-    return (
-        (t * t - beta * (b + 2.0 - alpha) * t) * gap
-        + 0.5 * t * t * s.eps(t) * float(np.dot(x, x))
-        + 0.5 * float(np.dot(combo, combo))
-        + 0.5 * b * (alpha - 1.0 - b) * float(np.dot(diff, diff))
-    )
-
-
-def energy_Eb_regrouped(
-    obj: ObjectiveSpec,
-    s: TikhonovSchedule,
-    cfg: DynamicsConfig,
-    params: EnergyParams,
-    sample: TrajectorySample,
-) -> float:
-    """The same energy with the square expanded; must agree with energy_Eb."""
-    _validate_b(cfg.alpha, params.b)
-    t, b, beta, alpha = sample.t, params.b, cfg.beta, cfg.alpha
-    x, v = sample.x, sample.v
-    diff = x - params.xstar
-    w = v + beta * np.asarray(obj.gradient(x), dtype=float)
-    gap = float(obj.value(x)) - obj.min_value
-    return (
-        (t * t - beta * (b + 2.0 - alpha) * t) * gap
-        + 0.5 * t * t * s.eps(t) * float(np.dot(x, x))
-        + 0.5 * t * t * float(np.dot(w, w))
-        + b * t * float(np.dot(w, diff))
-        + 0.5 * b * (alpha - 1.0) * float(np.dot(diff, diff))
     )
 
 
@@ -162,6 +98,12 @@ def energy_Eb_series(
     params: EnergyParams,
     traj: Trajectory,
 ) -> np.ndarray:
+    """Weighted energy at every sample, in its defining form.
+
+    E_b = (t^2 - beta(b+2-alpha) t) (g - min g) + (t^2 eps / 2) |x|^2
+          + |b(x - x*) + t(x' + beta grad g)|^2 / 2
+          + b(alpha-1-b)/2 |x - x*|^2.
+    """
     _validate_b(cfg.alpha, params.b)
     t, b, beta, alpha = traj.t, params.b, cfg.beta, cfg.alpha
     diff = traj.x - params.xstar
@@ -179,28 +121,25 @@ def energy_Ebp(
     s: TikhonovSchedule,
     cfg: DynamicsConfig,
     params: EnergyParams,
-    sample: TrajectorySample,
-) -> float:
-    """Scaled energy used in the strong-convergence argument.
+    traj: Trajectory,
+) -> np.ndarray:
+    """Scaled energy used in the strong-convergence argument, at every sample.
 
     E_b^p = t^(p+1) (t + alpha - beta - beta p - b - 1)(g - min g)
             + t^(p+2) (eps/2)(|x|^2 - |x*|^2)
             + (t^p / 2) |b(x - x*) + t(x' + beta grad g)|^2.
     """
-    if params.p < 0.0:
-        raise ValueError("p must be nonnegative")
-    t, b, p = sample.t, params.b, params.p
+    t, b, p = traj.t, params.b, params.p
     beta, alpha = cfg.beta, cfg.alpha
-    x, v = sample.x, sample.v
-    diff = x - params.xstar
-    w = v + beta * np.asarray(obj.gradient(x), dtype=float)
-    gap = float(obj.value(x)) - obj.min_value
-    combo = b * diff + t * w
+    diff = traj.x - params.xstar
+    combo = b * diff + t[:, None] * traj.y  # y is exactly x' + beta*grad g
     xstar_sq = float(np.dot(params.xstar, params.xstar))
+    # per-row dots rounded as np.dot rounds them: |x|^2 - |x*|^2 cancels, and
+    # an einsum's rounding moved E_b^p by 6e-10 relative where it nears zero
     return (
-        t ** (p + 1.0) * (t + alpha - beta - beta * p - b - 1.0) * gap
-        + 0.5 * t ** (p + 2.0) * s.eps(t) * (float(np.dot(x, x)) - xstar_sq)
-        + 0.5 * t**p * float(np.dot(combo, combo))
+        t ** (p + 1.0) * (t + alpha - beta - beta * p - b - 1.0) * traj.gap
+        + 0.5 * t ** (p + 2.0) * traj.eps * (_row_dots(traj.x) - xstar_sq)
+        + 0.5 * t**p * _row_dots(combo)
     )
 
 
@@ -445,14 +384,15 @@ class DriftCheckResult:
         }
 
 
-def _simpson(f, lo: float, hi: float, pieces: int = 8) -> float:
-    if hi <= lo:
-        return 0.0
-    grid = np.linspace(lo, hi, pieces + 1)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    fv = np.array([f(g) for g in grid])
-    fm = np.array([f(g) for g in mid])
-    return float(np.sum((grid[1:] - grid[:-1]) / 6.0 * (fv[:-1] + 4.0 * fm + fv[1:])))
+def _running_drift(integral, t2: float, ts: np.ndarray) -> np.ndarray:
+    """integral(t2, ts[i]) at every sample, accumulated piece by piece."""
+    drift = np.empty_like(ts)
+    acc = integral(t2, float(ts[0]))
+    drift[0] = acc
+    for i in range(1, ts.shape[0]):
+        acc += integral(float(ts[i - 1]), float(ts[i]))
+        drift[i] = acc
+    return drift
 
 
 def eb_drift_bound_check(
@@ -496,13 +436,7 @@ def eb_drift_bound_check(
         mask = t >= t2
         ts = t[mask]
         energies = energy_Eb_series(obj, s, cfg, params, traj)[mask]
-        drift = np.empty_like(ts)
-        acc = s.integral_t_eps(t2, float(ts[0]))
-        drift[0] = acc
-        for i in range(1, ts.shape[0]):
-            acc += s.integral_t_eps(float(ts[i - 1]), float(ts[i]))
-            drift[i] = acc
-        series = energies - 0.5 * l * xstar_sq * drift
+        series = energies - 0.5 * l * xstar_sq * _running_drift(s.integral_t_eps, t2, ts)
         scaled = False
     else:
         _validate_b(alpha, b)
@@ -518,21 +452,12 @@ def eb_drift_bound_check(
         ts = t[mask]
         factor = ts / (ts - beta)
         energies = energy_Eb_series(obj, s, cfg, params, traj)[mask] * factor
-        drift = np.empty_like(ts)
         if beta == 0.0:
-            acc = s.integral_t_eps(t2, float(ts[0]))
-            drift[0] = acc
-            for i in range(1, ts.shape[0]):
-                acc += s.integral_t_eps(float(ts[i - 1]), float(ts[i]))
-                drift[i] = acc
+            integral = s.integral_t_eps
         else:
             integrand = lambda u: u * u / (u - beta) * s.eps(u)
-            acc = _simpson(integrand, t2, float(ts[0]))
-            drift[0] = acc
-            for i in range(1, ts.shape[0]):
-                acc += _simpson(integrand, float(ts[i - 1]), float(ts[i]))
-                drift[i] = acc
-        series = energies - l * xstar_sq * drift
+            integral = lambda lo, hi: _simpson(integrand, np.linspace(lo, hi, 9))
+        series = energies - l * xstar_sq * _running_drift(integral, t2, ts)
         scaled = True
 
     if ts.shape[0] < 2:

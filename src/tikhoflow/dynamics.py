@@ -10,12 +10,14 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
     x' = y - beta * grad g(x)
     y' = -(alpha/t) y - (1 - alpha*beta/t) grad g(x) - eps(t) x.
 
-`integrate` uses the lifted form; `integrate_lanes` integrates several runs of
-it that differ only in alpha, beta and the schedule as lanes of one loop, each
-byte-identical to `integrate`; `integrate_direct` integrates the original
-second-order system in (x, x') via Hessian-vector products and serves as a
-cross-validation oracle. Running integrals needed by the ergodic diagnostics
-are accumulated as extra state components, not by post-hoc quadrature.
+`vector_field` is the lifted right-hand side and `integrate` steps exactly it;
+`integrate_lanes` integrates several runs of it that differ only in alpha,
+beta and the schedule as lanes of one loop, each byte-identical to
+`integrate`; `integrate_direct` integrates the original second-order system
+in (x, x') via Hessian-vector products and serves as a cross-validation
+oracle. Both formulations share one driver. Running integrals needed by the
+ergodic diagnostics are accumulated as extra state components, not by
+post-hoc quadrature.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ __all__ = [
     "DynamicsConfig",
     "LiftedState",
     "Trajectory",
-    "TrajectorySample",
     "IntegrationError",
     "lift_initial_conditions",
     "recover_velocity",
@@ -116,17 +117,6 @@ class LiftedState:
     y: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectorySample:
-    t: float
-    x: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-    eps: float
-    gap: float
-    grad_norm: float
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Sampled solution plus running integrals and run provenance.
@@ -157,21 +147,6 @@ class Trajectory:
     def dimension(self) -> int:
         return self.x.shape[1]
 
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            t=float(self.t[i]),
-            x=self.x[i],
-            v=self.v[i],
-            y=self.y[i],
-            eps=float(self.eps[i]),
-            gap=float(self.gap[i]),
-            grad_norm=float(self.grad_norm[i]),
-        )
-
-    @property
-    def samples(self) -> Iterator[TrajectorySample]:
-        return (self.sample(i) for i in range(self.n_samples))
-
 
 def lift_initial_conditions(obj: ObjectiveSpec, beta: float, u0, v0) -> LiftedState:
     """Initial lifted state: x = u0, y = v0 + beta * grad g(u0)."""
@@ -187,24 +162,36 @@ def recover_velocity(obj: ObjectiveSpec, beta: float, state: LiftedState) -> np.
     return y - beta * np.asarray(obj.gradient(x), dtype=float)
 
 
-def vector_field(
-    obj: ObjectiveSpec,
-    s: TikhonovSchedule,
-    cfg: DynamicsConfig,
-    t: float,
-    state: LiftedState,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the lifted system at (t, state)."""
-    if t <= 0.0:
-        raise ValueError("the damping coefficient alpha/t is singular at t <= 0")
-    g = np.asarray(obj.gradient(state.x), dtype=float)
-    dx = state.y - cfg.beta * g
-    dy = (
-        -(cfg.alpha / t) * state.y
-        - (1.0 - cfg.alpha * cfg.beta / t) * g
-        - s.eps(t) * state.x
-    )
-    return dx, dy
+def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
+    """The lifted right-hand side rhs(t, z) that `integrate` steps.
+
+    z = (x, y, three running integrals); rhs returns (x', y') and the
+    integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t. The schedule is checked
+    against [t0, horizon] once here; rhs evaluates it unchecked.
+    """
+    d = obj.dimension
+    xstar = _reference_minimizer(obj)
+    alpha, beta = cfg.alpha, cfg.beta
+    grad = obj.gradient
+    eps = s._scalar_eps(cfg.t0, cfg.horizon)
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        x = z[:d]
+        y = z[d : 2 * d]
+        g = grad(x)
+        dx = y - beta * g
+        e = eps(t)
+        e_t = e / t
+        out = np.empty(2 * d + 3)
+        out[:d] = dx
+        out[d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
+        out[2 * d] = e_t
+        diff = x - xstar
+        out[2 * d + 1] = e_t * np.dot(diff, diff)
+        out[2 * d + 2] = np.dot(dx, dx) / t
+        return out
+
+    return rhs
 
 
 def _reference_minimizer(obj: ObjectiveSpec) -> np.ndarray:
@@ -227,13 +214,12 @@ def _finish(
     d = obj.dimension
     n = ts.shape[0]
     X = Z[:, :d]
+    G = np.array([obj.gradient(X[i]) for i in range(n)])
     if formulation == "lifted":
         Y = Z[:, d : 2 * d]
-        G = np.array([obj.gradient(X[i]) for i in range(n)])
         V = Y - cfg.beta * G
     else:
         V = Z[:, d : 2 * d]
-        G = np.array([obj.gradient(X[i]) for i in range(n)])
         Y = V + cfg.beta * G
     gaps = np.array([obj.value(X[i]) for i in range(n)]) - obj.min_value
     eps_vals = np.array([s.eps(t) for t in ts])
@@ -258,43 +244,35 @@ def _finish(
     )
 
 
+def _drive(
+    obj: ObjectiveSpec,
+    s: TikhonovSchedule,
+    cfg: DynamicsConfig,
+    rhs,
+    z0: np.ndarray,
+    formulation: str,
+) -> Trajectory:
+    """Step rhs from z0 over the sample grid and finish the Trajectory; on an
+    IntegrationError attach the run up to the last completed sample as
+    ``partial``."""
+    ts = sample_times(cfg)
+    try:
+        Z, stats = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+    except IntegrationError as exc:
+        if exc.rows is not None:
+            exc.partial = _finish(obj, s, cfg, ts[: exc.rows.shape[0]], exc.rows,
+                                  exc.stats, formulation)
+        raise
+    return _finish(obj, s, cfg, ts, Z, stats, formulation)
+
+
 def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> Trajectory:
     """Adaptive integration of the lifted system over [t0, horizon].
 
     On step underflow or non-finite state an IntegrationError is raised whose
     ``partial`` attribute holds the trajectory up to the last completed sample.
     """
-    d = obj.dimension
-    xstar = _reference_minimizer(obj)
-    alpha, beta = cfg.alpha, cfg.beta
-    grad = obj.gradient
-    eps = s._scalar_eps(cfg.t0, cfg.horizon)
-
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        x = z[:d]
-        y = z[d : 2 * d]
-        g = grad(x)
-        dx = y - beta * g
-        e = eps(t)
-        e_t = e / t
-        out = np.empty(2 * d + 3)
-        out[:d] = dx
-        out[d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
-        out[2 * d] = e_t
-        diff = x - xstar
-        out[2 * d + 1] = e_t * np.dot(diff, diff)
-        out[2 * d + 2] = np.dot(dx, dx) / t
-        return out
-
-    ts = sample_times(cfg)
-    try:
-        Z, stats = solve(rhs, _lifted_z0(obj, cfg), ts, cfg.rel_tol, cfg.abs_tol)
-    except IntegrationError as exc:
-        if exc.rows is not None:
-            exc.partial = _finish(obj, s, cfg, ts[: exc.rows.shape[0]], exc.rows,
-                                  exc.stats, "lifted")
-        raise
-    return _finish(obj, s, cfg, ts, Z, stats, "lifted")
+    return _drive(obj, s, cfg, vector_field(obj, s, cfg), _lifted_z0(obj, cfg), "lifted")
 
 
 def _lifted_z0(obj: ObjectiveSpec, cfg: DynamicsConfig) -> np.ndarray:
@@ -335,7 +313,7 @@ def integrate_lanes(
     betas = np.array([c.beta for _, c in runs])
     alpha_betas = alphas * betas
 
-    # `integrate`'s rhs, operation for operation, on rows of lanes; the
+    # `vector_field`'s rhs, operation for operation, on rows of lanes; the
     # gradient stays one call per lane
     def rhs(t: np.ndarray, Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         alpha, beta, alpha_beta = alphas[lanes], betas[lanes], alpha_betas[lanes]
@@ -396,13 +374,4 @@ def integrate_direct(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfi
 
     u0 = _as_vector(cfg.u0, d, "u0")
     v0 = _as_vector(cfg.v0, d, "v0")
-    z0 = np.concatenate([u0, v0, np.zeros(3)])
-    ts = sample_times(cfg)
-    try:
-        Z, stats = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
-    except IntegrationError as exc:
-        if exc.rows is not None:
-            exc.partial = _finish(obj, s, cfg, ts[: exc.rows.shape[0]], exc.rows,
-                                  exc.stats, "direct")
-        raise
-    return _finish(obj, s, cfg, ts, Z, stats, "direct")
+    return _drive(obj, s, cfg, rhs, np.concatenate([u0, v0, np.zeros(3)]), "direct")

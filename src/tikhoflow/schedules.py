@@ -196,7 +196,9 @@ class TikhonovSchedule:
             if abs(e) < 1e-14:
                 return self.scale * math.log(hi / lo)
             return self.scale * (hi**e - lo**e) / e
-        return _log_simpson(lambda s: s * self.eps(s), lo, hi)
+        # Simpson on a log-spaced grid of 200 points per decade, at least 16 pieces
+        n = 2 * max(8, int(200 * max(math.log10(hi / lo), 1e-9) / 2))
+        return _simpson(lambda s: s * self.eps(s), np.geomspace(lo, hi, n + 1))
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "t0": self.t0}
@@ -225,17 +227,11 @@ def tabulated_schedule(times, values) -> TikhonovSchedule:
     return TikhonovSchedule(kind="tabulated", grid_t=np.asarray(times, float), grid_eps=np.asarray(values, float))
 
 
-def eps(s: TikhonovSchedule, t: float) -> float:
-    return s.eps(t)
-
-
-def _log_simpson(f, lo: float, hi: float, points_per_decade: int = 200) -> float:
-    """Composite Simpson on a log-spaced grid; deterministic fixed resolution."""
-    if hi <= lo:
+def _simpson(f, grid: np.ndarray) -> float:
+    """Composite Simpson over the pieces of grid, f evaluated point by point
+    at the grid and the piece midpoints; 0.0 when grid[-1] <= grid[0]."""
+    if grid[-1] <= grid[0]:
         return 0.0
-    decades = max(math.log10(hi / lo), 1e-9)
-    n = 2 * max(8, int(points_per_decade * decades / 2))
-    grid = np.geomspace(lo, hi, n + 1)
     vals = np.array([f(g) for g in grid])
     mid = 0.5 * (grid[:-1] + grid[1:])
     vmid = np.array([f(g) for g in mid])

@@ -1,6 +1,6 @@
 """Shared test oracles: finite differences, synthetic trajectories, the
-exponent-arithmetic truth table for power-law schedules, and a frozen copy of
-the stepping core.
+exponent-arithmetic truth table for power-law schedules, per-sample forms of
+the energies, and a frozen copy of the stepping core.
 
 The finite-difference routines depend only on the objective's value/gradient
 callables, so they stay independent of the analytic derivatives they check.
@@ -75,6 +75,51 @@ def synthetic_trajectory(t, x, eps, xstar, v=None) -> Trajectory:
         int_erg_num=cum(w2),
         int_vel=cum(w3),
         meta={"synthetic": True},
+    )
+
+
+# -- per-sample energies -------------------------------------------------------
+# Independent forms of the energies that `diagnostics` evaluates as series.
+# Each rebuilds w = x' + beta*grad g and the gap from (x, v) through the
+# objective instead of reading the trajectory's y and gap columns.
+
+
+def energy_W_wellposedness(obj, s, t, x, v) -> float:
+    """W grouped as kinetic + potential + regularization."""
+    kinetic = 0.5 * float(np.dot(v, v))
+    potential = float(obj.value(x))
+    regularization = 0.5 * s.eps(float(t)) * float(np.dot(x, x))
+    return kinetic + potential + regularization
+
+
+def energy_Eb_regrouped(obj, s, cfg, params, t, x, v) -> float:
+    """E_b with the square |b(x - x*) + t w|^2 expanded."""
+    t, b, beta, alpha = float(t), params.b, cfg.beta, cfg.alpha
+    diff = x - params.xstar
+    w = v + beta * np.asarray(obj.gradient(x), dtype=float)
+    gap = float(obj.value(x)) - obj.min_value
+    return (
+        (t * t - beta * (b + 2.0 - alpha) * t) * gap
+        + 0.5 * t * t * s.eps(t) * float(np.dot(x, x))
+        + 0.5 * t * t * float(np.dot(w, w))
+        + b * t * float(np.dot(w, diff))
+        + 0.5 * b * (alpha - 1.0) * float(np.dot(diff, diff))
+    )
+
+
+def energy_Ebp_sample(obj, s, cfg, params, t, x, v) -> float:
+    """E_b^p at one sample, in its defining form."""
+    t, b, p = float(t), params.b, params.p
+    beta, alpha = cfg.beta, cfg.alpha
+    diff = x - params.xstar
+    w = v + beta * np.asarray(obj.gradient(x), dtype=float)
+    gap = float(obj.value(x)) - obj.min_value
+    combo = b * diff + t * w
+    xstar_sq = float(np.dot(params.xstar, params.xstar))
+    return (
+        t ** (p + 1.0) * (t + alpha - beta - beta * p - b - 1.0) * gap
+        + 0.5 * t ** (p + 2.0) * s.eps(t) * (float(np.dot(x, x)) - xstar_sq)
+        + 0.5 * t**p * float(np.dot(combo, combo))
     )
 
 

@@ -10,7 +10,7 @@ import tikhoflow as tf
 from tikhoflow.cli import main as cli_main
 from tikhoflow.schedules import check_limit_condition, check_t2eps_growth
 
-from helpers import POWER_TRUTH
+from helpers import POWER_TRUTH, energy_Eb_regrouped
 
 _RUNS: dict = {}
 
@@ -270,17 +270,20 @@ def test_criterion_11_algebraic_identities():
     worst_diff = 0.0
     b1, b2 = 2.3, 2.8
     pa, pb = tf.EnergyParams(b=b1, xstar=xstar), tf.EnergyParams(b=b2, xstar=xstar)
+    series = tf.energy_Eb_series(obj, s, cfg, params, traj)
+    series_a = tf.energy_Eb_series(obj, s, cfg, pa, traj)
+    series_b = tf.energy_Eb_series(obj, s, cfg, pb, traj)
     for i in range(traj.n_samples):
-        sample = traj.sample(i)
-        e0 = tf.energy_Eb(obj, s, cfg, params, sample)
-        e1 = tf.energy_Eb_regrouped(obj, s, cfg, params, sample)
+        t, x = traj.t[i], traj.x[i]
+        e0 = series[i]
+        e1 = energy_Eb_regrouped(obj, s, cfg, params, t, x, traj.v[i])
         worst_form = max(worst_form, abs(e0 - e1) / (1.0 + abs(e0)))
-        lhs = tf.energy_Eb(obj, s, cfg, pa, sample) - tf.energy_Eb(obj, s, cfg, pb, sample)
-        w = sample.y
-        diff = sample.x - xstar
+        lhs = series_a[i] - series_b[i]
+        w = traj.y[i]
+        diff = x - xstar
         rhs = (b1 - b2) * (
-            -cfg.beta * sample.t * sample.gap
-            + sample.t * float(w @ diff)
+            -cfg.beta * t * traj.gap[i]
+            + t * float(w @ diff)
             + 0.5 * (cfg.alpha - 1.0) * float(diff @ diff)
         )
         worst_diff = max(worst_diff, abs(lhs - rhs) / (1.0 + abs(lhs)))

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +286,15 @@ dynamics.horizon = 100
 """
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_benchmark_trace_installs():
+    # bench/spans.py wraps config, dynamics, diagnostics and cli entry points
+    # by name; a renamed one must fail here, not only in the benchmark's suite
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,17 +5,14 @@ from tikhoflow import (
     DynamicsConfig,
     EnergyParams,
     SolverError,
+    Trajectory,
     averaged_t_eps,
     builtin,
     default_energy_index,
     eb_drift_bound_check,
-    energy_Eb,
-    energy_Eb_regrouped,
     energy_Eb_series,
     energy_Ebp,
-    energy_W,
     energy_W_series,
-    energy_wellposedness,
     ergodic_deviation,
     integrate,
     monotonicity_check,
@@ -25,16 +22,33 @@ from tikhoflow import (
     tikhonov_point,
     zero_schedule,
 )
-from tikhoflow.dynamics import TrajectorySample
 
-from helpers import synthetic_trajectory
+from helpers import (
+    energy_Eb_regrouped,
+    energy_Ebp_sample,
+    energy_W_wellposedness,
+    synthetic_trajectory,
+)
 
 
-def make_sample(t, x, v, y=None, eps=0.0, gap=0.0, grad_norm=0.0):
+def one_row(obj, s, t, x, v, y=None):
+    """A 1-sample Trajectory at (t, x, v); gap and eps are filled in from obj and s."""
     x = np.atleast_1d(np.asarray(x, float))
     v = np.atleast_1d(np.asarray(v, float))
     y = v if y is None else np.atleast_1d(np.asarray(y, float))
-    return TrajectorySample(t=t, x=x, v=v, y=y, eps=eps, gap=gap, grad_norm=grad_norm)
+    zero = np.zeros(1)
+    return Trajectory(
+        t=np.array([t], float),
+        x=x[None, :],
+        v=v[None, :],
+        y=y[None, :],
+        eps=np.array([s.eps(t)]),
+        gap=np.array([obj.value(x) - obj.min_value]),
+        grad_norm=np.array([np.linalg.norm(obj.gradient(x))]),
+        int_eps_over_t=zero,
+        int_erg_num=zero,
+        int_vel=zero,
+    )
 
 
 # -- W ------------------------------------------------------------------------
@@ -43,21 +57,20 @@ def make_sample(t, x, v, y=None, eps=0.0, gap=0.0, grad_norm=0.0):
 def test_energy_W_vanishes_at_rest_at_origin():
     obj = builtin("shifted_quadratic", c=np.zeros(1))
     s = power_schedule(1.5)
-    sample = make_sample(4.0, [0.0], [0.0])
-    assert energy_W(obj, s, sample) == 0.0
+    assert energy_W_series(obj, s, one_row(obj, s, 4.0, [0.0], [0.0]))[0] == 0.0
 
 
 def test_energy_W_paper1d_direct():
     obj = builtin("paper1d")
     s = power_schedule(1.5)  # eps(4) = 0.125
-    sample = make_sample(4.0, [2.0], [1.0])
-    assert energy_W(obj, s, sample) == pytest.approx(1.0 + 0.5 + 0.25)
+    traj = one_row(obj, s, 4.0, [2.0], [1.0])
+    assert energy_W_series(obj, s, traj)[0] == pytest.approx(1.0 + 0.5 + 0.25)
 
 
 def test_energy_W_reduces_without_regularization():
     obj = builtin("paper1d")
-    sample = make_sample(4.0, [2.0], [1.0])
-    assert energy_W(obj, zero_schedule(), sample) == pytest.approx(1.5)
+    s = zero_schedule()
+    assert energy_W_series(obj, s, one_row(obj, s, 4.0, [2.0], [1.0]))[0] == pytest.approx(1.5)
 
 
 def test_energy_W_identity_with_wellposedness_path():
@@ -65,13 +78,10 @@ def test_energy_W_identity_with_wellposedness_path():
     s = power_schedule(1.5)
     cfg = DynamicsConfig(alpha=3, beta=1, t0=1, u0=[2.0], v0=[0.0], horizon=200.0)
     traj = integrate(obj, s, cfg)
-    for i in range(0, traj.n_samples, 37):
-        sample = traj.sample(i)
-        w1 = energy_W(obj, s, sample)
-        w2 = energy_wellposedness(obj, s, sample)
-        assert w1 == pytest.approx(w2, rel=1e-12)
     series = energy_W_series(obj, s, traj)
-    assert series[0] == pytest.approx(energy_W(obj, s, traj.sample(0)), rel=1e-12)
+    for i in range(0, traj.n_samples, 37):
+        w = energy_W_wellposedness(obj, s, traj.t[i], traj.x[i], traj.v[i])
+        assert series[i] == pytest.approx(w, rel=1e-12)
 
 
 # -- E_b ------------------------------------------------------------------------
@@ -83,16 +93,18 @@ def _cfg(alpha, beta):
 
 def test_energy_Eb_zero_at_minimizer():
     obj = builtin("shifted_quadratic", c=np.zeros(1))
+    s = zero_schedule()
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
-    sample = make_sample(7.0, [0.0], [0.0])
-    assert energy_Eb(obj, zero_schedule(), _cfg(4.0, 0.0), params, sample) == 0.0
+    traj = one_row(obj, s, 7.0, [0.0], [0.0])
+    assert energy_Eb_series(obj, s, _cfg(4.0, 0.0), params, traj)[0] == 0.0
 
 
 def test_energy_Eb_paper1d_handworked_value():
     obj = builtin("paper1d")
+    s = zero_schedule()
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
-    sample = make_sample(10.0, [2.0], [0.0], y=[3.0], gap=1.0)
-    val = energy_Eb(obj, zero_schedule(), _cfg(4.0, 1.0), params, sample)
+    traj = one_row(obj, s, 10.0, [2.0], [0.0], y=[3.0])  # gap g(2) = 1
+    val = energy_Eb_series(obj, s, _cfg(4.0, 1.0), params, traj)[0]
     assert val == pytest.approx(710.0)  # 95 + 612.5 + 2.5
 
 
@@ -104,25 +116,24 @@ def test_energy_Eb_alpha3_matches_reduced_form():
     cfg = _cfg(3.0, 1.0)
     t, x, v = 5.0, 1.7, -0.3
     grad = obj.gradient(np.array([x]))[0]
-    sample = make_sample(t, [x], [v], y=[v + grad], gap=obj.value(np.array([x])))
+    traj = one_row(obj, s, t, [x], [v], y=[v + grad])
     explicit = (
         (t * t - 1.0 * t) * obj.value(np.array([x]))
         + 0.5 * t * t * s.eps(t) * x * x
         + 0.5 * (2.0 * x + t * (v + grad)) ** 2
     )
-    assert energy_Eb(obj, s, cfg, params, sample) == pytest.approx(explicit, rel=1e-14)
+    assert energy_Eb_series(obj, s, cfg, params, traj)[0] == pytest.approx(explicit, rel=1e-14)
 
 
 def test_energy_Eb_validates_index():
     obj = builtin("paper1d")
+    s = zero_schedule()
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
+    traj = one_row(obj, s, 2.0, [0.0], [0.0])
     with pytest.raises(ValueError, match="forces b = 2"):
-        energy_Eb(obj, zero_schedule(), _cfg(3.0, 1.0), params, make_sample(2.0, [0.0], [0.0]))
+        energy_Eb_series(obj, s, _cfg(3.0, 1.0), params, traj)
     with pytest.raises(ValueError, match="2 <= b"):
-        energy_Eb(
-            obj, zero_schedule(), _cfg(4.0, 1.0),
-            EnergyParams(b=3.5, xstar=np.zeros(1)), make_sample(2.0, [0.0], [0.0]),
-        )
+        energy_Eb_series(obj, s, _cfg(4.0, 1.0), EnergyParams(b=3.5, xstar=np.zeros(1)), traj)
 
 
 def test_energy_Eb_identity_regrouped_on_run():
@@ -133,11 +144,8 @@ def test_energy_Eb_identity_regrouped_on_run():
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
     series = energy_Eb_series(obj, s, cfg, params, traj)
     for i in range(0, traj.n_samples, 13):
-        sample = traj.sample(i)
-        e0 = energy_Eb(obj, s, cfg, params, sample)
-        e1 = energy_Eb_regrouped(obj, s, cfg, params, sample)
-        assert e1 == pytest.approx(e0, rel=1e-10)
-        assert series[i] == pytest.approx(e0, rel=1e-10)
+        e1 = energy_Eb_regrouped(obj, s, cfg, params, traj.t[i], traj.x[i], traj.v[i])
+        assert series[i] == pytest.approx(e1, rel=1e-10)
 
 
 def test_energy_Eb_difference_identity():
@@ -148,19 +156,18 @@ def test_energy_Eb_difference_identity():
     traj = integrate(obj, s, cfg)
     xstar = np.array([1.0])
     b1, b2 = 2.5, 4.0
-    p1 = EnergyParams(b=b1, xstar=xstar)
-    p2 = EnergyParams(b=b2, xstar=xstar)
+    e1 = energy_Eb_series(obj, s, cfg, EnergyParams(b=b1, xstar=xstar), traj)
+    e2 = energy_Eb_series(obj, s, cfg, EnergyParams(b=b2, xstar=xstar), traj)
     for i in range(0, traj.n_samples, 19):
-        sample = traj.sample(i)
-        lhs = energy_Eb(obj, s, cfg, p1, sample) - energy_Eb(obj, s, cfg, p2, sample)
-        w = sample.y  # x' + beta * grad
-        diff = sample.x - xstar
+        t = traj.t[i]
+        w = traj.y[i]  # x' + beta * grad
+        diff = traj.x[i] - xstar
         rhs = (b1 - b2) * (
-            -cfg.beta * sample.t * sample.gap
-            + sample.t * float(w @ diff)
+            -cfg.beta * t * traj.gap[i]
+            + t * float(w @ diff)
             + 0.5 * (cfg.alpha - 1.0) * float(diff @ diff)
         )
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+        assert e1[i] - e2[i] == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 # -- E_b^p ----------------------------------------------------------------------
@@ -168,9 +175,10 @@ def test_energy_Eb_difference_identity():
 
 def test_energy_Ebp_zero_at_minimizer():
     obj = builtin("shifted_quadratic", c=np.zeros(1))
+    s = power_schedule(1.5)
     params = EnergyParams(b=2.0, p=1.0, xstar=np.zeros(1))
-    sample = make_sample(9.0, [0.0], [0.0])
-    assert energy_Ebp(obj, power_schedule(1.5), _cfg(6.0, 1.0), params, sample) == 0.0
+    traj = one_row(obj, s, 9.0, [0.0], [0.0])
+    assert energy_Ebp(obj, s, _cfg(6.0, 1.0), params, traj)[0] == 0.0
 
 
 def test_energy_Ebp_p0_beta0_reduction():
@@ -182,25 +190,47 @@ def test_energy_Ebp_p0_beta0_reduction():
     params = EnergyParams(b=2.5, p=0.0, xstar=xstar)
     t, x, v = 6.0, np.array([-1.0, 0.0]), np.array([0.2, -0.1])
     gap = obj.value(x)  # 2.0
-    sample = make_sample(t, x, v, gap=gap)
     combo = 2.5 * (x - xstar) + t * v
     expected = t * (t + 4.0 - 2.5 - 1.0) * gap + 0.5 * float(combo @ combo)
-    got = energy_Ebp(obj, s, cfg, params, sample)
+    got = energy_Ebp(obj, s, cfg, params, one_row(obj, s, t, x, v))[0]
     assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_energy_Ebp_alpha3_leading_coefficient():
     # alpha=3 forces b=2, p=0; the gap coefficient becomes t - beta
     obj = builtin("paper1d")
+    s = zero_schedule()
     params = strong_convergence_energy_params(3.0, np.zeros(1))
     assert params.b == 2.0 and params.p == 0.0
     cfg = _cfg(3.0, 1.0)
     t = 10.0
-    # choose v so that x' + beta*grad = 0; then only the gap term survives
-    sample = make_sample(t, [2.0], [-3.0], y=[0.0], gap=1.0)
-    got = energy_Ebp(obj, zero_schedule(), cfg, params, sample)
+    # choose v so that x' + beta*grad = 0; then only the gap term survives (g(2) = 1)
+    traj = one_row(obj, s, t, [2.0], [-3.0], y=[0.0])
+    got = energy_Ebp(obj, s, cfg, params, traj)[0]
     expected = t * (t - 1.0) * 1.0 + 0.5 * (2.0 * 2.0) ** 2
     assert got == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "name, c, floor", [("paper1d", None, 0.0), ("shifted_quadratic", [1.0, -2.0], 1.0)]
+)
+def test_energy_Ebp_series_matches_per_sample_form(name, c, floor):
+    # alpha=6 gives b=4, p=1. On the 2-d run E_b^p falls to 0.018 while its
+    # terms stay near 5, so one rounding in a term is 3e-14 of E_b^p there:
+    # that run is measured against 1 + |E_b^p|
+    obj = builtin(name) if c is None else builtin(name, c=np.array(c))
+    s = power_schedule(1.5)
+    d = obj.dimension
+    cfg = DynamicsConfig(alpha=6.0, beta=1.0, t0=1.0, u0=[2.0] * d, v0=[0.0] * d, horizon=1e3)
+    traj = integrate(obj, s, cfg)
+    params = strong_convergence_energy_params(6.0, obj.min_norm_solution)
+    assert params.p == 1.0
+    series = energy_Ebp(obj, s, cfg, params, traj)
+    oracle = np.array([
+        energy_Ebp_sample(obj, s, cfg, params, traj.t[i], traj.x[i], traj.v[i])
+        for i in range(traj.n_samples)
+    ])
+    assert np.max(np.abs(series - oracle) / (floor + np.abs(oracle))) <= 1e-14
 
 
 def test_energy_params_reject_negative_p():

@@ -70,13 +70,22 @@ def test_lift_recover_roundtrip():
 # -- vector field ----------------------------------------------------------------
 
 
+def _z(x, y):
+    # lifted state (x, y) with the three running integrals at zero
+    return np.concatenate([x, y, np.zeros(3)])
+
+
 def test_vector_field_quadratic_direct_substitution():
     obj = builtin("shifted_quadratic", c=np.zeros(1))
     s = zero_schedule()
     cfg = cfg1d(beta=0.0)
-    dx, dy = vector_field(obj, s, cfg, 1.0, LiftedState(x=np.array([1.0]), y=np.array([1.0])))
-    assert dx[0] == 1.0
-    assert dy[0] == -4.0  # -(3/1)*1 - (1-0)*1
+    out = vector_field(obj, s, cfg)(1.0, _z([1.0], [1.0]))
+    assert out[0] == 1.0
+    assert out[1] == -4.0  # -(3/1)*1 - (1-0)*1
+    # running integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t
+    assert out[2] == 0.0
+    assert out[3] == 0.0
+    assert out[4] == 1.0
 
 
 def test_vector_field_hessian_coefficient_vanishes_at_t_alpha_beta():
@@ -84,25 +93,32 @@ def test_vector_field_hessian_coefficient_vanishes_at_t_alpha_beta():
     obj = builtin("paper1d")
     s = power_schedule(1.5)
     cfg = cfg1d(alpha=3.0, beta=1.0)
-    state = LiftedState(x=np.array([2.0]), y=np.array([0.7]))
-    dx, dy = vector_field(obj, s, cfg, 3.0, state)
-    assert dy[0] == -(3.0 / 3.0) * 0.7 - s.eps(3.0) * 2.0
+    out = vector_field(obj, s, cfg)(3.0, _z([2.0], [0.7]))
+    assert out[1] == -(3.0 / 3.0) * 0.7 - s.eps(3.0) * 2.0
+    # x* = 0 for paper1d; x' = 0.7 - grad g(2) = 0.7 - 3
+    e_t = s.eps(3.0) / 3.0
+    assert out[2] == e_t
+    assert out[3] == e_t * 4.0
+    assert out[4] == (0.7 - 3.0) ** 2 / 3.0
 
 
 def test_vector_field_flat_region():
     obj = builtin("paper1d")
     s = zero_schedule()
     cfg = cfg1d(alpha=5.0, beta=1.0)
-    state = LiftedState(x=np.array([0.3]), y=np.array([2.0]))
-    dx, dy = vector_field(obj, s, cfg, 2.0, state)
-    assert dx[0] == 2.0
-    assert dy[0] == -(5.0 / 2.0) * 2.0
+    out = vector_field(obj, s, cfg)(2.0, _z([0.3], [2.0]))
+    assert out[0] == 2.0
+    assert out[1] == -(5.0 / 2.0) * 2.0
+    assert out[4] == 2.0  # |x'|^2 / t = 4 / 2
 
 
-def test_vector_field_rejects_nonpositive_time():
+def test_vector_field_rejects_schedule_not_covering_run():
     obj = builtin("paper1d")
-    with pytest.raises(ValueError):
-        vector_field(obj, zero_schedule(), cfg1d(), 0.0, LiftedState(np.zeros(1), np.zeros(1)))
+    s = tabulated_schedule([1.0, 10.0], [1.0, 0.5])
+    with pytest.raises(ValueError, match="does not cover the run"):
+        vector_field(obj, s, cfg1d(horizon=100.0))
+    with pytest.raises(ValueError, match="does not cover the run"):
+        vector_field(obj, power_schedule(1.5, t0=2.0), cfg1d())
 
 
 # -- integration -----------------------------------------------------------------
