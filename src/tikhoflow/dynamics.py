@@ -15,9 +15,9 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
 beta and the schedule as lanes of one loop, each byte-identical to
 `integrate`; `integrate_direct` integrates the original second-order system
 in (x, x') via Hessian-vector products and serves as a cross-validation
-oracle. Both formulations share one driver. Running integrals needed by the
-ergodic diagnostics are accumulated as extra state components, not by
-post-hoc quadrature.
+oracle. Both formulations are stepped and finished by `_drive`. Running
+integrals needed by the ergodic diagnostics are accumulated as extra state
+components, not by post-hoc quadrature.
 """
 from __future__ import annotations
 
