@@ -65,23 +65,12 @@ def write_trajectory_csv(path: Path, traj: Trajectory, w_series: np.ndarray):
         + [f"v_{i}" for i in range(d)]
         + ["eps", "gap", "grad_norm", "W", "int_eps_over_t", "int_erg_num", "int_vel"]
     )
-    lines = [",".join(header)]
-    for i in range(traj.n_samples):
-        row = (
-            [_fmt(traj.t[i])]
-            + [_fmt(v) for v in traj.x[i]]
-            + [_fmt(v) for v in traj.v[i]]
-            + [
-                _fmt(traj.eps[i]),
-                _fmt(traj.gap[i]),
-                _fmt(traj.grad_norm[i]),
-                _fmt(w_series[i]),
-                _fmt(traj.int_eps_over_t[i]),
-                _fmt(traj.int_erg_num[i]),
-                _fmt(traj.int_vel[i]),
-            ]
-        )
-        lines.append(",".join(row))
+    columns = np.column_stack([
+        traj.t, traj.x, traj.v, traj.eps, traj.gap, traj.grad_norm, w_series,
+        traj.int_eps_over_t, traj.int_erg_num, traj.int_vel,
+    ])
+    row = ",".join([_FMT] * len(header))
+    lines = [",".join(header)] + [row % tuple(r) for r in columns.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

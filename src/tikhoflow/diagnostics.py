@@ -433,11 +433,8 @@ def eb_drift_bound_check(
         else:
             t2 = t1 if beta == 0.0 else max(t1, 4.0 * beta, beta * (alpha - 2.0) / (b - 2.0))
             l = b + a * beta
-        mask = t >= t2
-        ts = t[mask]
-        energies = energy_Eb_series(obj, s, cfg, params, traj)[mask]
-        series = energies - 0.5 * l * xstar_sq * _running_drift(s.integral_t_eps, t2, ts)
-        scaled = False
+        weight = 0.5 * l
+        integral = s.integral_t_eps
     else:
         _validate_b(alpha, b)
         if case == "a":
@@ -448,20 +445,22 @@ def eb_drift_bound_check(
             l = 0.5 * (2.0 + a * beta)
         if beta > 0:
             t2 = max(t2, 2.0 * beta * (1.0 + 1e-12))  # stay clear of the t = beta pole
-        mask = t >= t2
-        ts = t[mask]
-        factor = ts / (ts - beta)
-        energies = energy_Eb_series(obj, s, cfg, params, traj)[mask] * factor
+        weight = l
         if beta == 0.0:
             integral = s.integral_t_eps
         else:
             integrand = lambda u: u * u / (u - beta) * s.eps(u)
             integral = lambda lo, hi: _simpson(integrand, np.linspace(lo, hi, 9))
-        series = energies - l * xstar_sq * _running_drift(integral, t2, ts)
-        scaled = True
 
+    mask = t >= t2
+    ts = t[mask]
     if ts.shape[0] < 2:
         raise ValueError(f"fewer than two samples beyond t2 = {t2:g}")
+    energies = energy_Eb_series(obj, s, cfg, params, traj)[mask]
+    scaled = alpha <= 3.0
+    if scaled:
+        energies = energies * (ts / (ts - beta))
+    series = energies - weight * xstar_sq * _running_drift(integral, t2, ts)
     result = monotonicity_check(np.column_stack([ts, series]), tol)
     return DriftCheckResult(
         passed=result.passed,

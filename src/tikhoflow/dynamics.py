@@ -17,7 +17,11 @@ beta and the schedule as lanes of one loop, each byte-identical to
 in (x, x') via Hessian-vector products and serves as a cross-validation
 oracle. Both formulations are stepped and finished by `_drive`. Running
 integrals needed by the ergodic diagnostics are accumulated as extra state
-components, not by post-hoc quadrature.
+components, not by post-hoc quadrature. Each formulation supplies only its
+motion, the derivative of (x, y) or (x, x'); `_field` joins it with the
+schedule and the one implementation of the integrands (`_quadrature`) into
+a right-hand side whose `integrator.Split` lets `solve` evaluate schedule
+and integrands once per step attempt for all six stages.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .integrator import IntegrationError, solve, solve_lanes
+from .integrator import IntegrationError, Split, solve, solve_lanes
 from .problems import ObjectiveSpec, _as_vector
 from .schedules import TikhonovSchedule, _lanes_eps
 
@@ -167,31 +171,56 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
 
     z = (x, y, three running integrals); rhs returns (x', y') and the
     integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t. The schedule is checked
-    against [t0, horizon] once here; rhs evaluates it unchecked.
+    against [t0, horizon] once here; rhs evaluates it unchecked. rhs carries
+    its `integrator.Split`, so `solve` evaluates the schedule and the
+    integrands once per attempt.
     """
-    d = obj.dimension
-    xstar = _reference_minimizer(obj)
     alpha, beta = cfg.alpha, cfg.beta
     grad = obj.gradient
-    eps = s._scalar_eps(cfg.t0, cfg.horizon)
+    d = obj.dimension
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+    def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
         x = z[:d]
         y = z[d : 2 * d]
         g = grad(x)
-        dx = y - beta * g
-        e = eps(t)
-        e_t = e / t
-        out = np.empty(2 * d + 3)
-        out[:d] = dx
+        out[:d] = y - beta * g
         out[d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
-        out[2 * d] = e_t
-        diff = x - xstar
-        out[2 * d + 1] = e_t * np.dot(diff, diff)
-        out[2 * d + 2] = np.dot(dx, dx) / t
+
+    return _field(obj, s, cfg, motion)
+
+
+def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion):
+    """rhs(t, z) of a formulation from its motion, the derivative of (x, x')
+    or (x, y) written into out[:2d], and the shared running integrands; rhs
+    carries the parts as its `integrator.Split`."""
+    d = obj.dimension
+    quadrature = _quadrature(d, _reference_minimizer(obj))
+    eps = s._span_eps(cfg.t0, cfg.horizon)
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        e = float(eps(t))
+        out = np.empty(2 * d + 3)
+        motion(t, e, z, out)
+        quadrature(t, e, z, out)
         return out
 
+    rhs.split = Split(eps, motion, quadrature)
     return rhs
+
+
+def _quadrature(d: int, xstar: np.ndarray):
+    """quadrature(T, E, Z, K): the running integrands eps/t, (eps/t)|x - x*|^2
+    and |x'|^2/t written into K[..., 2d:], for times T, schedule values E,
+    states Z and derivatives K, on one row or on rows of any shape; x' is
+    K[..., :d] in both formulations."""
+
+    def quadrature(T, E, Z: np.ndarray, K: np.ndarray) -> None:
+        e_t = E / T
+        K[..., 2 * d] = e_t
+        K[..., 2 * d + 1] = e_t * _row_dots(Z[..., :d] - xstar)
+        K[..., 2 * d + 2] = _row_dots(K[..., :d]) / T
+
+    return quadrature
 
 
 def _reference_minimizer(obj: ObjectiveSpec) -> np.ndarray:
@@ -222,7 +251,7 @@ def _finish(
         V = Z[:, d : 2 * d]
         Y = V + cfg.beta * G
     gaps = np.array([obj.value(X[i]) for i in range(n)]) - obj.min_value
-    eps_vals = np.array([s.eps(t) for t in ts])
+    eps_vals = s.eps(ts)
     return Trajectory(
         t=ts,
         x=X,
@@ -281,8 +310,9 @@ def _lifted_z0(obj: ObjectiveSpec, cfg: DynamicsConfig) -> np.ndarray:
 
 
 def _row_dots(D: np.ndarray) -> np.ndarray:
-    # one BLAS ddot per row, the call np.dot makes on a single row
-    return np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0]
+    # one BLAS ddot per row (over the last axis), the call np.dot makes on a
+    # single row, so each dot is rounded as np.dot rounds it
+    return np.vecdot(D, D)
 
 
 def integrate_lanes(
@@ -309,29 +339,32 @@ def integrate_lanes(
     xstar = _reference_minimizer(obj)
     grad = obj.gradient
     eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
+    quadrature = _quadrature(d, xstar)
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
     alpha_betas = alphas * betas
 
-    # `vector_field`'s rhs, operation for operation, on rows of lanes; the
+    # `vector_field`'s motion, operation for operation, on rows of lanes; the
     # gradient stays one call per lane
-    def rhs(t: np.ndarray, Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    def motion(t: np.ndarray, e: np.ndarray, Z: np.ndarray, lanes: np.ndarray,
+               out: np.ndarray) -> None:
         alpha, beta, alpha_beta = alphas[lanes], betas[lanes], alpha_betas[lanes]
         X = Z[:, :d]
         Y = Z[:, d : 2 * d]
         G = np.array([grad(x) for x in X])
-        DX = Y - beta[:, None] * G
-        e = eps(t, lanes)
-        e_t = e / t
-        out = np.empty(Z.shape)
-        out[:, :d] = DX
+        np.subtract(Y, beta[:, None] * G, out=out[:, :d])
         out[:, d : 2 * d] = (
             -(alpha / t)[:, None] * Y - (1.0 - alpha_beta / t)[:, None] * G - e[:, None] * X
         )
-        out[:, 2 * d] = e_t
-        out[:, 2 * d + 1] = e_t * _row_dots(X - xstar)
-        out[:, 2 * d + 2] = _row_dots(DX) / t
+
+    def rhs(t: np.ndarray, Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        e = eps(t[:, None], lanes)[:, 0]
+        out = np.empty(Z.shape)
+        motion(t, e, Z, lanes, out)
+        quadrature(t, e, Z, out)
         return out
+
+    rhs.split = Split(eps, motion, quadrature)
 
     def finish(s: TikhonovSchedule, c: DynamicsConfig, res):
         if isinstance(res, IntegrationError):
@@ -352,26 +385,17 @@ def integrate_direct(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfi
     sampling contract matches ``integrate``.
     """
     d = obj.dimension
-    xstar = _reference_minimizer(obj)
     alpha, beta = cfg.alpha, cfg.beta
     grad, hvp = obj.gradient, obj.hessian_vec
-    eps = s._scalar_eps(cfg.t0, cfg.horizon)
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+    def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
         x = z[:d]
         v = z[d : 2 * d]
         g = grad(x)
-        e = eps(t)
-        e_t = e / t
-        out = np.empty(2 * d + 3)
         out[:d] = v
         out[d : 2 * d] = -(alpha / t) * v - beta * hvp(x, v) - g - e * x
-        out[2 * d] = e_t
-        diff = x - xstar
-        out[2 * d + 1] = e_t * np.dot(diff, diff)
-        out[2 * d + 2] = np.dot(v, v) / t
-        return out
 
+    rhs = _field(obj, s, cfg, motion)
     u0 = _as_vector(cfg.u0, d, "u0")
     v0 = _as_vector(cfg.v0, d, "v0")
     return _drive(obj, s, cfg, rhs, np.concatenate([u0, v0, np.zeros(3)]), "direct")

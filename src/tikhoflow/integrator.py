@@ -14,19 +14,30 @@ between accepted steps) is built once. `dynamics` checks the schedule domain
 once per run before calling `solve`; the public `TikhonovSchedule.eps` still
 checks on every call.
 
+A right-hand side may also carry its `Split`: its last components are
+quadratures, running integrals whose integrands read the state and its
+derivative but never feed back (CVODES calls them quadrature variables). An
+attempt then knows all six stage times before its first stage, evaluates the
+time-only coefficients (the schedule) at all six in one call, lets each stage
+write only the derivative of the other components into its row of K, and
+fills the integrand columns of the six new rows in one batch after the FSAL
+stage. The integrals stay in the state and in the error norm, and every bit
+is what calling the whole right-hand side stage by stage gives. A plain
+callable is stepped stage by stage.
+
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
 and DP5 weight products for all active lanes at once, while the initial
 step, acceptance and the step-size law `_next_h` stay per lane in Python
 floats. Each lane's samples, counters and failure are byte-identical to
-`solve` on that lane alone. One lane runs 1.5-2x slower through it than
-through `solve`, so single runs keep `solve`. Memory: lanes x samples x m
-floats for the samples.
+`solve` on that lane alone. One lane runs about 2x slower through it than
+through `solve` (1.9-2.0x on paper1d at the example.cfg settings), so single
+runs keep `solve`. Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +84,28 @@ class IntegrationError(RuntimeError):
         self.partial = None  # higher layers may attach a partial Trajectory
 
 
+class Split(NamedTuple):
+    """A right-hand side as `solve` steps it attempt by attempt, exposed as
+    its ``split`` attribute. With T the six stage times of an attempt:
+
+    - ``coefficients(T)`` returns E, the time-only coefficients at T;
+    - ``motion(t, e, z, out)`` writes the derivative of every component but
+      the quadratures of state z at time t, with e the coefficient there,
+      into the front of out;
+    - ``quadrature(T, E, Z, K)`` fills the quadrature columns of the rows K
+      from the stage states Z (the same rows, in the same order) and the
+      motion already in K.
+
+    For `solve_lanes` T and E are (lanes, 6) and ``coefficients`` and
+    ``motion`` also take the lane indices: ``coefficients(T, lanes)`` and
+    ``motion(t, e, Z, lanes, out)`` on rows of lanes.
+    """
+
+    coefficients: Callable
+    motion: Callable
+    quadrature: Callable
+
+
 def _rms(v: np.ndarray) -> float:
     # bit-equal to np.sqrt(np.mean(v * v)): mean is the same add.reduce over n
     return math.sqrt(float(np.add.reduce(v * v)) / v.shape[0])
@@ -110,6 +143,51 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     return h * factor
 
 
+def _attempt(rhs, K: np.ndarray):
+    """One DP5 attempt on the stage rows K (7, m), K[0] holding f(t, z):
+    returns attempt(t, z, h, t_new), which fills K[1:7] and returns z_new.
+    Stage k evaluates at t + c_k h and z + h (a_k @ K[:k]); with a `Split`
+    the quadrature columns of K[1:6] are only filled after the FSAL stage,
+    which leaves the other columns of every product untouched (K starts
+    zeroed, so no stage reads uninitialised memory). The weight products
+    use ndarray.dot: the BLAS gemv that `@` calls, at half its overhead."""
+    K6 = K[:6]
+    split = getattr(rhs, "split", None)
+    if split is None:
+        stages = tuple((k, float(_C[k]), _A[k][:k], K[:k]) for k in range(1, 6))
+
+        def attempt(t, z, h, t_new):
+            for k, c, a, Kk in stages:
+                K[k] = rhs(t + c * h, z + h * a.dot(Kk))
+            z_new = z + h * _B.dot(K6)
+            K[6] = rhs(t_new, z_new)  # FSAL stage
+            return z_new
+
+        return attempt
+
+    coefficients, motion, quadrature = split
+    S = np.empty((6, K.shape[1]))  # stage states; S[5] is z_new before its integrals
+    stages = tuple((_A[k][:k], K[:k], S[k - 1], K[k]) for k in range(1, 6))
+    cs = _C[1:].tolist()
+    S5, K6_row, K_new = S[5], K[6], K[1:]
+
+    def attempt(t, z, h, t_new):
+        ts = [t + c * h for c in cs]
+        ts.append(t_new)
+        T = np.array(ts)
+        E = coefficients(T)
+        es = E.tolist()
+        for (a, Kk, Sk, Kout), tk, ek in zip(stages, ts, es):
+            np.add(z, h * a.dot(Kk), out=Sk)
+            motion(tk, ek, Sk, Kout)
+        np.add(z, h * _B.dot(K6), out=S5)
+        motion(t_new, es[5], S5, K6_row)  # FSAL stage
+        quadrature(T, E, S, K_new)
+        return z + h * _B.dot(K6)
+
+    return attempt
+
+
 def solve(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     z0: np.ndarray,
@@ -145,11 +223,9 @@ def solve(
     h = _initial_step(rhs, t, z, f, rel_tol, abs_tol, float(t_samples[-1]) - t)
     evals += 1
 
-    # stage k: time offset c_k, weights a_k over the earlier stages K[:k]
-    K = np.empty((7, m))
+    K = np.zeros((7, m))
     K[0] = f  # FSAL: after an accepted step K[0] takes over K[6]
-    stages = tuple((k, float(_C[k]), _A[k][:k], K[:k]) for k in range(1, 6))
-    K6 = K[:6]
+    attempt = _attempt(rhs, K)
     floor = _STEP_FLOOR * max(abs(t), 1.0)
     err_prev = 1e-4
     just_rejected = False
@@ -167,11 +243,8 @@ def solve(
                 f"step size underflow at t={t:.6g} (h={h_try:.3g})",
                 t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
             )
-        for k, c, a, Kk in stages:
-            K[k] = rhs(t + c * h_try, z + h_try * (a @ Kk))
-        z_new = z + h_try * (_B @ K6)
         t_new = target if clamped else t + h_try
-        K[6] = rhs(t_new, z_new)  # FSAL stage
+        z_new = attempt(t, z, h_try, t_new)
         evals += 6
         if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
             raise IntegrationError(
@@ -179,7 +252,7 @@ def solve(
                 t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
             )
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        err = _rms(h_try * (_E @ K) / sc)
+        err = _rms(h_try * _E.dot(K) / sc)
         h = _next_h(err, h, h_try, clamped, err_prev, just_rejected)
         if err <= 1.0:
             steps += 1
@@ -222,6 +295,46 @@ class _Lane:
     def error(self, message: str, state: np.ndarray, out: np.ndarray) -> IntegrationError:
         return IntegrationError(message, t=self.t, state=state.copy(),
                                 rows=out[self.i, : self.next_i].copy(), stats=self.stats())
+
+
+def _lanes_attempt(rhs):
+    """`_attempt` on rows of lanes: returns attempt(T, H, Hc, T_new, Z, K,
+    lanes), which fills K[:, 1:7] and returns Z_new, for the lanes' times T,
+    step sizes H (Hc = H[:, None]) and stage rows K (lanes, 7, m)."""
+    split = getattr(rhs, "split", None)
+    if split is None:
+        stages = tuple((k, float(_C[k]), _A[k][:k]) for k in range(1, 6))
+
+        def attempt(T, H, Hc, T_new, Z, K, lanes):
+            for k, c, a in stages:
+                K[:, k] = rhs(T + c * H, Z + Hc * np.matmul(a, K[:, :k]), lanes)
+            Z_new = Z + Hc * np.matmul(_B, K[:, :6])
+            K[:, 6] = rhs(T_new, Z_new, lanes)  # FSAL stage
+            return Z_new
+
+        return attempt
+
+    coefficients, motion, quadrature = split
+    stages = tuple((k, _A[k][:k]) for k in range(1, 6))
+    C = _C[1:]
+
+    def attempt(T, H, Hc, T_new, Z, K, lanes):
+        TS = np.empty((T.shape[0], 6))
+        TS[:, :5] = T[:, None] + C * Hc
+        TS[:, 5] = T_new
+        E = coefficients(TS, lanes)
+        S = np.empty((T.shape[0], 6, Z.shape[1]))
+        for k, a in stages:
+            Sk = S[:, k - 1]
+            np.add(Z, Hc * np.matmul(a, K[:, :k]), out=Sk)
+            motion(TS[:, k - 1], E[:, k - 1], Sk, lanes, K[:, k])
+        S5 = S[:, 5]
+        np.add(Z, Hc * np.matmul(_B, K[:, :6]), out=S5)
+        motion(T_new, E[:, 5], S5, lanes, K[:, 6])  # FSAL stage
+        quadrature(TS, E, S, K[:, 1:])
+        return Z + Hc * np.matmul(_B, K[:, :6])
+
+    return attempt
 
 
 def _one_lane(rhs, i: int):
@@ -277,9 +390,9 @@ def solve_lanes(
     live = [ln for ln in live if results[ln.i] is None]
     idx = np.array([ln.i for ln in live], dtype=np.intp)
     Z = Z[idx]
-    K = np.empty((len(live), 7, m))
+    K = np.zeros((len(live), 7, m))
     K[:, 0] = F[idx]
-    stages = tuple((k, float(_C[k]), _A[k][:k]) for k in range(1, 6))
+    attempt = _lanes_attempt(rhs)
     grid = t_samples.tolist()
     while live:
         go = []
@@ -304,10 +417,7 @@ def solve_lanes(
         T = np.array([ln.t for ln in live])
         H = np.array([ln.h_try for ln in live])
         Hc = H[:, None]
-        for k, c, a in stages:
-            K[:, k] = rhs(T + c * H, Z + Hc * np.matmul(a, K[:, :k]), idx)
-        Z_new = Z + Hc * np.matmul(_B, K[:, :6])
-        K[:, 6] = rhs(np.array([ln.t_new for ln in live]), Z_new, idx)  # FSAL stage
+        Z_new = attempt(T, H, Hc, np.array([ln.t_new for ln in live]), Z, K, idx)
         finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
         go = []
         for p, ln in enumerate(live):

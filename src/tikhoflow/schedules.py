@@ -63,15 +63,16 @@ def _power_eps(t, scale, gamma):
 
 def _lanes_eps(schedules, lo: float, hi: float):
     """Check [lo, hi] against each schedule's domain once; return an
-    unchecked evaluator (t, lanes) -> eps of schedules[lanes[j]] at t[j],
-    bit-equal per lane to `_scalar_eps`: one `np.power` call when every
-    schedule is a power law, one scalar evaluation per lane otherwise."""
-    scalar = [s._scalar_eps(lo, hi) for s in schedules]
+    unchecked evaluator (T, lanes) -> eps of schedules[lanes[j]] at the times
+    in row T[j], for T of shape (len(lanes), k), bit-equal per lane to
+    `_span_eps`: one `np.power` call when every schedule is a power law, one
+    evaluation per lane otherwise."""
+    evals = [s._span_eps(lo, hi) for s in schedules]
     if all(s.kind == "power" for s in schedules):
-        scale = np.array([s.scale for s in schedules])
-        gamma = np.array([s.gamma for s in schedules])
-        return lambda t, lanes: _power_eps(t, scale[lanes], gamma[lanes])
-    return lambda t, lanes: np.array([scalar[i](x) for i, x in zip(lanes.tolist(), t.tolist())])
+        scale = np.array([[s.scale] for s in schedules])
+        gamma = np.array([[s.gamma] for s in schedules])
+        return lambda T, lanes: _power_eps(T, scale[lanes], gamma[lanes])
+    return lambda T, lanes: np.array([evals[i](row) for i, row in zip(lanes.tolist(), T)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,16 +148,17 @@ class TikhonovSchedule:
         """eps(t); accepts scalars or arrays, errors below t0 / beyond a grid.
 
         The domain is checked on every call. The integrators instead check
-        their span once per run and then evaluate through `_scalar_eps`.
+        their span once per run and then evaluate through `_span_eps`.
         """
         t_arr = np.asarray(t, dtype=float)
         self._check_domain(t_arr)
         out = self._eval(t_arr)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
-    def _scalar_eps(self, lo: float, hi: float):
-        """Check [lo, hi] against the domain once; return an unchecked float
-        evaluator t -> eps(t) for t in [lo, hi], bit-equal to `eps`."""
+    def _span_eps(self, lo: float, hi: float):
+        """Check [lo, hi] against the domain once; return the unchecked
+        evaluator `_eval` for times (floats or arrays) in [lo, hi]. An array
+        gets, element by element, the bits a float gets."""
         try:
             self._check_domain(np.array([lo, hi], dtype=float))
         except ValueError as exc:
@@ -165,8 +167,7 @@ class TikhonovSchedule:
                 f"schedule domain [{self.t0:g}, {end}] does not cover the run "
                 f"[t0, horizon] = [{lo:g}, {hi:g}]: {exc}"
             ) from None
-        ev = self._eval
-        return lambda t: float(ev(t))
+        return self._eval
 
     def eps_dot(self, t):
         """d eps / dt; piecewise slope for tabulated grids."""

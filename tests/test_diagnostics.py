@@ -427,6 +427,18 @@ def test_drift_bound_requires_certified_hypotheses():
         eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case="b")
 
 
+@pytest.mark.parametrize("alpha, b, case", [(4.0, 2.5, "a"), (3.0, 2.0, "b")])
+def test_drift_bound_rejects_run_ending_before_t2(alpha, b, case):
+    # t2 = 4 in both branches; a run to t = 3 has no sample beyond it
+    obj = builtin("paper1d")
+    s = power_schedule(1.5)
+    cfg = DynamicsConfig(alpha=alpha, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=3.0)
+    traj = integrate(obj, s, cfg)
+    params = EnergyParams(b=b, xstar=np.zeros(1))
+    with pytest.raises(ValueError, match="fewer than two samples beyond t2 = 4"):
+        eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case=case)
+
+
 # -- vanishing average (integrable eps/t) ------------------------------------------
 
 

@@ -10,6 +10,7 @@ from tikhoflow import (
     integrate,
     integrate_direct,
     lift_initial_conditions,
+    logarithmic_schedule,
     power_schedule,
     recover_velocity,
     sample_times,
@@ -319,3 +320,38 @@ def test_schedule_not_covering_run_fails_before_stepping(run, schedule, domain, 
     monkeypatch.setattr("tikhoflow.dynamics.solve", no_solve)
     with pytest.raises(ValueError, match=domain + r".*\[t0, horizon\] = \[1, 100\]"):
         run(builtin("paper1d"), schedule, cfg1d())
+
+
+SCHEDULES = {
+    "power": power_schedule(1.5),
+    "logarithmic": logarithmic_schedule(),
+    "zero": zero_schedule(),
+    "tabulated": tabulated_schedule([1.0, 10.0, 20.0, 40.0], [1.0, 0.2, 0.05, 0.0]),
+}
+FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+def test_trajectory_eps_matches_per_sample_evaluation(kind):
+    s = SCHEDULES[kind]
+    traj = integrate(builtin("paper1d"), s, cfg1d(horizon=30.0, sample_count=50))
+    assert traj.eps.tobytes() == np.array([s.eps(t) for t in traj.t]).tobytes()
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_direct])
+def test_plain_callable_steps_to_the_same_bytes(run, monkeypatch):
+    # a plain wrapper hides the field's Split, as a tracing span around rhs
+    # does: `solve` must then call it stage by stage and give the same run
+    obj, s, cfg = builtin("paper1d"), power_schedule(1.5), cfg1d(horizon=30.0, sample_count=40)
+    want = run(obj, s, cfg)
+    calls = []
+
+    def plain_solve(rhs, *args):
+        return solve(lambda t, z: calls.append(t) or rhs(t, z), *args)
+
+    monkeypatch.setattr("tikhoflow.dynamics.solve", plain_solve)
+    got = run(obj, s, cfg)
+    for name in FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.meta["stats"] == want.meta["stats"]
+    assert len(calls) == got.meta["stats"]["rhs_evals"]

@@ -44,6 +44,27 @@ def test_eps_rejects_below_t0():
         s.eps(1.0)
 
 
+SCHEDULE_KINDS = {
+    "power": power_schedule(2.5, scale=0.3),
+    "logarithmic": logarithmic_schedule(),
+    "zero": zero_schedule(),
+    "tabulated": tabulated_schedule([1.0, 10.0, 60.0, 100.0], [1.0, 0.2, 0.05, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_KINDS))
+def test_eval_at_six_stage_times_matches_scalar_evaluation(kind):
+    # a DP5 attempt evaluates the schedule at its six stage times in one call;
+    # every value must carry the bits of the scalar evaluation at its time
+    s = SCHEDULE_KINDS[kind]
+    rng = np.random.default_rng(3)
+    c = np.array([0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0])
+    for t, h in zip(1.0 + 80.0 * rng.random(300), 10.0 * rng.random(300)):
+        T = t + c * h
+        scalar = np.array([float(s._eval(x)) for x in T.tolist()])
+        assert s._eval(T).tobytes() == scalar.tobytes()
+
+
 def test_schedule_is_nonincreasing_and_vanishing():
     ts = np.geomspace(1.0, 1e6, 200)
     for s in (power_schedule(1.5), power_schedule(0.5), logarithmic_schedule()):
