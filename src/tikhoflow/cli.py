@@ -69,10 +69,11 @@ def write_trajectory_csv(path: Path, traj: Trajectory, w_series: np.ndarray):
         traj.t, traj.x, traj.v, traj.eps, traj.gap, traj.grad_norm, w_series,
         traj.int_eps_over_t, traj.int_erg_num, traj.int_vel,
     ])
-    row = ",".join([_FMT] * len(header))
-    lines = [",".join(header)] + [row % tuple(r) for r in columns.tolist()]
+    row = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for values in columns:
+            fh.write(row % tuple(values.tolist()))
 
 
 def _hypotheses_block(exp: ExperimentConfig) -> dict:
