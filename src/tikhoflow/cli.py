@@ -51,9 +51,10 @@ def _json_default(obj):
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    # json.dump streams the encoder's chunks instead of joining them first
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, w_series: np.ndarray):
