@@ -193,14 +193,20 @@ def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion)
     """rhs(t, z) of a formulation from its motion, the derivative of (x, x')
     or (x, y) written into out[:2d], and the shared running integrands; rhs
     carries the parts as its `integrator.Split`."""
-    d = obj.dimension
-    quadrature = _quadrature(d, _reference_minimizer(obj))
+    quadrature = _quadrature(obj.dimension, _reference_minimizer(obj))
     eps = s._span_eps(cfg.t0, cfg.horizon)
+    return _join(lambda t: float(eps(t)), eps, motion, quadrature)
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        e = float(eps(t))
-        out = np.empty(2 * d + 3)
-        motion(t, e, z, out)
+
+def _join(eps_at, eps, motion, quadrature):
+    """rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, carrying its
+    `integrator.Split` (eps, motion, quadrature): eps_at(t[, lanes]) is the
+    schedule at rhs's time, eps the schedule at an attempt's stage times."""
+
+    def rhs(t, z: np.ndarray, *lanes) -> np.ndarray:
+        e = eps_at(t, *lanes)
+        out = np.empty(z.shape)
+        motion(t, e, z, *lanes, out)
         quadrature(t, e, z, out)
         return out
 
@@ -336,10 +342,9 @@ def integrate_lanes(
     if any(shared(c) != shared(cfg) for _, c in runs):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d = obj.dimension
-    xstar = _reference_minimizer(obj)
+    quadrature = _quadrature(d, _reference_minimizer(obj))
     grad = obj.gradient
     eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
-    quadrature = _quadrature(d, xstar)
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
     alpha_betas = alphas * betas
@@ -357,14 +362,7 @@ def integrate_lanes(
             -(alpha / t)[:, None] * Y - (1.0 - alpha_beta / t)[:, None] * G - e[:, None] * X
         )
 
-    def rhs(t: np.ndarray, Z: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        e = eps(t[:, None], lanes)[:, 0]
-        out = np.empty(Z.shape)
-        motion(t, e, Z, lanes, out)
-        quadrature(t, e, Z, out)
-        return out
-
-    rhs.split = Split(eps, motion, quadrature)
+    rhs = _join(lambda t, lanes: eps(t[:, None], lanes)[:, 0], eps, motion, quadrature)
 
     def finish(s: TikhonovSchedule, c: DynamicsConfig, res):
         if isinstance(res, IntegrationError):

@@ -23,7 +23,8 @@ write only the derivative of the other components into its row of K, and
 fills the integrand columns of the six new rows in one batch after the FSAL
 stage. The integrals stay in the state and in the error norm, and every bit
 is what calling the whole right-hand side stage by stage gives. A plain
-callable is stepped stage by stage.
+callable goes through the same attempt as a `Split` without quadratures
+(`_split`), called once per stage.
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
@@ -106,6 +107,22 @@ class Split(NamedTuple):
     quadrature: Callable
 
 
+def _split(rhs) -> Split:
+    """rhs's `Split`, or a plain callable as one without quadratures: its
+    coefficients are the times themselves and its motion writes the whole
+    derivative, so each stage calls rhs once with the time and state that
+    calling it stage by stage would pass."""
+    split = getattr(rhs, "split", None)
+    if split is not None:
+        return split
+
+    def motion(t, e, z, *lanes_out):
+        *lanes, out = lanes_out
+        out[...] = rhs(t, z, *lanes)
+
+    return Split(lambda T, *lanes: T, motion, lambda T, E, Z, K: None)
+
+
 def _rms(v: np.ndarray) -> float:
     # bit-equal to np.sqrt(np.mean(v * v)): mean is the same add.reduce over n
     return math.sqrt(float(np.add.reduce(v * v)) / v.shape[0])
@@ -146,26 +163,13 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
 def _attempt(rhs, K: np.ndarray):
     """One DP5 attempt on the stage rows K (7, m), K[0] holding f(t, z):
     returns attempt(t, z, h, t_new), which fills K[1:7] and returns z_new.
-    Stage k evaluates at t + c_k h and z + h (a_k @ K[:k]); with a `Split`
-    the quadrature columns of K[1:6] are only filled after the FSAL stage,
-    which leaves the other columns of every product untouched (K starts
-    zeroed, so no stage reads uninitialised memory). The weight products
+    Stage k evaluates at t + c_k h and z + h (a_k @ K[:k]); the quadrature
+    columns of K[1:6] are only filled after the FSAL stage, which leaves the
+    other columns of every product untouched (K starts zeroed, so no stage
+    reads uninitialised memory). The weight products
     use ndarray.dot: the BLAS gemv that `@` calls, at half its overhead."""
     K6 = K[:6]
-    split = getattr(rhs, "split", None)
-    if split is None:
-        stages = tuple((k, float(_C[k]), _A[k][:k], K[:k]) for k in range(1, 6))
-
-        def attempt(t, z, h, t_new):
-            for k, c, a, Kk in stages:
-                K[k] = rhs(t + c * h, z + h * a.dot(Kk))
-            z_new = z + h * _B.dot(K6)
-            K[6] = rhs(t_new, z_new)  # FSAL stage
-            return z_new
-
-        return attempt
-
-    coefficients, motion, quadrature = split
+    coefficients, motion, quadrature = _split(rhs)
     S = np.empty((6, K.shape[1]))  # stage states; S[5] is z_new before its integrals
     stages = tuple((_A[k][:k], K[:k], S[k - 1], K[k]) for k in range(1, 6))
     cs = _C[1:].tolist()
@@ -298,27 +302,14 @@ class _Lane:
 
 
 def _lanes_attempt(rhs):
-    """`_attempt` on rows of lanes: returns attempt(T, H, Hc, T_new, Z, K,
+    """`_attempt` on rows of lanes: returns attempt(T, Hc, T_new, Z, K,
     lanes), which fills K[:, 1:7] and returns Z_new, for the lanes' times T,
-    step sizes H (Hc = H[:, None]) and stage rows K (lanes, 7, m)."""
-    split = getattr(rhs, "split", None)
-    if split is None:
-        stages = tuple((k, float(_C[k]), _A[k][:k]) for k in range(1, 6))
-
-        def attempt(T, H, Hc, T_new, Z, K, lanes):
-            for k, c, a in stages:
-                K[:, k] = rhs(T + c * H, Z + Hc * np.matmul(a, K[:, :k]), lanes)
-            Z_new = Z + Hc * np.matmul(_B, K[:, :6])
-            K[:, 6] = rhs(T_new, Z_new, lanes)  # FSAL stage
-            return Z_new
-
-        return attempt
-
-    coefficients, motion, quadrature = split
+    step sizes Hc (lanes, 1) and stage rows K (lanes, 7, m)."""
+    coefficients, motion, quadrature = _split(rhs)
     stages = tuple((k, _A[k][:k]) for k in range(1, 6))
     C = _C[1:]
 
-    def attempt(T, H, Hc, T_new, Z, K, lanes):
+    def attempt(T, Hc, T_new, Z, K, lanes):
         TS = np.empty((T.shape[0], 6))
         TS[:, :5] = T[:, None] + C * Hc
         TS[:, 5] = T_new
@@ -415,9 +406,8 @@ def solve_lanes(
             if not live:
                 break
         T = np.array([ln.t for ln in live])
-        H = np.array([ln.h_try for ln in live])
-        Hc = H[:, None]
-        Z_new = attempt(T, H, Hc, np.array([ln.t_new for ln in live]), Z, K, idx)
+        Hc = np.array([ln.h_try for ln in live])[:, None]
+        Z_new = attempt(T, Hc, np.array([ln.t_new for ln in live]), Z, K, idx)
         finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
         go = []
         for p, ln in enumerate(live):
