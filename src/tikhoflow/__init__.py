@@ -14,8 +14,6 @@ from .problems import (
     ArgminSet,
     ObjectiveSpec,
     builtin,
-    evaluate,
-    hessian_vector_product,
     min_norm_solution,
 )
 from .schedules import (
@@ -42,7 +40,6 @@ from .dynamics import (
     integrate,
     integrate_direct,
     lift_initial_conditions,
-    recover_velocity,
     sample_times,
     vector_field,
 )

@@ -20,7 +20,8 @@ Sections and keys:
     diagnostics.b/p/a/c        energy index, scaling exponent, condition constants
     diagnostics.eps_grid       Tikhonov-curve grid
 
-Scalar initial data (u0, v0) is broadcast to the problem dimension.
+Scalar initial data (u0, v0) is broadcast to the problem dimension. Every
+numeric value must be a finite number; anything else is a ConfigError.
 """
 from __future__ import annotations
 
@@ -105,12 +106,12 @@ def _parse_value(key: str, raw: str):
         return [tok for tok in re.split(r"[,\s]+", raw) if tok]
     if ";" in raw:  # matrix: rows separated by ';'
         return [
-            [float(tok) for tok in re.split(r"[,\s]+", row.strip()) if tok]
+            [_parse_scalar(tok) for tok in re.split(r"[,\s]+", row.strip()) if tok]
             for row in raw.split(";")
         ]
     toks = [tok for tok in re.split(r"[,\s]+", raw) if tok]
     if len(toks) > 1:
-        return [float(tok) for tok in toks]
+        return [_parse_scalar(tok) for tok in toks]
     return _parse_scalar(toks[0]) if toks else ""
 
 
@@ -160,26 +161,27 @@ class ExperimentConfig:
 
 def _get_vector(data: dict, key: str) -> np.ndarray:
     val = data[key]
-    if isinstance(val, (int, float)):
-        return np.array([float(val)])
     try:
-        return np.asarray(val, dtype=float).reshape(-1)
+        arr = np.asarray(val, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected a numeric vector, got {val!r}") from exc
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key}: expected finite numbers, got {val!r}")
+    return arr
 
 
 def _get_matrix(data: dict, key: str) -> np.ndarray:
     val = data[key]
     arr = np.atleast_2d(np.asarray(val, dtype=float))
-    if arr.ndim != 2:
-        raise ConfigError(f"{key}: expected a matrix")
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise ConfigError(f"{key}: expected a matrix of finite numbers")
     return arr
 
 
 def _get_float(data: dict, key: str) -> float:
     val = data[key]
-    if isinstance(val, str) or isinstance(val, (list, tuple)):
-        raise ConfigError(f"{key}: expected a number, got {val!r}")
+    if isinstance(val, (str, list, tuple)) or not math.isfinite(val):
+        raise ConfigError(f"{key}: expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -215,15 +217,16 @@ def build_objective(data: dict) -> tuple[ObjectiveSpec, dict]:
 
 
 def build_schedule(data: dict, t0: float) -> tuple[TikhonovSchedule, dict]:
-    kind = data.get("schedule.kind", DEFAULTS["schedule.kind"])
+    """The schedule of a config merged over DEFAULTS, with its resolved keys."""
+    kind = data["schedule.kind"]
     try:
         if kind == "power":
-            gamma = float(data.get("schedule.gamma", DEFAULTS["schedule.gamma"]))
-            scale = float(data.get("schedule.scale", DEFAULTS["schedule.scale"]))
+            gamma = _get_float(data, "schedule.gamma")
+            scale = _get_float(data, "schedule.scale")
             sched = TikhonovSchedule(kind="power", t0=t0, gamma=gamma, scale=scale)
             return sched, {"schedule.gamma": gamma, "schedule.scale": scale}
         if kind == "logarithmic":
-            offset = float(data.get("schedule.offset", DEFAULTS["schedule.offset"]))
+            offset = _get_float(data, "schedule.offset")
             return TikhonovSchedule(kind="logarithmic", t0=t0, offset=offset), {
                 "schedule.offset": offset
             }
@@ -263,7 +266,7 @@ def resolve(data: dict, out_override=None) -> ExperimentConfig:
     merged = {**DEFAULTS, **data}
 
     t0 = _get_float(merged, "dynamics.t0")
-    schedule, schedule_keys = build_schedule(data, t0)
+    schedule, schedule_keys = build_schedule(merged, t0)
     horizon = _get_float(merged, "dynamics.horizon")
     if schedule.kind == "tabulated" and horizon > float(schedule.grid_t[-1]):
         raise ConfigError(
@@ -307,14 +310,11 @@ def resolve(data: dict, out_override=None) -> ExperimentConfig:
                 f"diagnostics.reports: unknown report {name!r}; known: {', '.join(REPORT_NAMES)}"
             )
 
-    energy_b = float(merged["diagnostics.b"]) if "diagnostics.b" in merged else None
-    energy_p = float(merged["diagnostics.p"]) if "diagnostics.p" in merged else None
+    energy_b = _get_float(merged, "diagnostics.b") if "diagnostics.b" in merged else None
+    energy_p = _get_float(merged, "diagnostics.p") if "diagnostics.p" in merged else None
     cond_a = _get_float(merged, "diagnostics.a")
     growth_c = _get_float(merged, "diagnostics.c")
-    eps_grid = merged["diagnostics.eps_grid"]
-    if isinstance(eps_grid, (int, float)):
-        eps_grid = [float(eps_grid)]
-    eps_grid = tuple(float(e) for e in eps_grid)
+    eps_grid = tuple(_get_vector(merged, "diagnostics.eps_grid").tolist())
     if any(e <= 0 for e in eps_grid):
         raise ConfigError("diagnostics.eps_grid: entries must be positive")
 

@@ -10,28 +10,31 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
     x' = y - beta * grad g(x)
     y' = -(alpha/t) y - (1 - alpha*beta/t) grad g(x) - eps(t) x.
 
-`vector_field` is the lifted right-hand side and `integrate` steps exactly it;
-`integrate_lanes` integrates several runs of it that differ only in alpha,
-beta and the schedule as lanes of one loop, each byte-identical to
+The lifted motion is written once (`_lifted`), for one run or for rows of
+lanes. `vector_field` is the lifted right-hand side and `integrate` steps
+exactly it; `integrate_lanes` integrates several runs of it that differ only
+in alpha, beta and the schedule as lanes of one loop, each byte-identical to
 `integrate`; `integrate_direct` integrates the original second-order system
 in (x, x') via Hessian-vector products and serves as a cross-validation
-oracle. Both formulations are stepped and finished by `_drive`. Running
-integrals needed by the ergodic diagnostics are accumulated as extra state
-components, not by post-hoc quadrature. Each formulation supplies only its
-motion, the derivative of (x, y) or (x, x'); `_field` joins it with the
-schedule and the one implementation of the integrands (`_quadrature`) into
-a right-hand side whose `integrator.Split` lets `solve` evaluate schedule
-and integrands once per step attempt for all six stages.
+oracle. Both formulations are stepped by `_drive`, and every run, alone or
+as a lane, is finished by `_outcome`. Running integrals needed by the
+ergodic diagnostics are accumulated as extra state components, not by
+post-hoc quadrature. Each formulation supplies only its motion, the
+derivative of (x, y) or (x, x'); `_field` joins it with the schedule and the
+one implementation of the integrands (`_quadrature`) into a right-hand side
+whose `integrator.Split` lets `solve` evaluate schedule and integrands once
+per step attempt for all six stages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .integrator import IntegrationError, Split, solve, solve_lanes
-from .problems import ObjectiveSpec, _as_vector
+from .problems import ObjectiveSpec, _as_vector, min_norm_solution
 from .schedules import TikhonovSchedule, _lanes_eps
 
 __all__ = [
@@ -40,7 +43,6 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "lift_initial_conditions",
-    "recover_velocity",
     "vector_field",
     "integrate",
     "integrate_lanes",
@@ -67,6 +69,9 @@ class DynamicsConfig:
     def __post_init__(self):
         object.__setattr__(self, "u0", np.atleast_1d(np.asarray(self.u0, dtype=float)))
         object.__setattr__(self, "v0", np.atleast_1d(np.asarray(self.v0, dtype=float)))
+        for name in ("alpha", "beta", "t0", "horizon", "u0", "v0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.beta < 0.0:
@@ -159,13 +164,6 @@ def lift_initial_conditions(obj: ObjectiveSpec, beta: float, u0, v0) -> LiftedSt
     return LiftedState(x=u0, y=v0 + beta * np.asarray(obj.gradient(u0), dtype=float))
 
 
-def recover_velocity(obj: ObjectiveSpec, beta: float, state: LiftedState) -> np.ndarray:
-    """x' = y - beta * grad g(x); exact algebraic inverse of the lift."""
-    x = _as_vector(state.x, obj.dimension)
-    y = _as_vector(state.y, obj.dimension, "y")
-    return y - beta * np.asarray(obj.gradient(x), dtype=float)
-
-
 def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     """The lifted right-hand side rhs(t, z) that `integrate` steps.
 
@@ -175,25 +173,33 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     its `integrator.Split`, so `solve` evaluates the schedule and the
     integrands once per attempt.
     """
-    alpha, beta = cfg.alpha, cfg.beta
-    grad = obj.gradient
-    d = obj.dimension
-
-    def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
-        x = z[:d]
-        y = z[d : 2 * d]
-        g = grad(x)
-        out[:d] = y - beta * g
-        out[d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
-
+    motion = partial(_lifted(obj.dimension, obj.gradient), cfg.alpha, cfg.beta)
     return _field(obj, s, cfg, motion)
+
+
+def _lifted(d: int, grad):
+    """The lifted motion as motion(alpha, beta, t, e, z, out), which writes
+    x' = y - beta g and y' = -(alpha/t) y - (1 - alpha beta/t) g - e x, with
+    g = grad(x), into out[..., :2d]. For one run alpha, beta, t and the
+    schedule value e are floats and z is one state; for lanes they are
+    (lanes, 1) columns, z holds the lanes' states as rows and grad maps rows
+    of x to rows of gradients."""
+
+    def motion(alpha, beta, t, e, z: np.ndarray, out: np.ndarray) -> None:
+        x = z[..., :d]
+        y = z[..., d : 2 * d]
+        g = grad(x)
+        out[..., :d] = y - beta * g
+        out[..., d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
+
+    return motion
 
 
 def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion):
     """rhs(t, z) of a formulation from its motion, the derivative of (x, x')
     or (x, y) written into out[:2d], and the shared running integrands; rhs
     carries the parts as its `integrator.Split`."""
-    quadrature = _quadrature(obj.dimension, _reference_minimizer(obj))
+    quadrature = _quadrature(obj.dimension, min_norm_solution(obj))
     eps = s._span_eps(cfg.t0, cfg.horizon)
     return _join(lambda t: float(eps(t)), eps, motion, quadrature)
 
@@ -227,14 +233,6 @@ def _quadrature(d: int, xstar: np.ndarray):
         K[..., 2 * d + 2] = _row_dots(K[..., :d]) / T
 
     return quadrature
-
-
-def _reference_minimizer(obj: ObjectiveSpec) -> np.ndarray:
-    if obj.min_norm_solution is None:
-        raise ValueError(
-            "the running ergodic integral needs the problem's minimum-norm solution"
-        )
-    return np.asarray(obj.min_norm_solution, dtype=float)
 
 
 def _finish(
@@ -287,18 +285,34 @@ def _drive(
     z0: np.ndarray,
     formulation: str,
 ) -> Trajectory:
-    """Step rhs from z0 over the sample grid and finish the Trajectory; on an
-    IntegrationError attach the run up to the last completed sample as
-    ``partial``."""
+    """Step rhs from z0 over the sample grid and return its `_outcome`,
+    raising it if it is an IntegrationError."""
     ts = sample_times(cfg)
     try:
-        Z, stats = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+        result = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
     except IntegrationError as exc:
-        if exc.rows is not None:
-            exc.partial = _finish(obj, s, cfg, ts[: exc.rows.shape[0]], exc.rows,
-                                  exc.stats, formulation)
+        _outcome(obj, s, cfg, ts, exc, formulation)
         raise
-    return _finish(obj, s, cfg, ts, Z, stats, formulation)
+    return _outcome(obj, s, cfg, ts, result, formulation)
+
+
+def _outcome(
+    obj: ObjectiveSpec,
+    s: TikhonovSchedule,
+    cfg: DynamicsConfig,
+    ts: np.ndarray,
+    result,
+    formulation: str,
+):
+    """The finished Trajectory of a `solve` result (samples, stats), or the
+    IntegrationError `solve` raised with the run up to its last completed
+    sample attached as ``partial``."""
+    if not isinstance(result, IntegrationError):
+        return _finish(obj, s, cfg, ts, *result, formulation)
+    if result.rows is not None:
+        result.partial = _finish(obj, s, cfg, ts[: result.rows.shape[0]], result.rows,
+                                 result.stats, formulation)
+    return result
 
 
 def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> Trajectory:
@@ -342,38 +356,22 @@ def integrate_lanes(
     if any(shared(c) != shared(cfg) for _, c in runs):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d = obj.dimension
-    quadrature = _quadrature(d, _reference_minimizer(obj))
+    quadrature = _quadrature(d, min_norm_solution(obj))
     grad = obj.gradient
+    lifted = _lifted(d, lambda X: np.array([grad(x) for x in X]))  # one call per lane
     eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
-    alphas = np.array([c.alpha for _, c in runs])
-    betas = np.array([c.beta for _, c in runs])
-    alpha_betas = alphas * betas
+    alphas = np.array([[c.alpha] for _, c in runs])
+    betas = np.array([[c.beta] for _, c in runs])
 
-    # `vector_field`'s motion, operation for operation, on rows of lanes; the
-    # gradient stays one call per lane
     def motion(t: np.ndarray, e: np.ndarray, Z: np.ndarray, lanes: np.ndarray,
                out: np.ndarray) -> None:
-        alpha, beta, alpha_beta = alphas[lanes], betas[lanes], alpha_betas[lanes]
-        X = Z[:, :d]
-        Y = Z[:, d : 2 * d]
-        G = np.array([grad(x) for x in X])
-        np.subtract(Y, beta[:, None] * G, out=out[:, :d])
-        out[:, d : 2 * d] = (
-            -(alpha / t)[:, None] * Y - (1.0 - alpha_beta / t)[:, None] * G - e[:, None] * X
-        )
+        lifted(alphas[lanes], betas[lanes], t[:, None], e[:, None], Z, out)
 
     rhs = _join(lambda t, lanes: eps(t[:, None], lanes)[:, 0], eps, motion, quadrature)
-
-    def finish(s: TikhonovSchedule, c: DynamicsConfig, res):
-        if isinstance(res, IntegrationError):
-            res.partial = _finish(obj, s, c, ts[: res.rows.shape[0]], res.rows, res.stats, "lifted")
-            return res
-        return _finish(obj, s, c, ts, *res, "lifted")
-
     ts = sample_times(cfg)
     z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
     results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
-    return (finish(s, c, res) for (s, c), res in zip(runs, results))
+    return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
 
 
 def integrate_direct(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> Trajectory:

@@ -28,12 +28,14 @@ callable goes through the same attempt as a `Split` without quadratures
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
-and DP5 weight products for all active lanes at once, while the initial
-step, acceptance and the step-size law `_next_h` stay per lane in Python
-floats. Each lane's samples, counters and failure are byte-identical to
-`solve` on that lane alone. One lane runs about 2x slower through it than
-through `solve` (1.9-2.0x on paper1d at the example.cfg settings), so single
-runs keep `solve`. Memory: lanes x samples x m floats for the samples.
+and DP5 weight products for all active lanes at once. The step control is
+written once, in `_Lane`, and both loops drive it in Python floats: `solve`
+one lane, `solve_lanes` one per run. Only the array work differs (`_attempt`
+with ndarray.dot, `_lanes_attempt` with stacked matmuls), so each lane's
+samples, counters and failure are byte-identical to `solve` on that lane
+alone. One lane runs about 2x slower through `solve_lanes` than through
+`solve` (1.9-2.0x on paper1d at the example.cfg settings), so single runs
+keep `solve`. Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations
 
@@ -144,8 +146,8 @@ def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
 
 def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     """The step-size law: the step to try after an attempt of size h_try with
-    error norm err, when h was the step size before it (both loops use it).
-    A NaN err takes the reject law, as it fails the loops' test err <= 1."""
+    error norm err, when h was the step size before it (`_Lane.conclude`).
+    A NaN err takes the reject law, as it fails the acceptance test err <= 1."""
     if not err <= 1.0:
         return h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
     if clamped:
@@ -192,6 +194,85 @@ def _attempt(rhs, K: np.ndarray):
     return attempt
 
 
+class _Lane:
+    """Step control of one run in Python floats, the same for `solve` and
+    each lane of `solve_lanes`: the first derivative check and initial step
+    (`start`); the step budget, clamping onto the next sample time and the
+    underflow test before an attempt (`propose`); the non-finite test after
+    it (`attempted`); acceptance, the step-size law `_next_h` and the
+    underflow test after a rejection (`conclude`). A failure is raised as the
+    IntegrationError that carries the samples so far, from ``rows``, the
+    run's (samples, m) buffer. The array work stays with the callers."""
+
+    __slots__ = ("grid", "rows", "t", "h", "h_try", "t_new", "clamped", "floor",
+                 "err_prev", "just_rejected", "next_i", "steps", "rejected", "evals")
+
+    def __init__(self, grid: list, rows: np.ndarray):
+        self.grid, self.rows, self.t = grid, rows, grid[0]
+        self.floor = _STEP_FLOOR * max(abs(self.t), 1.0)
+        self.err_prev = 1e-4
+        self.just_rejected = False
+        self.next_i = 1
+        self.steps = self.rejected = self.evals = 0
+
+    @property
+    def done(self) -> bool:
+        return self.next_i == len(self.grid)
+
+    def stats(self) -> dict:
+        return {"steps": self.steps, "rejected": self.rejected, "rhs_evals": self.evals}
+
+    def error(self, message: str, state: np.ndarray) -> IntegrationError:
+        return IntegrationError(message, t=self.t, state=state.copy(),
+                                rows=self.rows[: self.next_i].copy(), stats=self.stats())
+
+    def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
+        """Check f = rhs(t0, z) and pick the initial step, which calls rhs once more."""
+        self.evals = 1
+        if not np.isfinite(f).all():
+            raise self.error("non-finite derivative at the initial state", z)
+        self.h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
+        self.evals += 1
+
+    def propose(self, z: np.ndarray):
+        """Set h_try and t_new of the next attempt from state z."""
+        if self.steps + self.rejected > _MAX_STEPS:
+            raise self.error("step budget exhausted", z)
+        target = self.grid[self.next_i]
+        remaining = target - self.t
+        self.clamped = clamped = self.h >= remaining
+        self.h_try = h_try = remaining if clamped else self.h
+        if not clamped and h_try < self.floor:
+            raise self.error(f"step size underflow at t={self.t:.6g} (h={h_try:.3g})", z)
+        self.t_new = target if clamped else self.t + h_try
+
+    def attempted(self, finite: bool, z: np.ndarray):
+        """Count the attempt from z; finite tells whether it stayed finite."""
+        self.evals += 6
+        if not finite:
+            raise self.error(f"non-finite state encountered near t={self.t_new:.6g}", z)
+
+    def conclude(self, err: float, z: np.ndarray, z_new: np.ndarray) -> bool:
+        """Accept (True) or reject the attempt from z to z_new, of error norm err."""
+        self.h = _next_h(err, self.h, self.h_try, self.clamped, self.err_prev,
+                         self.just_rejected)
+        if err <= 1.0:
+            self.steps += 1
+            self.t = self.t_new
+            self.floor = _STEP_FLOOR * max(abs(self.t), 1.0)
+            if self.clamped:
+                self.rows[self.next_i] = z_new
+                self.next_i += 1
+            self.err_prev = max(err, 1e-4)
+            self.just_rejected = False
+            return True
+        self.rejected += 1
+        self.just_rejected = True
+        if self.h < self.floor:
+            raise self.error(f"step size underflow at t={self.t:.6g} (h={self.h:.3g})", z)
+        return False
+
+
 def solve(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     z0: np.ndarray,
@@ -205,100 +286,27 @@ def solve(
     exhaustion; the exception carries the rows filled so far.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    n = t_samples.shape[0]
     z = np.array(z0, dtype=float)
-    m = z.shape[0]
-    out = np.empty((n, m))
+    out = np.empty((t_samples.shape[0], z.shape[0]))
     out[0] = z
-    steps = rejected = evals = 0
-
-    def stats() -> dict:
-        return {"steps": steps, "rejected": rejected, "rhs_evals": evals}
-
-    if n == 1:
-        return out, stats()
-
-    t = float(t_samples[0])
-    f = rhs(t, z)
-    evals += 1
-    if not np.isfinite(f).all():
-        raise IntegrationError("non-finite derivative at the initial state",
-                               t=t, state=z, rows=out[:1].copy(), stats=stats())
-    h = _initial_step(rhs, t, z, f, rel_tol, abs_tol, float(t_samples[-1]) - t)
-    evals += 1
-
-    K = np.zeros((7, m))
+    lane = _Lane(t_samples.tolist(), out)
+    if lane.done:
+        return out, lane.stats()
+    f = rhs(lane.t, z)
+    lane.start(rhs, z, f, rel_tol, abs_tol)
+    K = np.zeros((7, z.shape[0]))
     K[0] = f  # FSAL: after an accepted step K[0] takes over K[6]
     attempt = _attempt(rhs, K)
-    floor = _STEP_FLOOR * max(abs(t), 1.0)
-    err_prev = 1e-4
-    just_rejected = False
-    next_i = 1
-    while next_i < n:
-        if steps + rejected > _MAX_STEPS:
-            raise IntegrationError("step budget exhausted", t=t, state=z,
-                                   rows=out[:next_i].copy(), stats=stats())
-        target = float(t_samples[next_i])
-        remaining = target - t
-        clamped = h >= remaining
-        h_try = remaining if clamped else h
-        if not clamped and h_try < floor:
-            raise IntegrationError(
-                f"step size underflow at t={t:.6g} (h={h_try:.3g})",
-                t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
-            )
-        t_new = target if clamped else t + h_try
-        z_new = attempt(t, z, h_try, t_new)
-        evals += 6
-        if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
-            raise IntegrationError(
-                f"non-finite state encountered near t={t_new:.6g}",
-                t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
-            )
+    while not lane.done:
+        lane.propose(z)
+        h_try = lane.h_try
+        z_new = attempt(lane.t, z, h_try, lane.t_new)
+        lane.attempted(np.isfinite(z_new).all() and np.isfinite(K).all(), z)
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        err = _rms(h_try * _E.dot(K) / sc)
-        h = _next_h(err, h, h_try, clamped, err_prev, just_rejected)
-        if err <= 1.0:
-            steps += 1
-            t, z = t_new, z_new
+        if lane.conclude(_rms(h_try * _E.dot(K) / sc), z, z_new):
+            z = z_new
             K[0] = K[6]
-            floor = _STEP_FLOOR * max(abs(t), 1.0)
-            if clamped:
-                out[next_i] = z
-                next_i += 1
-            err_prev = max(err, 1e-4)
-            just_rejected = False
-        else:
-            rejected += 1
-            just_rejected = True
-            if h < floor:
-                raise IntegrationError(
-                    f"step size underflow at t={t:.6g} (h={h:.3g})",
-                    t=t, state=z, rows=out[:next_i].copy(), stats=stats(),
-                )
-    return out, stats()
-
-
-class _Lane:
-    """Step-control state of one lane of `solve_lanes`, in Python floats."""
-
-    __slots__ = ("i", "t", "h", "h_try", "t_new", "clamped", "floor", "err_prev",
-                 "just_rejected", "next_i", "steps", "rejected", "evals")
-
-    def __init__(self, i: int, t: float):
-        self.i, self.t = i, t
-        self.floor = _STEP_FLOOR * max(abs(t), 1.0)
-        self.err_prev = 1e-4
-        self.just_rejected = False
-        self.next_i = 1
-        self.steps = self.rejected = self.evals = 0
-
-    def stats(self) -> dict:
-        return {"steps": self.steps, "rejected": self.rejected, "rhs_evals": self.evals}
-
-    def error(self, message: str, state: np.ndarray, out: np.ndarray) -> IntegrationError:
-        return IntegrationError(message, t=self.t, state=state.copy(),
-                                rows=out[self.i, : self.next_i].copy(), stats=self.stats())
+    return out, lane.stats()
 
 
 def _lanes_attempt(rhs):
@@ -346,10 +354,10 @@ def solve_lanes(
     indices are in ``lanes`` (shape (a,)) at times t (a,) and states Z (a, m)
     and returns their derivatives (a, m). Each attempt does the elementwise
     arithmetic and the DP5 weight products of all active lanes at once, as
-    stacked matmuls that run the same per-lane BLAS calls as `solve`. The
-    initial step, acceptance and the step-size law run per lane with `solve`'s
-    arithmetic, so every lane gets exactly the bits `solve` gives it alone.
-    Lanes that finish or fail leave the arrays; the others run on.
+    stacked matmuls that run the same per-lane BLAS calls as `solve`. Each
+    lane's step control is a `_Lane`, as in `solve`, so every lane gets
+    exactly the bits `solve` gives it alone. Lanes that finish or fail leave
+    the arrays; the others run on.
 
     Returns one entry per lane: ``(samples, stats)`` as `solve` returns them,
     or the IntegrationError `solve` raises on that lane alone. Exceptions
@@ -357,100 +365,64 @@ def solve_lanes(
     (lanes, samples, m) buffer.
     """
     t_samples = np.asarray(t_samples, dtype=float)
-    n = t_samples.shape[0]
     Z = np.array(z0, dtype=float)
     L, m = Z.shape
-    out = np.empty((L, n, m))
+    out = np.empty((L, t_samples.shape[0], m))
     out[:, 0] = Z
-    t = float(t_samples[0])
-    live = [_Lane(i, t) for i in range(L)]
-    results: list = [None] * L
-    if n == 1:
-        return [(out[ln.i], ln.stats()) for ln in live]
-
-    idx = np.arange(L)
-    F = rhs(np.full(L, t), Z, idx)
-    span = float(t_samples[-1]) - t
-    for ln in live:
-        ln.evals = 1
-        if not np.isfinite(F[ln.i]).all():
-            results[ln.i] = ln.error("non-finite derivative at the initial state", Z[ln.i], out)
-            continue
-        ln.h = _initial_step(_one_lane(rhs, ln.i), t, Z[ln.i], F[ln.i], rel_tol, abs_tol, span)
-        ln.evals += 1
-    live = [ln for ln in live if results[ln.i] is None]
-    idx = np.array([ln.i for ln in live], dtype=np.intp)
-    Z = Z[idx]
-    K = np.zeros((len(live), 7, m))
-    K[:, 0] = F[idx]
-    attempt = _lanes_attempt(rhs)
     grid = t_samples.tolist()
+    lanes = [_Lane(grid, out[i]) for i in range(L)]
+    results: list = [None] * L
+    if len(grid) == 1:
+        return [(ln.rows, ln.stats()) for ln in lanes]
+
+    F = rhs(np.full(L, grid[0]), Z, np.arange(L))
+    live = []
+    for i, ln in enumerate(lanes):
+        try:
+            ln.start(_one_lane(rhs, i), Z[i], F[i], rel_tol, abs_tol)
+            ln.propose(Z[i])
+            live.append(i)
+        except IntegrationError as exc:
+            results[i] = exc
+    Z, K = Z[live], np.zeros((len(live), 7, m))
+    K[:, 0] = F[live]
+    attempt = _lanes_attempt(rhs)
     while live:
-        go = []
-        for p, ln in enumerate(live):
-            if ln.steps + ln.rejected > _MAX_STEPS:
-                results[ln.i] = ln.error("step budget exhausted", Z[p], out)
-                continue
-            target = grid[ln.next_i]
-            remaining = target - ln.t
-            ln.clamped = clamped = ln.h >= remaining
-            ln.h_try = h_try = remaining if clamped else ln.h
-            if not clamped and h_try < ln.floor:
-                results[ln.i] = ln.error(
-                    f"step size underflow at t={ln.t:.6g} (h={h_try:.3g})", Z[p], out)
-                continue
-            ln.t_new = target if clamped else ln.t + h_try
-            go.append(p)
-        if len(go) < len(live):
-            live, Z, K, idx = [live[p] for p in go], Z[go], K[go], idx[go]
-            if not live:
-                break
-        T = np.array([ln.t for ln in live])
-        Hc = np.array([ln.h_try for ln in live])[:, None]
-        Z_new = attempt(T, Hc, np.array([ln.t_new for ln in live]), Z, K, idx)
+        Hc = np.array([lanes[i].h_try for i in live])[:, None]
+        Z_new = attempt(np.array([lanes[i].t for i in live]), Hc,
+                        np.array([lanes[i].t_new for i in live]), Z, K, np.array(live))
         finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
         go = []
-        for p, ln in enumerate(live):
-            ln.evals += 6
-            if finite[p]:
+        for p, i in enumerate(live):
+            try:
+                lanes[i].attempted(finite[p], Z[p])
                 go.append(p)
-            else:
-                results[ln.i] = ln.error(
-                    f"non-finite state encountered near t={ln.t_new:.6g}", Z[p], out)
+            except IntegrationError as exc:
+                results[i] = exc
         if len(go) < len(live):
-            live, Z, K, idx, Z_new, Hc = ([live[p] for p in go], Z[go], K[go], idx[go],
-                                          Z_new[go], Hc[go])
+            live, Z, K, Z_new, Hc = [live[p] for p in go], Z[go], K[go], Z_new[go], Hc[go]
             if not live:
                 break
         sc = abs_tol + rel_tol * np.maximum(np.abs(Z), np.abs(Z_new))
         v = Hc * np.matmul(_E, K) / sc
         errs = np.sqrt(np.add.reduce(v * v, axis=1) / m).tolist()
         accepted, go = [], []
-        for p, (ln, err) in enumerate(zip(live, errs)):
-            ln.h = _next_h(err, ln.h, ln.h_try, ln.clamped, ln.err_prev, ln.just_rejected)
-            if err <= 1.0:
-                ln.steps += 1
-                ln.t = ln.t_new
-                ln.floor = _STEP_FLOOR * max(abs(ln.t), 1.0)
-                accepted.append(p)
-                if ln.clamped:
-                    out[ln.i, ln.next_i] = Z_new[p]
-                    ln.next_i += 1
-                ln.err_prev = max(err, 1e-4)
-                ln.just_rejected = False
-                if ln.next_i == n:
-                    results[ln.i] = (out[ln.i], ln.stats())
-                    continue
-            else:
-                ln.rejected += 1
-                ln.just_rejected = True
-                if ln.h < ln.floor:
-                    results[ln.i] = ln.error(
-                        f"step size underflow at t={ln.t:.6g} (h={ln.h:.3g})", Z[p], out)
-                    continue
-            go.append(p)
+        for p, (i, err) in enumerate(zip(live, errs)):
+            ln = lanes[i]
+            try:
+                if ln.conclude(err, Z[p], Z_new[p]):
+                    accepted.append(p)
+                    if ln.done:
+                        results[i] = (ln.rows, ln.stats())
+                        continue
+                    ln.propose(Z_new[p])
+                else:
+                    ln.propose(Z[p])
+                go.append(p)
+            except IntegrationError as exc:
+                results[i] = exc
         Z[accepted] = Z_new[accepted]
         K[accepted, 0] = K[accepted, 6]
         if len(go) < len(live):
-            live, Z, K, idx = [live[p] for p in go], Z[go], K[go], idx[go]
+            live, Z, K = [live[p] for p in go], Z[go], K[go]
     return results

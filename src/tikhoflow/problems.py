@@ -51,19 +51,6 @@ def _as_vector(x, dimension: int, name: str = "x") -> Vector:
     return x
 
 
-def evaluate(obj: ObjectiveSpec, x) -> tuple[float, Vector]:
-    """Return (g(x), grad g(x))."""
-    x = _as_vector(x, obj.dimension)
-    return float(obj.value(x)), np.asarray(obj.gradient(x), dtype=float)
-
-
-def hessian_vector_product(obj: ObjectiveSpec, x, v) -> Vector:
-    """Return hess g(x) @ v without forming the Hessian."""
-    x = _as_vector(x, obj.dimension)
-    v = _as_vector(v, obj.dimension, "v")
-    return np.asarray(obj.hessian_vec(x, v), dtype=float)
-
-
 def min_norm_solution(obj: ObjectiveSpec) -> Vector:
     """The smallest-norm minimizer; available for all builtins."""
     if obj.min_norm_solution is None:

@@ -10,9 +10,9 @@ from typing import Callable
 import numpy as np
 
 from tikhoflow import Trajectory
-from tikhoflow.dynamics import _finish, _reference_minimizer, lift_initial_conditions, sample_times
+from tikhoflow.dynamics import _finish, lift_initial_conditions, sample_times
 from tikhoflow.integrator import IntegrationError
-from tikhoflow.problems import _as_vector
+from tikhoflow.problems import _as_vector, min_norm_solution
 
 # Truth table for eps(t) = t^-gamma (scale 1, t0 1), derived by exponent
 # arithmetic before the checkers were written. Columns: finiteness of
@@ -264,7 +264,7 @@ def reference_solve(
 def reference_integrate(obj, s, cfg, formulation="lifted"):
     """The reference counterpart of `integrate` / `integrate_direct`."""
     d = obj.dimension
-    xstar = _reference_minimizer(obj)
+    xstar = min_norm_solution(obj)
     alpha, beta = cfg.alpha, cfg.beta
     grad, hvp = obj.gradient, obj.hessian_vec
     eps = s.eps

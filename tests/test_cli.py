@@ -115,6 +115,46 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key", ["diagnostics.b", "diagnostics.p", "diagnostics.eps_grid"])
+def test_non_numeric_diagnostics_value_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE + f"{key} = abc\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("schedule.gamma", "nan"),
+        ("schedule.scale", "inf"),
+        ("dynamics.alpha", "nan"),
+        ("dynamics.beta", "nan"),
+        ("dynamics.t0", "nan"),
+        ("dynamics.horizon", "inf"),
+        ("dynamics.u0", "nan"),
+        ("dynamics.v0", "inf"),
+        ("dynamics.rel_tol", "nan"),
+        ("dynamics.abs_tol", "inf"),
+        ("dynamics.sample_count", "inf"),
+        ("diagnostics.a", "nan"),
+        ("diagnostics.c", "-inf"),
+        ("diagnostics.b", "nan"),
+        ("diagnostics.p", "inf"),
+        ("diagnostics.eps_grid", "0.1 nan"),
+    ],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, key, raw):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE + f"{key} = {raw}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_single_gamma_two_runs(base_config, tmp_path):
     out = tmp_path / "out"
     assert main(["compare", str(base_config), "--gammas", "1.5", "--out", str(out)]) == 0

@@ -4,7 +4,6 @@ import pytest
 from tikhoflow import (
     DynamicsConfig,
     IntegrationError,
-    LiftedState,
     builtin,
     energy_W_series,
     integrate,
@@ -12,7 +11,6 @@ from tikhoflow import (
     lift_initial_conditions,
     logarithmic_schedule,
     power_schedule,
-    recover_velocity,
     sample_times,
     tabulated_schedule,
     vector_field,
@@ -49,23 +47,16 @@ def test_lift_quadratic_at_origin_center():
     assert np.array_equal(st.y, np.array([2.0, 1.0]))
 
 
-def test_recover_velocity_examples():
-    obj = builtin("paper1d")
-    st = LiftedState(x=np.array([2.0]), y=np.array([3.0]))
-    assert recover_velocity(obj, beta=1.0, state=st)[0] == 0.0
-    assert recover_velocity(obj, beta=0.0, state=st)[0] == 3.0
-
-
 def test_lift_recover_roundtrip():
     # exact on representable arithmetic, within one rounding step otherwise
     obj1 = builtin("paper1d")
     st1 = lift_initial_conditions(obj1, beta=1.0, u0=[2.0], v0=[0.0])
-    assert recover_velocity(obj1, beta=1.0, state=st1)[0] == 0.0
+    assert (st1.y - 1.0 * obj1.gradient(st1.x))[0] == 0.0
     obj = builtin("shifted_quadratic", c=np.array([1.0, -2.0, 0.5]))
     u0 = np.array([0.3, 0.7, -1.1])
     v0 = np.array([-0.2, 0.9, 2.0])
     st = lift_initial_conditions(obj, beta=1.7, u0=u0, v0=v0)
-    assert np.allclose(recover_velocity(obj, beta=1.7, state=st), v0, rtol=0, atol=1e-15)
+    assert np.allclose(st.y - 1.7 * obj.gradient(st.x), v0, rtol=0, atol=1e-15)
 
 
 # -- vector field ----------------------------------------------------------------
@@ -273,6 +264,16 @@ def test_config_validation():
         cfg1d(sample_spacing="cubic")
     with pytest.raises(ValueError):
         DynamicsConfig(alpha=3, beta=1, t0=1, u0=[1.0], v0=[0.0, 0.0], horizon=2.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("alpha", np.nan), ("beta", np.nan), ("t0", np.nan), ("horizon", np.inf),
+     ("u0", [np.nan]), ("v0", [-np.inf])],
+)
+def test_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cfg1d(**{name: value})
 
 
 def test_non_finite_state_is_diagnosed():

