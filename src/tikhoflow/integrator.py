@@ -195,14 +195,17 @@ def _attempt(rhs, K: np.ndarray):
 
 
 class _Lane:
-    """Step control of one run in Python floats, the same for `solve` and
-    each lane of `solve_lanes`: the first derivative check and initial step
+    """Step control of one run in Python floats, shared by `solve` and each
+    lane of `solve_lanes`: the first derivative check and initial step
     (`start`); the step budget, clamping onto the next sample time and the
     underflow test before an attempt (`propose`); the non-finite test after
-    it (`attempted`); acceptance, the step-size law `_next_h` and the
-    underflow test after a rejection (`conclude`). A failure is raised as the
-    IntegrationError that carries the samples so far, from ``rows``, the
-    run's (samples, m) buffer. The array work stays with the callers."""
+    it (`attempted`); acceptance, `_next_h` and the underflow test after a
+    rejection (`conclude`). A failure raises the IntegrationError that
+    carries the samples so far from ``rows``, the run's (samples, m) buffer.
+
+    A state is given as an array Z and an index p: Z[p] is a row of the
+    lanes' states, or `solve`'s state with p = Ellipsis. The row is taken
+    only to store a sample or a failure, so the lanes pay no indexing."""
 
     __slots__ = ("grid", "rows", "t", "h", "h_try", "t_new", "clamped", "floor",
                  "err_prev", "just_rejected", "next_i", "steps", "rejected", "evals")
@@ -222,38 +225,38 @@ class _Lane:
     def stats(self) -> dict:
         return {"steps": self.steps, "rejected": self.rejected, "rhs_evals": self.evals}
 
-    def error(self, message: str, state: np.ndarray) -> IntegrationError:
-        return IntegrationError(message, t=self.t, state=state.copy(),
+    def error(self, message: str, Z: np.ndarray, p) -> IntegrationError:
+        return IntegrationError(message, t=self.t, state=Z[p].copy(),
                                 rows=self.rows[: self.next_i].copy(), stats=self.stats())
 
     def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
         """Check f = rhs(t0, z) and pick the initial step, which calls rhs once more."""
         self.evals = 1
         if not np.isfinite(f).all():
-            raise self.error("non-finite derivative at the initial state", z)
+            raise self.error("non-finite derivative at the initial state", z, Ellipsis)
         self.h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
         self.evals += 1
 
-    def propose(self, z: np.ndarray):
-        """Set h_try and t_new of the next attempt from state z."""
+    def propose(self, Z: np.ndarray, p):
+        """Set h_try and t_new of the next attempt from the state Z[p]."""
         if self.steps + self.rejected > _MAX_STEPS:
-            raise self.error("step budget exhausted", z)
+            raise self.error("step budget exhausted", Z, p)
         target = self.grid[self.next_i]
         remaining = target - self.t
         self.clamped = clamped = self.h >= remaining
         self.h_try = h_try = remaining if clamped else self.h
         if not clamped and h_try < self.floor:
-            raise self.error(f"step size underflow at t={self.t:.6g} (h={h_try:.3g})", z)
+            raise self.error(f"step size underflow at t={self.t:.6g} (h={h_try:.3g})", Z, p)
         self.t_new = target if clamped else self.t + h_try
 
-    def attempted(self, finite: bool, z: np.ndarray):
-        """Count the attempt from z; finite tells whether it stayed finite."""
+    def attempted(self, finite: bool, Z: np.ndarray, p):
+        """Count the attempt from Z[p]; finite tells whether it stayed finite."""
         self.evals += 6
         if not finite:
-            raise self.error(f"non-finite state encountered near t={self.t_new:.6g}", z)
+            raise self.error(f"non-finite state encountered near t={self.t_new:.6g}", Z, p)
 
-    def conclude(self, err: float, z: np.ndarray, z_new: np.ndarray) -> bool:
-        """Accept (True) or reject the attempt from z to z_new, of error norm err."""
+    def conclude(self, err: float, Z: np.ndarray, Z_new: np.ndarray, p) -> bool:
+        """Accept (True) or reject the attempt from Z[p] to Z_new[p] of error norm err."""
         self.h = _next_h(err, self.h, self.h_try, self.clamped, self.err_prev,
                          self.just_rejected)
         if err <= 1.0:
@@ -261,7 +264,7 @@ class _Lane:
             self.t = self.t_new
             self.floor = _STEP_FLOOR * max(abs(self.t), 1.0)
             if self.clamped:
-                self.rows[self.next_i] = z_new
+                self.rows[self.next_i] = Z_new[p]
                 self.next_i += 1
             self.err_prev = max(err, 1e-4)
             self.just_rejected = False
@@ -269,7 +272,7 @@ class _Lane:
         self.rejected += 1
         self.just_rejected = True
         if self.h < self.floor:
-            raise self.error(f"step size underflow at t={self.t:.6g} (h={self.h:.3g})", z)
+            raise self.error(f"step size underflow at t={self.t:.6g} (h={self.h:.3g})", Z, p)
         return False
 
 
@@ -298,12 +301,12 @@ def solve(
     K[0] = f  # FSAL: after an accepted step K[0] takes over K[6]
     attempt = _attempt(rhs, K)
     while not lane.done:
-        lane.propose(z)
+        lane.propose(z, Ellipsis)
         h_try = lane.h_try
         z_new = attempt(lane.t, z, h_try, lane.t_new)
-        lane.attempted(np.isfinite(z_new).all() and np.isfinite(K).all(), z)
+        lane.attempted(np.isfinite(z_new).all() and np.isfinite(K).all(), z, Ellipsis)
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        if lane.conclude(_rms(h_try * _E.dot(K) / sc), z, z_new):
+        if lane.conclude(_rms(h_try * _E.dot(K) / sc), z, z_new, Ellipsis):
             z = z_new
             K[0] = K[6]
     return out, lane.stats()
@@ -380,7 +383,7 @@ def solve_lanes(
     for i, ln in enumerate(lanes):
         try:
             ln.start(_one_lane(rhs, i), Z[i], F[i], rel_tol, abs_tol)
-            ln.propose(Z[i])
+            ln.propose(Z, i)
             live.append(i)
         except IntegrationError as exc:
             results[i] = exc
@@ -395,7 +398,7 @@ def solve_lanes(
         go = []
         for p, i in enumerate(live):
             try:
-                lanes[i].attempted(finite[p], Z[p])
+                lanes[i].attempted(finite[p], Z, p)
                 go.append(p)
             except IntegrationError as exc:
                 results[i] = exc
@@ -410,14 +413,14 @@ def solve_lanes(
         for p, (i, err) in enumerate(zip(live, errs)):
             ln = lanes[i]
             try:
-                if ln.conclude(err, Z[p], Z_new[p]):
+                if ln.conclude(err, Z, Z_new, p):
                     accepted.append(p)
                     if ln.done:
                         results[i] = (ln.rows, ln.stats())
                         continue
-                    ln.propose(Z_new[p])
+                    ln.propose(Z_new, p)
                 else:
-                    ln.propose(Z[p])
+                    ln.propose(Z, p)
                 go.append(p)
             except IntegrationError as exc:
                 results[i] = exc

@@ -115,19 +115,14 @@ def test_unknown_key_exits_2(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("key", ["diagnostics.b", "diagnostics.p", "diagnostics.eps_grid"])
-def test_non_numeric_diagnostics_value_exits_2(tmp_path, capsys, key):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(BASE + f"{key} = abc\n")
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert f"{key}:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "key, raw",
     [
+        ("diagnostics.b", "abc"),
+        ("diagnostics.p", "abc"),
+        ("diagnostics.eps_grid", "abc"),
+        ("diagnostics.eps_grid", "0.1 abc"),
+        ("dynamics.u0", "2 abc"),
         ("schedule.gamma", "nan"),
         ("schedule.scale", "inf"),
         ("dynamics.alpha", "nan"),
@@ -146,7 +141,7 @@ def test_non_numeric_diagnostics_value_exits_2(tmp_path, capsys, key):
         ("diagnostics.eps_grid", "0.1 nan"),
     ],
 )
-def test_non_finite_number_exits_2(tmp_path, capsys, key, raw):
+def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, key, raw):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE + f"{key} = {raw}\n")
     out = tmp_path / "out"
