@@ -11,7 +11,6 @@ t -> eps(t) are certified or refuted, and the observed decay rates and the
 approach to the minimum-norm minimizer are measured.
 """
 from .problems import (
-    ArgminSet,
     ObjectiveSpec,
     builtin,
     min_norm_solution,

@@ -83,8 +83,8 @@ def _hypotheses_block(exp: ExperimentConfig) -> dict:
             exp.schedule,
             exp.dynamics.alpha,
             exp.dynamics.beta,
-            a=exp.cond_a_constant,
-            c=exp.growth_constant,
+            a=exp.resolved["diagnostics.a"],
+            c=exp.resolved["diagnostics.c"],
         )
         return report.to_dict()
     except ValueError as exc:
@@ -92,42 +92,46 @@ def _hypotheses_block(exp: ExperimentConfig) -> dict:
 
 
 def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.ndarray) -> dict:
-    obj, s, dyn = exp.objective, exp.schedule, exp.dynamics
+    obj, s, dyn, cfg = exp.objective, exp.schedule, exp.dynamics, exp.resolved
+    reports = cfg["diagnostics.reports"]
     out: dict = {}
-    if "W" in exp.reports:
-        mono = diag.monotonicity_check(np.column_stack([traj.t, w_series]), tol=1e-8)
-        out["W"] = {
-            "initial": float(w_series[0]),
-            "final": float(w_series[-1]),
-            "monotonicity": mono.to_dict(),
-        }
-    if "hypotheses" in exp.reports:
+    if "W" in reports:
+        try:
+            mono = diag.monotonicity_check(np.column_stack([traj.t, w_series]), tol=1e-8)
+            out["W"] = {
+                "initial": float(w_series[0]),
+                "final": float(w_series[-1]),
+                "monotonicity": mono.to_dict(),
+            }
+        except ValueError as exc:
+            out["W"] = {"error": str(exc)}
+    if "hypotheses" in reports:
         out["hypotheses"] = _hypotheses_block(exp)
-    if "rates" in exp.reports:
+    if "rates" in reports:
         try:
             out["rates"] = diag.rate_report(traj, obj, s, dyn).to_dict()
         except ValueError as exc:
             out["rates"] = {"error": str(exc)}
-    if "ergodic" in exp.reports:
+    if "ergodic" in reports:
         try:
             times, values = diag.ergodic_deviation(traj)
             out["ergodic"] = {"times": times.tolist(), "values": values.tolist()}
         except ValueError as exc:
             out["ergodic"] = {"refused": str(exc)}
     xstar = obj.min_norm_solution
-    if "Eb" in exp.reports:
+    if "Eb" in reports:
         try:
-            b = exp.energy_b if exp.energy_b is not None else diag.default_energy_index(dyn.alpha)
+            b = cfg["diagnostics.b"] if "diagnostics.b" in cfg else diag.default_energy_index(dyn.alpha)
             params = diag.EnergyParams(b=b, xstar=xstar)
             values = diag.energy_Eb_series(obj, s, dyn, params, traj)
             out["Eb"] = {"b": b, "times": traj.t.tolist(), "values": values.tolist()}
         except ValueError as exc:
             out["Eb"] = {"error": str(exc)}
-    if "Ebp" in exp.reports:
+    if "Ebp" in reports:
         try:
             params = diag.strong_convergence_energy_params(dyn.alpha, xstar)
-            if exp.energy_p is not None:
-                params = diag.EnergyParams(b=params.b, p=exp.energy_p, xstar=xstar)
+            if "diagnostics.p" in cfg:
+                params = diag.EnergyParams(b=params.b, p=cfg["diagnostics.p"], xstar=xstar)
             values = diag.energy_Ebp(obj, s, dyn, params, traj)
             out["Ebp"] = {
                 "b": params.b,
@@ -137,9 +141,9 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
             }
         except ValueError as exc:
             out["Ebp"] = {"error": str(exc)}
-    if "tikhonov_curve" in exp.reports:
+    if "tikhonov_curve" in reports:
         entries = []
-        for e in exp.eps_grid:
+        for e in cfg["diagnostics.eps_grid"]:
             try:
                 x_eps = diag.tikhonov_point(obj, e)
                 grad = np.asarray(obj.gradient(x_eps)) + e * x_eps
@@ -199,7 +203,7 @@ def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajector
         "label": exp.label,
         "config": exp.resolved,
         "problem": {
-            "name": exp.problem_name,
+            "name": exp.resolved["problem.name"],
             "dimension": obj.dimension,
             "min_value": obj.min_value,
             "min_norm_solution": None
@@ -337,7 +341,7 @@ def sweep_experiment(
     rows = []
     for sub, traj in _run_cells(exp, variants):
         alpha, beta = sub.dynamics.alpha, sub.dynamics.beta
-        bound = t2eps_threshold(alpha, beta, exp.growth_constant)
+        bound = t2eps_threshold(alpha, beta, exp.resolved["diagnostics.c"])
         t_cross = crossing_time_on_grid(sub.schedule, bound, _extended_times(sub, sub.dynamics))
         rows.append(
             [

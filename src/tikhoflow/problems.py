@@ -14,14 +14,6 @@ import numpy as np
 Vector = np.ndarray
 
 
-@dataclass(frozen=True)
-class ArgminSet:
-    """Membership test for the solution set of an objective."""
-
-    text: str
-    contains: Callable[[Vector], bool]
-
-
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
     """A convex, twice differentiable objective on R^d.
@@ -37,7 +29,6 @@ class ObjectiveSpec:
     hessian_vec: Callable[[Vector, Vector], Vector]
     min_value: float
     min_norm_solution: Optional[Vector] = None
-    argmin_description: Optional[ArgminSet] = None
 
 
 def _as_vector(x, dimension: int, name: str = "x") -> Vector:
@@ -96,10 +87,6 @@ def _paper1d() -> ObjectiveSpec:
         hessian_vec=hessian_vec,
         min_value=0.0,
         min_norm_solution=np.array([0.0]),
-        argmin_description=ArgminSet(
-            text="interval [-1, 1]",
-            contains=lambda x: bool(abs(x[0]) <= 1.0 + 1e-12),
-        ),
     )
 
 
@@ -113,10 +100,6 @@ def _shifted_quadratic(c) -> ObjectiveSpec:
         hessian_vec=lambda x, v: np.array(v, dtype=float),
         min_value=0.0,
         min_norm_solution=c.copy(),
-        argmin_description=ArgminSet(
-            text="singleton {c}",
-            contains=lambda x: bool(np.linalg.norm(x - c) <= 1e-9 * (1.0 + np.linalg.norm(c))),
-        ),
     )
 
 
@@ -145,12 +128,6 @@ def _psd_quadratic(A, b) -> ObjectiveSpec:
         hessian_vec=lambda x, v: A @ v,
         min_value=-0.5 * float(b @ xhat),
         min_norm_solution=xhat,
-        argmin_description=ArgminSet(
-            text="affine set {x : A x = b}",
-            contains=lambda x: bool(
-                np.linalg.norm(A @ x - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
-            ),
-        ),
     )
 
 
@@ -175,12 +152,6 @@ def _least_squares(A, b) -> ObjectiveSpec:
         hessian_vec=lambda x, v: At @ (A @ v),
         min_value=0.5 * float(residual @ residual),
         min_norm_solution=xhat,
-        argmin_description=ArgminSet(
-            text="affine set {x : A^T A x = A^T b}",
-            contains=lambda x: bool(
-                np.linalg.norm(At @ (A @ x - b)) <= 1e-9 * (1.0 + np.linalg.norm(At @ b))
-            ),
-        ),
     )
 
 

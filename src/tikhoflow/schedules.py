@@ -579,18 +579,17 @@ def check_strong_convergence_hypotheses(
     beta: float,
     a: float = 2.0,
     c: float = 1.0,
-    a_envelope: float = 1.0,
 ) -> HypothesisReport:
     """Evaluate every schedule hypothesis for fixed (alpha, beta, a, c).
 
-    `a` parametrizes the damped-decay condition (a), `a_envelope` the
-    envelope condition (b); `c` enters the alpha > 3 growth threshold.
+    `a` parametrizes the damped-decay condition (a); the envelope condition
+    (b) is checked with constant 1; `c` enters the alpha > 3 growth threshold.
     """
     if alpha < 3.0:
         raise ValueError("strong-convergence hypotheses require alpha >= 3")
     ints = classify_integrals(s)
     cond_a = check_condition_a(s, beta, a)
-    cond_b = check_condition_b(s, a_envelope)
+    cond_b = check_condition_b(s, 1.0)
     growth = check_t2eps_growth(s, alpha, beta, c)
     limit = check_limit_condition(s, alpha, beta)
     pair = check_sufficient_pair(s, alpha)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,8 @@ def test_unknown_key_exits_2(tmp_path):
         ("diagnostics.b", "nan"),
         ("diagnostics.p", "inf"),
         ("diagnostics.eps_grid", "0.1 nan"),
+        ("problem.A", "1 2; 3\nproblem.name = least_squares"),  # ragged rows
+        ("problem.b", "1; 2\nproblem.name = least_squares\nproblem.A = 1; 1"),  # nested
     ],
 )
 def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, key, raw):
@@ -147,6 +150,29 @@ def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, key, raw):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert f"{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("bad.json", '{"label": "x",', None),  # JSON syntax: names the file
+        ("bad.json", '{"dynamics.alpha": {"a": 1}}', "dynamics.alpha"),
+        ("bad.json", '{"dynamics.alpha": null}', "dynamics.alpha"),
+        ("bad.json", '{"dynamics.alpha": true}', "dynamics.alpha"),
+        ("bad.json", '{"diagnostics.reports": 3}', "diagnostics.reports"),
+        ("bad.json", '{"dynamics.u0": [[2.0]]}', "dynamics.u0"),
+        ("bad.cfg", "dynamics.alpha = nan\n", "dynamics.alpha"),
+        ("bad.cfg", "dynamics.sample_count = 400.7\n", "dynamics.sample_count"),
+    ],
+)
+def test_malformed_value_exits_2_naming_its_key_once(tmp_path, capsys, name, text, key):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key or cfg}:") and "Traceback" not in err, err
     assert not out.exists()
 
 
@@ -321,6 +347,85 @@ dynamics.horizon = 100
 """
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_tabulated_grid_must_cover_t0(tmp_path, capsys):
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text(
+        "schedule.kind = tabulated\nschedule.times = 2 10 1e5\nschedule.values = 1 0.5 0.1\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: schedule.times:")
+    assert not out.exists()
+
+
+def test_horizon_at_t0_records_the_w_refusal(tmp_path):
+    cfg = tmp_path / "eq.cfg"
+    cfg.write_text(BASE.replace("dynamics.horizon = 150", "dynamics.horizon = 1"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "demo").iterdir()) == [
+        "manifest.json", "report.json", "trajectory.csv"
+    ]
+    report = json.loads((out / "demo" / "report.json").read_text())
+    assert "error" in report["diagnostics"]["W"]
+    assert report["summary"]["samples"] == 1
+
+
+PROBLEM_KEYS = {
+    "paper1d": "",
+    "shifted_quadratic": "problem.c = 1 -2\n",
+    "psd_quadratic": "problem.A = 2 1; 1 2\nproblem.b = 1 1\n",
+    "least_squares": "problem.A = 1 1 0; 0 1 1\nproblem.b = 2 1\n",
+}
+SCHEDULE_KEYS = {
+    "power": "schedule.gamma = 2\nschedule.scale = 0.7\n",
+    "logarithmic": "schedule.offset = 3\n",
+    "zero": "",
+    "tabulated": "schedule.times = 0.5 2 10\nschedule.values = 1 0.4 0.1\n",
+}
+# every other key away from its default, so a key dropped from the manifest
+# would change the replay
+NON_DEFAULT = """label = trip
+dynamics.alpha = 4
+dynamics.beta = 0.5
+dynamics.t0 = 0.5
+dynamics.u0 = 1.5
+dynamics.v0 = -0.5
+dynamics.horizon = 6
+dynamics.rel_tol = 1e-8
+dynamics.abs_tol = 1e-10
+dynamics.sample_count = 9
+dynamics.sample_spacing = linear
+diagnostics.reports = W,Eb,Ebp,tikhonov_curve
+diagnostics.b = 2.2
+diagnostics.p = 0.2
+diagnostics.a = 3
+diagnostics.c = 2
+diagnostics.eps_grid = 0.5 0.05
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_KEYS))
+@pytest.mark.parametrize("problem", sorted(PROBLEM_KEYS))
+def test_manifest_round_trip_every_problem_and_schedule(tmp_path, problem, kind):
+    cfg = tmp_path / "trip.cfg"
+    cfg.write_text(
+        NON_DEFAULT + f"problem.name = {problem}\n" + PROBLEM_KEYS[problem]
+        + f"schedule.kind = {kind}\n" + SCHEDULE_KEYS[kind]
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    run_dir = out / "trip"
+    first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(first["manifest.json"])
+    resolved = resolve(load_config(cfg), out_override=str(out)).resolved
+    assert resolve(load_config(manifest)).resolved == resolved == json.loads(first["manifest.json"])
+    shutil.rmtree(run_dir)
+    assert main(["run", str(manifest)]) == 0
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
 
 
 def test_benchmark_trace_installs():

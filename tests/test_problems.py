@@ -69,9 +69,9 @@ def test_builtin_paper1d_metadata():
     assert obj.dimension == 1
     assert obj.min_value == 0.0
     assert np.array_equal(min_norm_solution(obj), np.array([0.0]))
-    assert obj.argmin_description.contains(np.array([-1.0]))
-    assert obj.argmin_description.contains(np.array([1.0]))
-    assert not obj.argmin_description.contains(np.array([1.1]))
+    assert obj.value(np.array([-1.0])) - obj.min_value <= 1e-12
+    assert obj.value(np.array([1.0])) - obj.min_value <= 1e-12
+    assert obj.value(np.array([1.1])) - obj.min_value > 1e-12
 
 
 def test_builtin_shifted_quadratic_min_norm():
@@ -189,7 +189,7 @@ def test_min_norm_lies_in_argmin_and_is_smallest(suite):
         else:
             others = np.tile(xstar, (2, 1))
         for other in others:
-            assert obj.argmin_description.contains(other), name
+            assert obj.value(other) - obj.min_value <= 1e-12 * (1 + abs(obj.min_value)), name
             assert np.linalg.norm(xstar) <= np.linalg.norm(other) + 1e-12, name
 
 
