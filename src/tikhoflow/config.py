@@ -136,7 +136,7 @@ _COMMON = [k for k in KEYS if not k.startswith(("problem.", "schedule."))] + [
     "problem.name",
     "schedule.kind",
 ]
-_DYNAMICS = [k for k in KEYS if k.startswith("dynamics.")]
+_DYNAMICS = {k: k.split(".")[1] for k in KEYS if k.startswith("dynamics.")}  # key: field
 _SCHEDULE_FIELDS = {"schedule.times": "grid_t", "schedule.values": "grid_eps"}
 
 
@@ -251,7 +251,7 @@ def resolve(data: dict, out_override=None) -> ExperimentConfig:
         if len(values[key]) != d:
             raise ConfigError(f"{key}: dimension {len(values[key])} does not match problem dimension {d}")
     try:
-        dyn = DynamicsConfig(**{k.split(".")[1]: values[k] for k in _DYNAMICS})
+        dyn = DynamicsConfig(**{field: values[k] for k, field in _DYNAMICS.items()})
     except ValueError as exc:
         raise ConfigError(f"dynamics: {exc}") from exc
     params = {_SCHEDULE_FIELDS.get(k, k.split(".")[1]): values[k] for k in SCHEDULES[kind]}
@@ -259,8 +259,9 @@ def resolve(data: dict, out_override=None) -> ExperimentConfig:
         schedule = TikhonovSchedule(kind=kind, t0=dyn.t0, **params)
     except ValueError as exc:
         raise ConfigError(f"schedule.kind={kind!r}: {exc}") from exc
-    try:
-        schedule._span_eps(dyn.t0, dyn.horizon)
-    except ValueError as exc:  # only a tabulated grid can miss [t0, horizon]
-        raise ConfigError(f"schedule.times: {exc}") from None
+    if kind == "tabulated":  # the one kind whose domain can miss [t0, horizon]
+        try:
+            schedule._span_eps(dyn.t0, dyn.horizon)
+        except ValueError as exc:
+            raise ConfigError(f"schedule.times: {exc}") from None
     return ExperimentConfig(objective, schedule, dyn, values)
