@@ -3,14 +3,21 @@
 `tests/test_reference.py` and `tests/test_lanes.py` compare two code paths
 within one process; these hashes also catch a change that moves both paths
 the same way. Each case runs `configs/example.cfg` at 60 samples and horizon
-1e2, with the schedule or verb it names, and writes to a relative ``--out``
-because `report.json` and `manifest.json` record ``output.dir``.
+1e2, with the schedule, reports or verb it names, and writes to a relative
+``--out`` because `report.json` and `manifest.json` record ``output.dir``.
+The ``reports*`` cases ask for every report block, on settings where each
+block gives its result, its error or its refusal.
+
+``python tests/test_golden.py`` prints the digests of every case for the
+current tree, in the shape of `GOLDEN`.
 
 The hashes were made with Python 3.11.7 and numpy 2.4.6 on x86-64. Another
 numpy or BLAS may round the DP5 weight products differently; a failure here
 on another platform says the bytes moved, not that a result is wrong.
 """
 import hashlib
+import pprint
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,6 +26,7 @@ from tikhoflow.cli import main
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
 SHORT = "dynamics.sample_count = 60\ndynamics.horizon = 1e2\n"
+ALL_REPORTS = "diagnostics.reports = W,Eb,Ebp,rates,ergodic,tikhonov_curve,hypotheses\n"
 
 CASES = {
     "example": (["run"], ""),
@@ -29,9 +37,19 @@ CASES = {
         "schedule.kind = tabulated\nschedule.times = 1 10 100\nschedule.values = 1 0.3 0.05\n",
     ),
     "zero": (["run"], "schedule.kind = zero\n"),
+    "reports": (["run"], ALL_REPORTS),
+    "reports_alpha2": (["run"], ALL_REPORTS + "dynamics.alpha = 2\n"),
+    "reports_horizon1": (["run"], ALL_REPORTS + "dynamics.horizon = 1\n"),
+    "reports_zero": (["run"], ALL_REPORTS + "schedule.kind = zero\n"),
+    "check_schedule": (["check-schedule"], ""),
+    "sweep": (["sweep", "--alpha", "3", "4", "--beta", "0.5", "1", "--gamma", "1.5", "2.5"], ""),
 }
 
 GOLDEN = {
+    "check_schedule": {
+        "example/report.json":
+            "8dce63c059bf6fcb04d4505f57136215aada2bd76478617cf43f97a4592cc7be",
+    },
     "compare": {
         "example/comparison.csv":
             "123753e1a3ee0d6a8a0482483a2d402e9456f3808af1d16ab32240e6b0542704",
@@ -70,6 +88,90 @@ GOLDEN = {
         "example/trajectory.csv":
             "ed7f5e5f534546e5cf5210088ccdff7935d188c217b08d9b15f62a31b5e2fe19",
     },
+    "reports": {
+        "example/manifest.json":
+            "b235ab019bc80c89a233995fda024d858b9758cd4a335cc3f5257e5fce9f6ee5",
+        "example/report.json":
+            "0dd7347ac63ac650841f95a293a4014d2029427da795704532c14e783d88f0cb",
+        "example/trajectory.csv":
+            "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+    },
+    "reports_alpha2": {
+        "example/manifest.json":
+            "71fcade4feb6c71080f2cbc46bdf3e544c9a9906584945b729a746cec4ee8122",
+        "example/report.json":
+            "870c0a76c3731f36164380372b599049f2c61689a14d65f0a51d68f4b45cc286",
+        "example/trajectory.csv":
+            "e0f0b3fbca5192f75aed4984a64db11095cd166556a8eb7dcc534ab84afb5415",
+    },
+    "reports_horizon1": {
+        "example/manifest.json":
+            "27d8ef57de36c41efbb292383534356141e2b766a3dcd92f02e69d7b6599702f",
+        "example/report.json":
+            "0b57c32edb5b3aae8379fdb80b3127f35d5150e3449462a887cb843eb9b8b7cb",
+        "example/trajectory.csv":
+            "065dff835ca6c540ccf4878b0357e6364f1df67de1614d4760b657c9855ed8c1",
+    },
+    "reports_zero": {
+        "example/manifest.json":
+            "b17cc9ae2cf29d7d873a5151f21a7d03bedb3e91205bbe3dc318537a9b09c18f",
+        "example/report.json":
+            "32b20876d196e5ed9c16a72ed9b0ad9c7229929e1f6fe02c3cdaec3591b8c9d3",
+        "example/trajectory.csv":
+            "8985fac7e58e4a5c778427ac9521f3027a0ff74c8310f630a343ea26547cc9b6",
+    },
+    "sweep": {
+        "example/alpha_3__beta_0.5__gamma_1.5/manifest.json":
+            "f91c61e358fd7d403a71ab43249f5c9455d571ca88e14d247032c45df8a10d2b",
+        "example/alpha_3__beta_0.5__gamma_1.5/report.json":
+            "88bc49510bafdfdb230b66286390d66843dfc97ef8e416790b0ebd66a971ca1e",
+        "example/alpha_3__beta_0.5__gamma_1.5/trajectory.csv":
+            "9f859bd491213b6ed5a50a268eb397c2dd888222a84b2a4af5de500280bb166f",
+        "example/alpha_3__beta_0.5__gamma_2.5/manifest.json":
+            "cdf1e60fb9bf21b9bcf1d7dfbd841b2ac6e4c93726c138826473fabcc45a4c19",
+        "example/alpha_3__beta_0.5__gamma_2.5/report.json":
+            "697ba958e93b3dc5f8950b563eefd476496b71c55d27c49c9ea3bdb7af28be26",
+        "example/alpha_3__beta_0.5__gamma_2.5/trajectory.csv":
+            "f8b24b2ed08d125023b3a4c19bcd946c8811dedd70a4876b26088bfface395b5",
+        "example/alpha_3__beta_1__gamma_1.5/manifest.json":
+            "8ad3c729855bd2b488e4383a4f40c6c828ea8ee94b71c4e41112682774ac6b04",
+        "example/alpha_3__beta_1__gamma_1.5/report.json":
+            "483111409fad9f420e73d0b4950023acb7ad7f81be967a479e20ece08c6b6b37",
+        "example/alpha_3__beta_1__gamma_1.5/trajectory.csv":
+            "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+        "example/alpha_3__beta_1__gamma_2.5/manifest.json":
+            "535a01886938fe1c225ff73cf7d6b4b2d06205b31586f0d946b7cf71e9e683eb",
+        "example/alpha_3__beta_1__gamma_2.5/report.json":
+            "079af870dc76fffe8dc30742d61a3756df3d8f4b511c1a3d1a226a7776674339",
+        "example/alpha_3__beta_1__gamma_2.5/trajectory.csv":
+            "7d2ee4defa8ae7736282d2e3af0ae117e46236bf57de657549a4da5aba16d958",
+        "example/alpha_4__beta_0.5__gamma_1.5/manifest.json":
+            "800b798560d3452196faa84518fff31476bce2b04e7f57ae11406bc401b4d229",
+        "example/alpha_4__beta_0.5__gamma_1.5/report.json":
+            "fb18fc22ab6000d1ab607dd7d7b7946fe21e01b1be401493e95211a6a67a0b55",
+        "example/alpha_4__beta_0.5__gamma_1.5/trajectory.csv":
+            "9d42f01103ca26d6d2910c2e54e2c53ce5b27c92a8f4c89b6cbaf4859b90b54d",
+        "example/alpha_4__beta_0.5__gamma_2.5/manifest.json":
+            "1c4c8d6193aec8228de47318c2203d41a2bfaa373a15f72f9f098ade6ebe8eb0",
+        "example/alpha_4__beta_0.5__gamma_2.5/report.json":
+            "7d5760283c852eaff77da9626f618d2f0adb4588758f093717bbb32e87d59ad1",
+        "example/alpha_4__beta_0.5__gamma_2.5/trajectory.csv":
+            "1b361d1cff13a3eb31fa945ca7d208583a1778169285ac0bec867c76abaa6e98",
+        "example/alpha_4__beta_1__gamma_1.5/manifest.json":
+            "49ce5a963ce5b9c8656fa794b5bbfcad6a246a19997b81ca5bedc5aa5c4d602f",
+        "example/alpha_4__beta_1__gamma_1.5/report.json":
+            "7a5b17edd6bde72bf84312140a73b4e69b4588a11f737f96e019bdf7e75deab8",
+        "example/alpha_4__beta_1__gamma_1.5/trajectory.csv":
+            "6a6b8eb5724f9068ec389e9fcb02a99b0534e265b4f700c38c4a8699548c7ae6",
+        "example/alpha_4__beta_1__gamma_2.5/manifest.json":
+            "1d56d797b81905826e687b2a2ca81da5f2dbef851ad25422881c44ed2a954fd7",
+        "example/alpha_4__beta_1__gamma_2.5/report.json":
+            "8dd1393cef3072f196b8bf0a4c93ecca495390c9039297bef59c466d06ee8210",
+        "example/alpha_4__beta_1__gamma_2.5/trajectory.csv":
+            "9a4025bedcc3dcd87ded19749af63123e9b0ceac53ad1312eb72ac268159f9d7",
+        "example/sweep_summary.csv":
+            "be3144ad86491df5c7556e62cf1692bbafa76d94c70be6f7bf9d1b9bbfc19747",
+    },
     "tabulated": {
         "example/manifest.json":
             "23b5315274825aa4a6977f2937f5bde6dbe47495e634ee69a8d02503b28d62a5",
@@ -97,11 +199,28 @@ def _digests(root: Path) -> dict:
     }
 
 
+def _run(case: str, root: Path) -> dict:
+    """Run a case with ``root`` as the working directory; the digests of what it wrote."""
+    verb, keys = CASES[case]
+    cfg = root / f"{case}.cfg"
+    cfg.write_text(EXAMPLE.read_text() + SHORT + keys)
+    assert main([verb[0], cfg.name, *verb[1:], "--out", "out"]) == 0
+    return _digests(root / "out")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_golden_hashes(case, tmp_path, monkeypatch):
-    verb, keys = CASES[case]
-    cfg = tmp_path / f"{case}.cfg"
-    cfg.write_text(EXAMPLE.read_text() + SHORT + keys)
     monkeypatch.chdir(tmp_path)
-    assert main([verb[0], cfg.name, *verb[1:], "--out", "out"]) == 0
-    assert _digests(tmp_path / "out") == GOLDEN[case]
+    assert _run(case, tmp_path) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    import os
+
+    digests = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            digests[case] = _run(case, Path(tmp))
+    os.chdir(EXAMPLE.parent)
+    pprint.pprint(digests, width=100)
