@@ -12,7 +12,9 @@ two finished cells in hand.
 Each run writes three artifacts into <out>/<label>/: ``trajectory.csv`` with
 the fixed column schema, ``report.json`` with the requested diagnostics, and
 ``manifest.json`` holding the fully resolved flat config (re-running a
-manifest reproduces the CSV byte for byte). Exit status: 0 on success, 2 for
+manifest reproduces the CSV byte for byte). A report holds the result
+objects themselves, and one rule, `_json_default`, writes them: a dataclass
+as its fields, an array as its list. Exit status: 0 on success, 2 for
 configuration errors, 3 for integrator failures (partial trajectory flushed).
 
 No randomness is used anywhere; --seedless is accepted as a bare flag for
@@ -21,6 +23,7 @@ interface compatibility and rejected if given a value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -41,8 +44,12 @@ def _fmt(value: float) -> str:
 
 
 def _json_default(obj):
+    # the encoder calls this as it reaches each value, so a result's lists
+    # exist only while they are written
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, Path):
@@ -77,16 +84,15 @@ def write_trajectory_csv(path: Path, traj: Trajectory, w_series: np.ndarray):
             fh.write(row % tuple(values.tolist()))
 
 
-def _hypotheses_block(exp: ExperimentConfig) -> dict:
+def _hypotheses_block(exp: ExperimentConfig):
     try:
-        report = check_strong_convergence_hypotheses(
+        return check_strong_convergence_hypotheses(
             exp.schedule,
             exp.dynamics.alpha,
             exp.dynamics.beta,
             a=exp.resolved["diagnostics.a"],
             c=exp.resolved["diagnostics.c"],
         )
-        return report.to_dict()
     except ValueError as exc:
         return {"error": str(exc)}
 
@@ -101,7 +107,7 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
             out["W"] = {
                 "initial": float(w_series[0]),
                 "final": float(w_series[-1]),
-                "monotonicity": mono.to_dict(),
+                "monotonicity": mono,
             }
         except ValueError as exc:
             out["W"] = {"error": str(exc)}
@@ -109,13 +115,13 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
         out["hypotheses"] = _hypotheses_block(exp)
     if "rates" in reports:
         try:
-            out["rates"] = diag.rate_report(traj, obj, s, dyn).to_dict()
+            out["rates"] = diag.rate_report(traj, obj, s, dyn)
         except ValueError as exc:
             out["rates"] = {"error": str(exc)}
     if "ergodic" in reports:
         try:
             times, values = diag.ergodic_deviation(traj)
-            out["ergodic"] = {"times": times.tolist(), "values": values.tolist()}
+            out["ergodic"] = {"times": times, "values": values}
         except ValueError as exc:
             out["ergodic"] = {"refused": str(exc)}
     xstar = obj.min_norm_solution
@@ -124,7 +130,7 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
             b = cfg["diagnostics.b"] if "diagnostics.b" in cfg else diag.default_energy_index(dyn.alpha)
             params = diag.EnergyParams(b=b, xstar=xstar)
             values = diag.energy_Eb_series(obj, s, dyn, params, traj)
-            out["Eb"] = {"b": b, "times": traj.t.tolist(), "values": values.tolist()}
+            out["Eb"] = {"b": b, "times": traj.t, "values": values}
         except ValueError as exc:
             out["Eb"] = {"error": str(exc)}
     if "Ebp" in reports:
@@ -133,12 +139,7 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
             if "diagnostics.p" in cfg:
                 params = diag.EnergyParams(b=params.b, p=cfg["diagnostics.p"], xstar=xstar)
             values = diag.energy_Ebp(obj, s, dyn, params, traj)
-            out["Ebp"] = {
-                "b": params.b,
-                "p": params.p,
-                "times": traj.t.tolist(),
-                "values": values.tolist(),
-            }
+            out["Ebp"] = {"b": params.b, "p": params.p, "times": traj.t, "values": values}
         except ValueError as exc:
             out["Ebp"] = {"error": str(exc)}
     if "tikhonov_curve" in reports:
@@ -150,7 +151,7 @@ def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.nda
                 entries.append(
                     {
                         "eps": e,
-                        "x": x_eps.tolist(),
+                        "x": x_eps,
                         "norm": float(np.linalg.norm(x_eps)),
                         "residual": float(np.linalg.norm(grad)),
                     }
@@ -168,7 +169,7 @@ def _summary_block(traj: Trajectory) -> dict:
     x_norms = np.linalg.norm(traj.x, axis=1)
     return {
         "final_t": float(traj.t[-1]),
-        "final_x": traj.x[-1].tolist(),
+        "final_x": traj.x[-1],
         "final_gap": float(traj.gap[-1]),
         "final_grad_norm": float(traj.grad_norm[-1]),
         "min_x_norm": float(np.min(x_norms)),
@@ -206,9 +207,7 @@ def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajector
             "name": exp.resolved["problem.name"],
             "dimension": obj.dimension,
             "min_value": obj.min_value,
-            "min_norm_solution": None
-            if obj.min_norm_solution is None
-            else obj.min_norm_solution.tolist(),
+            "min_norm_solution": obj.min_norm_solution,
         },
         "integrator": traj.meta.get("stats", {}),
         "summary": _summary_block(traj),
@@ -283,11 +282,11 @@ def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
         )
     rows = []
     for sub, traj in _run_cells(exp, variants):
-        x_norms = np.linalg.norm(traj.x, axis=1)
+        summary = _summary_block(traj)
         gamma_val = sub.resolved.get("schedule.gamma", float("nan"))
         rows.append(
-            [sub.label, gamma_val, float(traj.gap[-1]), float(np.min(x_norms))]
-            + [float(v) for v in traj.x[-1]]
+            [sub.label, gamma_val, summary["final_gap"], summary["min_x_norm"]]
+            + summary["final_x"].tolist()
         )
     d = exp.objective.dimension
     header = ["run", "gamma", "final_gap", "min_x_norm"] + [f"final_x_{i}" for i in range(d)]
@@ -340,6 +339,7 @@ def sweep_experiment(
     ]
     rows = []
     for sub, traj in _run_cells(exp, variants):
+        summary = _summary_block(traj)
         alpha, beta = sub.dynamics.alpha, sub.dynamics.beta
         bound = t2eps_threshold(alpha, beta, exp.resolved["diagnostics.c"])
         t_cross = crossing_time_on_grid(sub.schedule, bound, _extended_times(sub, sub.dynamics))
@@ -351,8 +351,8 @@ def sweep_experiment(
                 bound,
                 float("nan") if t_cross is None else t_cross,
                 bool(t_cross is not None and t_cross <= sub.dynamics.horizon),
-                float(traj.gap[-1]),
-                float(np.min(np.linalg.norm(traj.x, axis=1))),
+                summary["final_gap"],
+                summary["min_x_norm"],
             ]
         )
     header = ["alpha", "beta", "gamma", "threshold", "t_cross", "within_horizon", "final_gap", "min_x_norm"]

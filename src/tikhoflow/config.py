@@ -7,9 +7,10 @@ of the manifest each run writes, so a manifest can be re-run as-is.
 The schema is `KEYS`: each key with the reader that checks its value and its
 default (None: no default). `PROBLEMS` and `SCHEDULES` name the keys that
 each `problem.name` and `schedule.kind` reads; every other key is read by
-every run, and the keys of other problems and schedules are ignored.
-`resolve` reads exactly those keys, builds the runtime objects from the
-values it read, and keeps those values as the manifest.
+every run, and the keys of other problems and schedules are ignored: their
+values are checked, then dropped. `resolve` reads exactly those keys, builds
+the runtime objects from the values it read, and keeps those values as the
+manifest.
 
 In a `key = value` file, text keys take the rest of the line; other values
 are numbers, whitespace- or comma-separated vectors, or matrices with rows
@@ -163,7 +164,10 @@ def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     if path.suffix == ".json":
         try:
             data = json.loads(text)
@@ -239,6 +243,8 @@ def resolve(data: dict, out_override=None) -> ExperimentConfig:
         raise ConfigError(f"schedule.kind: unknown schedule {kind!r}")
     read(PROBLEMS[name], "problem.name")
     read(SCHEDULES[kind], "schedule.kind")
+    for key in [k for k in data if k not in values]:  # keys this run ignores are checked too
+        KEYS[key][0](key, data[key])
 
     try:
         objective = builtin(name, **{k.split(".")[1]: values[k] for k in PROBLEMS[name]})

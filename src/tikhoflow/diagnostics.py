@@ -152,13 +152,6 @@ class MonotonicityResult:
     violation_index: Optional[int] = None
     magnitude: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violation_index": self.violation_index,
-            "magnitude": self.magnitude,
-        }
-
 
 def monotonicity_check(series, tol: float) -> MonotonicityResult:
     """Check a (t, value) series is nonincreasing up to tol*(1+|value|) blips."""
@@ -185,15 +178,6 @@ class TailSeries:
     prev_decade_max: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "values": self.values.tolist(),
-            "last_decade_max": self.last_decade_max,
-            "prev_decade_max": self.prev_decade_max,
-            "verdict": self.verdict,
-        }
-
 
 def _tail_series(t: np.ndarray, values: np.ndarray, horizon: float) -> TailSeries:
     last = t >= horizon / 10.0
@@ -210,24 +194,8 @@ class RateReport:
     tail_decay_t2_gap: TailSeries
     t_momentum: TailSeries
     t2_eps_x2: TailSeries
-    ergodic_deviation: Optional[tuple[np.ndarray, np.ndarray]]
+    ergodic_deviation: Optional[dict]  # {"times", "values"}, or None with the refusal in note
     note: str = ""
-
-    def to_dict(self) -> dict:
-        erg = None
-        if self.ergodic_deviation is not None:
-            erg = {
-                "times": self.ergodic_deviation[0].tolist(),
-                "values": self.ergodic_deviation[1].tolist(),
-            }
-        return {
-            "sup_t2_gap": self.sup_t2_gap,
-            "tail_decay_t2_gap": self.tail_decay_t2_gap.to_dict(),
-            "t_momentum": self.t_momentum.to_dict(),
-            "t2_eps_x2": self.t2_eps_x2.to_dict(),
-            "ergodic_deviation": erg,
-            "note": self.note,
-        }
 
 
 def rate_report(
@@ -244,7 +212,7 @@ def rate_report(
     tail = t >= horizon / 100.0
     note = ""
     try:
-        erg = ergodic_deviation(traj)
+        erg = dict(zip(("times", "values"), ergodic_deviation(traj)))
     except ValueError as exc:
         erg = None
         note = str(exc)
@@ -370,18 +338,6 @@ class DriftCheckResult:
     samples_checked: int
     violation_index: Optional[int] = None
     magnitude: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "case": self.case,
-            "t2": self.t2,
-            "drift_coefficient": self.drift_coefficient,
-            "scaled": self.scaled,
-            "samples_checked": self.samples_checked,
-            "violation_index": self.violation_index,
-            "magnitude": self.magnitude,
-        }
 
 
 def _running_drift(integral, t2: float, ts: np.ndarray) -> np.ndarray:

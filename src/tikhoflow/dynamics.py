@@ -27,7 +27,7 @@ per step attempt for all six stages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Iterator, Sequence
 
@@ -93,20 +93,6 @@ class DynamicsConfig:
         if self.u0.shape != self.v0.shape:
             raise ValueError("u0 and v0 must have the same dimension")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "t0": self.t0,
-            "u0": self.u0.tolist(),
-            "v0": self.v0.tolist(),
-            "horizon": self.horizon,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "sample_count": self.sample_count,
-            "sample_spacing": self.sample_spacing,
-        }
-
 
 def sample_times(cfg: DynamicsConfig) -> np.ndarray:
     """The reporting grid: sample_count points from t0 to horizon inclusive."""
@@ -128,12 +114,13 @@ class LiftedState:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled solution plus running integrals and run provenance.
+    """Sampled solution plus running integrals and the integrator's counters.
 
     Columns per sample i: time t[i], position x[i], velocity v[i], lifted
     auxiliary y[i] = v + beta*grad g(x), schedule value eps[i], objective gap
     g(x)-min g, gradient norm, and the accumulated integrals of eps/s,
-    (eps/s)*|x - xstar|^2 and (1/s)*|x'|^2 from t0 to t[i].
+    (eps/s)*|x - xstar|^2 and (1/s)*|x'|^2 from t0 to t[i]. ``meta["stats"]``
+    holds the step counters (steps, rejected, rhs_evals).
     """
 
     t: np.ndarray
@@ -268,13 +255,7 @@ def _finish(
         int_eps_over_t=Z[:, 2 * d],
         int_erg_num=Z[:, 2 * d + 1],
         int_vel=Z[:, 2 * d + 2],
-        meta={
-            "formulation": formulation,
-            "problem_dimension": d,
-            "schedule": s.to_dict(),
-            "dynamics": cfg.to_dict(),
-            "stats": dict(stats),
-        },
+        meta={"stats": dict(stats)},
     )
 
 
@@ -350,11 +331,9 @@ def integrate_lanes(
     (2d+3) floats, are held at once; each Trajectory is finished only when
     it is drawn, so a caller that drops it holds no more than that.
     """
-    def shared(cfg: DynamicsConfig) -> dict:
-        return {k: v for k, v in cfg.to_dict().items() if k not in ("alpha", "beta")}
-
     cfg = runs[0][1]
-    if any(shared(c) != shared(cfg) for _, c in runs):
+    shared = [f.name for f in fields(DynamicsConfig) if f.name not in ("alpha", "beta")]
+    if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d = obj.dimension
     quadrature = _quadrature(d, min_norm_solution(obj))

@@ -40,9 +40,6 @@ class Verdict:
     def holds(self) -> bool:
         return self.status == "holds"
 
-    def to_dict(self) -> dict:
-        return {"status": self.status, "t1": self.t1, "witness": self.witness, "note": self.note}
-
 
 def _holds(t1: float, note: str = "") -> Verdict:
     return Verdict("holds", t1=float(t1), note=note)
@@ -201,16 +198,6 @@ class TikhonovSchedule:
         n = 2 * max(8, int(200 * max(math.log10(hi / lo), 1e-9) / 2))
         return _simpson(lambda s: s * self.eps(s), np.geomspace(lo, hi, n + 1))
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "t0": self.t0}
-        if self.kind == "power":
-            d.update(gamma=self.gamma, scale=self.scale)
-        elif self.kind == "logarithmic":
-            d.update(offset=self.offset)
-        elif self.kind == "tabulated":
-            d.update(times=self.grid_t.tolist(), values=self.grid_eps.tolist())
-        return d
-
 
 def power_schedule(gamma: float, scale: float = 1.0, t0: float = 1.0) -> TikhonovSchedule:
     return TikhonovSchedule(kind="power", t0=t0, gamma=gamma, scale=scale)
@@ -354,16 +341,6 @@ class IntegralClassification:
     def as_tuple(self) -> tuple[str, str, str]:
         return (self.int_eps_over_t, self.int_t_eps, self.int_eps)
 
-    def to_dict(self) -> dict:
-        d = {
-            "int_eps_over_t": self.int_eps_over_t,
-            "int_t_eps": self.int_t_eps,
-            "int_eps": self.int_eps,
-        }
-        if self.partial_sums is not None:
-            d["partial_sums"] = self.partial_sums
-        return d
-
 
 def classify_integrals(s: TikhonovSchedule) -> IntegralClassification:
     """Finiteness of the improper integrals of eps/t, t*eps and eps on [t0, inf)."""
@@ -493,16 +470,6 @@ def check_sufficient_pair(s: TikhonovSchedule, alpha: float) -> Verdict:
     return _unknown("pair undecidable from a finite grid")
 
 
-THEOREM_IDS = (
-    "function_values_converge",
-    "gap_rate_O_inverse_t2",
-    "gap_rate_o_inverse_t2",
-    "trajectory_weak_convergence",
-    "ergodic_strong_convergence",
-    "strong_convergence_min_norm",
-)
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Structured verdicts for one schedule under fixed (alpha, beta, a, c)."""
@@ -521,24 +488,6 @@ class HypothesisReport:
     sufficient_pair: Verdict
     applicable_theorems: tuple = ()
     notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "a": self.a,
-            "c": self.c,
-            "cond_a": self.cond_a.to_dict(),
-            "cond_b": self.cond_b.to_dict(),
-            "int_eps_over_t": self.int_eps_over_t,
-            "int_t_eps": self.int_t_eps,
-            "int_eps": self.int_eps,
-            "t2eps_growth": self.t2eps_growth.to_dict(),
-            "limit_condition": self.limit_condition.to_dict(),
-            "sufficient_pair": self.sufficient_pair.to_dict(),
-            "applicable_theorems": list(self.applicable_theorems),
-            "notes": list(self.notes),
-        }
 
 
 def applicable_theorems_from(

@@ -142,6 +142,8 @@ def test_unknown_key_exits_2(tmp_path):
         ("diagnostics.eps_grid", "0.1 nan"),
         ("problem.A", "1 2; 3\nproblem.name = least_squares"),  # ragged rows
         ("problem.b", "1; 2\nproblem.name = least_squares\nproblem.A = 1; 1"),  # nested
+        ("schedule.offset", "nan"),  # a key the power schedule ignores
+        ("problem.A", "1 2; 3"),  # a key paper1d ignores
     ],
 )
 def test_non_numeric_or_non_finite_value_exits_2(tmp_path, capsys, key, raw):
@@ -173,6 +175,16 @@ def test_malformed_value_exits_2_naming_its_key_once(tmp_path, capsys, name, tex
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key or cfg}:") and "Traceback" not in err, err
+    assert not out.exists()
+
+
+def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(BASE.encode() + b"label = \xff\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:") and "Traceback" not in err, err
     assert not out.exists()
 
 

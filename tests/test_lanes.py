@@ -118,9 +118,22 @@ def test_cosh_non_finite_lanes_match_integrate():
     assert all(isinstance(exc, IntegrationError) for exc in lanes)
 
 
-def test_lanes_must_share_dynamics():
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("t0", 0.5),
+        ("u0", 3.0),
+        ("v0", 1.0),
+        ("horizon", 20.0),
+        ("rel_tol", 1e-8),
+        ("abs_tol", 1e-10),
+        ("sample_count", 41),
+        ("sample_spacing", "linear"),
+    ],
+)
+def test_lanes_must_share_dynamics(name, value):
     cfg = DynamicsConfig(**BASE)
-    other = dataclasses.replace(cfg, horizon=20.0)
+    other = dataclasses.replace(cfg, **{name: value})
     with pytest.raises(ValueError, match="alpha and beta"):
         integrate_lanes(builtin("paper1d"), [(zero_schedule(), cfg), (zero_schedule(), other)])
 
