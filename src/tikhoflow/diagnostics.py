@@ -212,7 +212,8 @@ def rate_report(
     tail = t >= horizon / 100.0
     note = ""
     try:
-        erg = dict(zip(("times", "values"), ergodic_deviation(traj)))
+        times, values = ergodic_deviation(traj)
+        erg = {"times": times, "values": values}
     except ValueError as exc:
         erg = None
         note = str(exc)

@@ -16,6 +16,7 @@ numpy or BLAS may round the DP5 weight products differently; a failure here
 on another platform says the bytes moved, not that a result is wrong.
 """
 import hashlib
+import os
 import pprint
 import tempfile
 from pathlib import Path
@@ -215,12 +216,12 @@ def test_artifacts_match_golden_hashes(case, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    import os
-
-    digests = {}
+    digests, home = {}, os.getcwd()
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            digests[case] = _run(case, Path(tmp))
-    os.chdir(EXAMPLE.parent)
+            try:
+                digests[case] = _run(case, Path(tmp))
+            finally:
+                os.chdir(home)
     pprint.pprint(digests, width=100)
