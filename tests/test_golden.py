@@ -3,10 +3,12 @@
 `tests/test_reference.py` and `tests/test_lanes.py` compare two code paths
 within one process; these hashes also catch a change that moves both paths
 the same way. Each case runs `configs/example.cfg` at 60 samples and horizon
-1e2, with the schedule, reports or verb it names, and writes to a relative
-``--out`` because `report.json` and `manifest.json` record ``output.dir``.
-The ``reports*`` cases ask for every report block, on settings where each
-block gives its result, its error or its refusal.
+1e2, with the problem, schedule, reports or verb it names, and writes to a
+relative ``--out`` because `report.json` and `manifest.json` record
+``output.dir``. The ``reports*`` cases ask for every report block, on
+settings where each block gives its result, its error or its refusal;
+``least_squares`` asks for every block on a d=2 problem, so its arrays of
+several entries sit in dicts and in the list of Tikhonov-curve points.
 
 ``python tests/test_golden.py`` prints the digests of every case for the
 current tree, in the shape of `GOLDEN`.
@@ -42,6 +44,10 @@ CASES = {
     "reports_alpha2": (["run"], ALL_REPORTS + "dynamics.alpha = 2\n"),
     "reports_horizon1": (["run"], ALL_REPORTS + "dynamics.horizon = 1\n"),
     "reports_zero": (["run"], ALL_REPORTS + "schedule.kind = zero\n"),
+    "least_squares": (
+        ["run"],
+        ALL_REPORTS + "problem.name = least_squares\nproblem.A = 1 2; 3 4; 5 6\nproblem.b = 1 2 3\n",
+    ),
     "check_schedule": (["check-schedule"], ""),
     "sweep": (["sweep", "--alpha", "3", "4", "--beta", "0.5", "1", "--gamma", "1.5", "2.5"], ""),
 }
@@ -80,6 +86,14 @@ GOLDEN = {
             "cf46ed22df83218145b12375709981f226d4b177e81331928db93005b00fa684",
         "example/trajectory.csv":
             "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+    },
+    "least_squares": {
+        "example/manifest.json":
+            "d83baeef120382fb8030b6a18c61d5c0b4022b5538bf9ca391179c346663b4a2",
+        "example/report.json":
+            "9a7d8444c8fd422c2919b464800a24d54409f5002f065dd91997d75521780c8a",
+        "example/trajectory.csv":
+            "14b3a8e04cf04d1627d3c4c6c186039c992ff67157bc9be92f27beff45f0721d",
     },
     "logarithmic": {
         "example/manifest.json":
