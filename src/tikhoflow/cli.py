@@ -14,7 +14,9 @@ the fixed column schema, ``report.json`` with the requested diagnostics, and
 ``manifest.json`` holding the fully resolved flat config (re-running a
 manifest reproduces the CSV byte for byte). A report holds the result
 objects themselves, and one rule, `_json_default`, writes them: a dataclass
-as its fields, an array as its list. Exit status: 0 on success, 2 for
+as its fields, an array as its list. `_json_chunks` streams the bytes
+``json.dump(indent=2, sort_keys=True)`` would write, with each float array
+formatted by one call of the C encoder. Exit status: 0 on success, 2 for
 configuration errors, 3 for integrator failures (partial trajectory flushed).
 
 No randomness is used anywhere; --seedless is accepted as a bare flag for
@@ -37,6 +39,8 @@ from .dynamics import IntegrationError, Trajectory, integrate, integrate_lanes, 
 from .schedules import check_strong_convergence_hypotheses, crossing_time_on_grid, t2eps_threshold
 
 _FMT = "%.17g"
+# points of the extended sample grid a crossing search holds at once
+_BLOCK = 1 << 16
 
 
 def _fmt(value: float) -> str:
@@ -57,10 +61,41 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _json_chunks(obj, indent: str) -> Iterator[str]:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True,
+    default=_json_default)`` gives, in chunks, for a value on a line indented
+    by ``indent``; dict keys are strings. With ``indent`` set, `json` uses its
+    pure-Python encoder, one chunk per float; here each scalar, and each
+    non-empty 1-d float64 array, is one call of the C encoder, the array's
+    item separator carrying the line break and the indentation."""
+    inner = indent + "  "
+    if obj is None or isinstance(obj, (str, int, float)):
+        yield json.dumps(obj)
+    elif isinstance(obj, dict):
+        opening = "{"
+        for key, value in sorted(obj.items()):
+            yield f"{opening}\n{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value, inner)
+            opening = ","
+        yield f"\n{indent}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        opening = "["
+        for value in obj:
+            yield f"{opening}\n{inner}"
+            yield from _json_chunks(value, inner)
+            opening = ","
+        yield f"\n{indent}]" if obj else "[]"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size and obj.dtype == np.float64:
+        items = json.dumps(obj.tolist(), separators=(",\n" + inner, ": "))[1:-1]
+        yield f"[\n{inner}{items}\n{indent}]"
+    else:
+        yield from _json_chunks(_json_default(obj), indent)
+
+
 def _write_json(path: Path, payload: dict):
-    # json.dump streams the encoder's chunks instead of joining them first
+    # streamed, not joined: one array's text at a time is held
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.writelines(_json_chunks(payload, ""))
         fh.write("\n")
 
 
@@ -295,22 +330,36 @@ def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
     return top
 
 
-def _extended_times(exp: ExperimentConfig, dyn) -> np.ndarray:
-    """Sample grid extended past the horizon (same spacing) for crossing searches."""
+def _crossing_time(exp: ExperimentConfig, bound: float) -> Optional[float]:
+    """First time on the sample grid, extended past the horizon with the same
+    spacing (geometrically up to 1e45), at which t^2*eps(t) >= bound, or None.
+    The extension is searched in blocks of at most _BLOCK points, so memory
+    stays bounded however fine the grid; each block holds the same points,
+    bit for bit, as one array of the whole extension would."""
+    dyn, s = exp.dynamics, exp.schedule
     ts = sample_times(dyn)
-    if ts.shape[0] < 2:
-        return ts
-    if dyn.sample_spacing == "logarithmic":
+    t_cross = crossing_time_on_grid(s, bound, ts)
+    if t_cross is not None or ts.shape[0] < 2:
+        return t_cross
+    geometric = dyn.sample_spacing == "logarithmic"
+    if geometric:
         ratio = (dyn.horizon / dyn.t0) ** (1.0 / (dyn.sample_count - 1))
         ratio = max(ratio, 1.0 + 1e-6)
         n_ext = int(np.log(1e45 / dyn.horizon) / np.log(ratio)) + 1
-        ext = dyn.horizon * ratio ** np.arange(1, n_ext + 1)
     else:
         step = ts[-1] - ts[-2]
-        ext = dyn.horizon + step * np.arange(1, 200_001)
-    if exp.schedule.kind == "tabulated":
-        ext = ext[ext <= exp.schedule.grid_t[-1]]
-    return np.concatenate([ts, ext])
+        n_ext = 200_000
+    for k0 in range(1, n_ext + 1, _BLOCK):
+        k = np.arange(k0, min(k0 + _BLOCK, n_ext + 1))
+        ext = dyn.horizon * ratio ** k if geometric else dyn.horizon + step * k
+        if s.kind == "tabulated":
+            ext = ext[ext <= s.grid_t[-1]]
+            if not ext.size:
+                return None
+        t_cross = crossing_time_on_grid(s, bound, ext)
+        if t_cross is not None:
+            return t_cross
+    return None
 
 
 def sweep_experiment(
@@ -342,7 +391,7 @@ def sweep_experiment(
         summary = _summary_block(traj)
         alpha, beta = sub.dynamics.alpha, sub.dynamics.beta
         bound = t2eps_threshold(alpha, beta, exp.resolved["diagnostics.c"])
-        t_cross = crossing_time_on_grid(sub.schedule, bound, _extended_times(sub, sub.dynamics))
+        t_cross = _crossing_time(sub, bound)
         rows.append(
             [
                 alpha,

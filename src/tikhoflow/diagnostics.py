@@ -155,7 +155,7 @@ class MonotonicityResult:
 
 def monotonicity_check(series, tol: float) -> MonotonicityResult:
     """Check a (t, value) series is nonincreasing up to tol*(1+|value|) blips."""
-    arr = np.asarray(list(series), dtype=float)
+    arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("need at least two (t, value) entries")
     t, v = arr[:, 0], arr[:, 1]

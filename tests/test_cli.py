@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tikhoflow import cli
 from tikhoflow.cli import main
 from tikhoflow.config import ConfigError, load_config, resolve
 from tikhoflow.dynamics import IntegrationError
@@ -249,6 +252,54 @@ def test_sweep_grid_size_and_flagged_growth_failure(base_config, tmp_path):
     assert report["diagnostics"]["hypotheses"]["t2eps_growth"]["status"] == "fails"
 
 
+def _sweep_one_cell(tmp_path, horizon, spacing="logarithmic"):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(
+        BASE + f"dynamics.horizon = {horizon}\ndynamics.sample_count = 400\n"
+        f"dynamics.sample_spacing = {spacing}\n"
+    )
+    out = tmp_path / "out"
+    code = main(["sweep", str(cfg), "--alpha", "3", "--beta", "1", "--gamma", "1.5", "--out", str(out)])
+    assert code == 0
+    rows = (out / "demo" / "sweep_summary.csv").read_text().strip().split("\n")
+    return dict(zip(rows[0].split(","), rows[1].split(",")))
+
+
+def test_sweep_crossing_search_memory_is_bounded(tmp_path):
+    # at horizon 1.01 the crossing t^2*eps = 2 lies near t = 4, past 55,000
+    # extension points; one array of the extension up to 1e45 held 4.2e6 points
+    tracemalloc.start()
+    try:
+        row = _sweep_one_cell(tmp_path, 1.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert float(row["t_cross"]) == pytest.approx(4.0, rel=1e-4)
+    assert row["within_horizon"] == "0"
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("spacing", ["logarithmic", "linear"])
+def test_sweep_crossing_past_the_horizon_is_the_first_extended_grid_point(
+    tmp_path, monkeypatch, spacing
+):
+    # small blocks, so the crossing is found several blocks in
+    monkeypatch.setattr(cli, "_BLOCK", 100)
+    row = _sweep_one_cell(tmp_path, 2, spacing)
+    exp = resolve(load_config(tmp_path / "out" / "demo" / "alpha_3__beta_1__gamma_1.5" / "manifest.json"))
+    dyn = exp.dynamics
+    ts = cli.sample_times(dyn)
+    k = np.arange(1, 10_001)
+    if spacing == "logarithmic":
+        ext = dyn.horizon * ((dyn.horizon / dyn.t0) ** (1.0 / (dyn.sample_count - 1))) ** k
+    else:
+        ext = dyn.horizon + (ts[-1] - ts[-2]) * k
+    grid = np.concatenate([ts, ext])
+    first = grid[np.nonzero(grid * grid * exp.schedule.eps(grid) >= 2.0 * (1.0 - 1e-15))[0][0]]
+    assert first > dyn.horizon
+    assert float(row["t_cross"]) == first
+
+
 def test_check_schedule_no_integration(base_config, tmp_path):
     out = tmp_path / "out"
     assert main(["check-schedule", str(base_config), "--out", str(out)]) == 0
@@ -438,6 +489,47 @@ def test_manifest_round_trip_every_problem_and_schedule(tmp_path, problem, kind)
     shutil.rmtree(run_dir)
     assert main(["run", str(manifest)]) == 0
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+
+
+@dataclasses.dataclass
+class _Inner:
+    values: np.ndarray
+    label: str
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    count: np.int64
+    where: Path
+
+
+def test_report_writer_matches_json_dump(tmp_path):
+    nonfinite = [float("nan"), float("inf"), -float("inf")]
+    payload = {
+        "scalars": nonfinite + [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 3, True, False, None],
+        "float_array": np.array(nonfinite + [0.1, -0.0, 1e-300, 2.0 / 3.0, 1e22]),
+        "single": np.array([3.0]),
+        "empty_array": np.array([]),
+        "zero_d": np.array(2.5),
+        "two_d": np.arange(6.0).reshape(2, 3),
+        "int_array": np.arange(4),
+        "float32_array": np.array([0.1, 0.2], dtype=np.float32),
+        "np_scalars": [np.float64(0.1), np.int64(-7), np.float64("nan")],
+        "dataclass": _Outer(_Inner(np.array([1.5, 2.5]), "x"), np.int64(3), Path("out") / "run"),
+        "tuple": (1, "two", (3.0, [])),
+        "text": "Tikhonov \u03b5(t) \u2192 0, x\u2605",
+        "escaped": 'quote " backslash \\ tab \t newline \n \x00',
+        "empty_dict": {},
+        "empty_list": [],
+        "nested": {"b": {"c": {}, "a": [[], {}]}, "a": [{"x": np.array([1.0, 2.0]), "eps": 0.01}]},
+    }
+    path = tmp_path / "report.json"
+    cli._write_json(path, payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=cli._json_default) + "\n"
+    assert path.read_text() == expected
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(path, {"ok": [1.0], "bad": {"obj": object()}})
 
 
 def test_benchmark_trace_installs():
