@@ -510,6 +510,8 @@ def test_report_writer_matches_json_dump(tmp_path):
         "scalars": nonfinite + [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 3, True, False, None],
         "float_array": np.array(nonfinite + [0.1, -0.0, 1e-300, 2.0 / 3.0, 1e22]),
         "single": np.array([3.0]),
+        "long_array": np.geomspace(1e-3, 1e3, 2 * cli._ARRAY_CHUNK + 3),
+        "chunk_array": np.arange(float(cli._ARRAY_CHUNK)) / 3.0,
         "empty_array": np.array([]),
         "zero_d": np.array(2.5),
         "two_d": np.arange(6.0).reshape(2, 3),
