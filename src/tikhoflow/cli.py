@@ -15,9 +15,10 @@ the fixed column schema, ``report.json`` with the requested diagnostics, and
 manifest reproduces the CSV byte for byte). A report holds the result
 objects themselves, and one rule, `_json_default`, writes them: a dataclass
 as its fields, an array as its list. `_json_chunks` streams the bytes
-``json.dump(indent=2, sort_keys=True)`` would write, with each float array
-formatted in runs of 1,024 by the C encoder. Exit status: 0 on success, 2 for
-configuration errors, 3 for integrator failures (partial trajectory flushed).
+``json.dump(indent=2, sort_keys=True)`` would write, with the numbers of
+each array and flat list formatted by the C encoder, 1,024 per call. Exit
+status: 0 on success, 2 for configuration errors, 3 for integrator failures
+(partial trajectory flushed).
 
 No randomness is used anywhere; --seedless is accepted as a bare flag for
 interface compatibility and rejected if given a value.
@@ -41,9 +42,9 @@ from .schedules import check_strong_convergence_hypotheses, crossing_time_on_gri
 _FMT = "%.17g"
 # points of the extended sample grid a crossing search holds at once
 _BLOCK = 1 << 16
-# floats of an array formatted per call of the C JSON encoder, which bounds
-# the text held at once: a whole 8,000-float series per call raised the
-# peak RSS of a run by 0.3 MB
+# entries of an array or list formatted per call of the C JSON encoder, which
+# bounds the text held at once: a whole 8,000-float series per call raised
+# the peak RSS of a run by 0.3 MB
 _ARRAY_CHUNK = 1024
 
 
@@ -65,15 +66,21 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _is_scalar(obj) -> bool:
+    # the values json's C encoder writes as its pure-Python encoder does
+    return obj is None or isinstance(obj, (str, int, float))
+
+
 def _json_chunks(obj, indent: str) -> Iterator[str]:
     """The text ``json.dumps(obj, indent=2, sort_keys=True,
     default=_json_default)`` gives, in chunks, for a value on a line indented
     by ``indent``; dict keys are strings. With ``indent`` set, `json` uses its
-    pure-Python encoder, one chunk per float; here each scalar, and each run
-    of up to _ARRAY_CHUNK entries of a 1-d float64 array, is one call of the
-    C encoder, its item separator carrying the line break and the indentation."""
+    pure-Python encoder, one chunk per number; here each scalar, and each run
+    of up to _ARRAY_CHUNK entries of a 1-d float64 array or of a list of
+    scalars, is one call of the C encoder, its item separator carrying the
+    line break and the indentation."""
     inner = indent + "  "
-    if obj is None or isinstance(obj, (str, int, float)):
+    if _is_scalar(obj):
         yield json.dumps(obj)
     elif isinstance(obj, dict):
         opening = "{"
@@ -82,20 +89,23 @@ def _json_chunks(obj, indent: str) -> Iterator[str]:
             yield from _json_chunks(value, inner)
             opening = ","
         yield f"\n{indent}}}" if obj else "{}"
+    elif (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64) or (
+        isinstance(obj, (list, tuple)) and all(map(_is_scalar, obj))
+    ):
+        opening, separator = "[", ",\n" + inner
+        for i in range(0, len(obj), _ARRAY_CHUNK):
+            part = obj[i : i + _ARRAY_CHUNK]
+            part = part.tolist() if isinstance(part, np.ndarray) else part
+            yield f"{opening}\n{inner}" + json.dumps(part, separators=(separator, ": "))[1:-1]
+            opening = ","
+        yield f"\n{indent}]" if len(obj) else "[]"
     elif isinstance(obj, (list, tuple)):
         opening = "["
         for value in obj:
             yield f"{opening}\n{inner}"
             yield from _json_chunks(value, inner)
             opening = ","
-        yield f"\n{indent}]" if obj else "[]"
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        opening, separator = "[", ",\n" + inner
-        for i in range(0, obj.size, _ARRAY_CHUNK):
-            part = json.dumps(obj[i : i + _ARRAY_CHUNK].tolist(), separators=(separator, ": "))
-            yield f"{opening}\n{inner}{part[1:-1]}"
-            opening = ","
-        yield f"\n{indent}]" if obj.size else "[]"
+        yield f"\n{indent}]"
     else:
         yield from _json_chunks(_json_default(obj), indent)
 

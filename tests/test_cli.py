@@ -512,6 +512,8 @@ def test_report_writer_matches_json_dump(tmp_path):
         "single": np.array([3.0]),
         "long_array": np.geomspace(1e-3, 1e3, 2 * cli._ARRAY_CHUNK + 3),
         "chunk_array": np.arange(float(cli._ARRAY_CHUNK)) / 3.0,
+        "long_list": [i / 7.0 for i in range(cli._ARRAY_CHUNK + 5)],
+        "flat_tuple": (1.5, "a", None),
         "empty_array": np.array([]),
         "zero_d": np.array(2.5),
         "two_d": np.arange(6.0).reshape(2, 3),
