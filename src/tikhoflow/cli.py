@@ -111,7 +111,7 @@ def _json_chunks(obj, indent: str) -> Iterator[str]:
 
 
 def _write_json(path: Path, payload: dict):
-    # streamed, not joined: one array's text at a time is held
+    # streamed, not joined: the text of at most _ARRAY_CHUNK numbers is held
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, ""))
         fh.write("\n")

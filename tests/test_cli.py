@@ -286,7 +286,8 @@ def test_sweep_crossing_past_the_horizon_is_the_first_extended_grid_point(
     # small blocks, so the crossing is found several blocks in
     monkeypatch.setattr(cli, "_BLOCK", 100)
     row = _sweep_one_cell(tmp_path, 2, spacing)
-    exp = resolve(load_config(tmp_path / "out" / "demo" / "alpha_3__beta_1__gamma_1.5" / "manifest.json"))
+    cell = tmp_path / "out" / "demo" / "alpha_3__beta_1__gamma_1.5"
+    exp = resolve(load_config(cell / "manifest.json"))
     dyn = exp.dynamics
     ts = cli.sample_times(dyn)
     k = np.arange(1, 10_001)
