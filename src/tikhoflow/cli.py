@@ -30,7 +30,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ _BLOCK = 1 << 16
 # bounds the text held at once: a whole 8,000-float series per call raised
 # the peak RSS of a run by 0.3 MB
 _ARRAY_CHUNK = 1024
-
-
-def _fmt(value: float) -> str:
-    return _FMT % value
 
 
 def _json_default(obj):
@@ -117,8 +113,21 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]):
+    """The one CSV rule: the header, then each row through one format made
+    from the first row, text as it is and anything else as %.17g (a boolean
+    as 1 or 0); '\\n' newlines, no trailing delimiter."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        row_format = None
+        for row in rows:
+            if row_format is None:
+                row_format = ",".join("%s" if isinstance(v, str) else _FMT for v in row) + "\n"
+            fh.write(row_format % tuple(row))
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory, w_series: np.ndarray):
-    """Fixed schema, 17 significant digits, '\\n' newlines, no trailing delimiter."""
+    """Fixed schema, one row per sample."""
     d = traj.dimension
     header = (
         ["t"]
@@ -130,92 +139,77 @@ def write_trajectory_csv(path: Path, traj: Trajectory, w_series: np.ndarray):
         traj.t, traj.x, traj.v, traj.eps, traj.gap, traj.grad_norm, w_series,
         traj.int_eps_over_t, traj.int_erg_num, traj.int_vel,
     ])
-    row = ",".join([_FMT] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for values in columns:
-            fh.write(row % tuple(values.tolist()))
+    _write_csv(path, header, map(np.ndarray.tolist, columns))
 
 
-def _hypotheses_block(exp: ExperimentConfig):
+def _report_entry(name: str, build) -> dict:
+    """The one rule for a report block: what ``build`` returns, or the
+    ValueError it raises, as a refusal for ``ergodic`` and an error otherwise."""
     try:
-        return check_strong_convergence_hypotheses(
-            exp.schedule,
-            exp.dynamics.alpha,
-            exp.dynamics.beta,
-            a=exp.resolved["diagnostics.a"],
-            c=exp.resolved["diagnostics.c"],
-        )
+        return build()
     except ValueError as exc:
-        return {"error": str(exc)}
+        return {"refused" if name == "ergodic" else "error": str(exc)}
+
+
+def _hypotheses(exp: ExperimentConfig):
+    return check_strong_convergence_hypotheses(
+        exp.schedule,
+        exp.dynamics.alpha,
+        exp.dynamics.beta,
+        a=exp.resolved["diagnostics.a"],
+        c=exp.resolved["diagnostics.c"],
+    )
 
 
 def _diagnostics_block(exp: ExperimentConfig, traj: Trajectory, w_series: np.ndarray) -> dict:
-    obj, s, dyn, cfg = exp.objective, exp.schedule, exp.dynamics, exp.resolved
-    reports = cfg["diagnostics.reports"]
-    out: dict = {}
-    if "W" in reports:
-        try:
-            mono = diag.monotonicity_check(np.column_stack([traj.t, w_series]), tol=1e-8)
-            out["W"] = {
-                "initial": float(w_series[0]),
-                "final": float(w_series[-1]),
-                "monotonicity": mono,
-            }
-        except ValueError as exc:
-            out["W"] = {"error": str(exc)}
-    if "hypotheses" in reports:
-        out["hypotheses"] = _hypotheses_block(exp)
-    if "rates" in reports:
-        try:
-            out["rates"] = diag.rate_report(traj, obj, s, dyn)
-        except ValueError as exc:
-            out["rates"] = {"error": str(exc)}
-    if "ergodic" in reports:
-        try:
-            times, values = diag.ergodic_deviation(traj)
-            out["ergodic"] = {"times": times, "values": values}
-        except ValueError as exc:
-            out["ergodic"] = {"refused": str(exc)}
+    obj, dyn, cfg = exp.objective, exp.dynamics, exp.resolved
     xstar = obj.min_norm_solution
-    if "Eb" in reports:
+
+    def w_block():
+        mono = diag.monotonicity_check(np.column_stack([traj.t, w_series]), tol=1e-8)
+        return {"initial": float(w_series[0]), "final": float(w_series[-1]), "monotonicity": mono}
+
+    def ergodic_block():
+        times, values = diag.ergodic_deviation(traj)
+        return {"times": times, "values": values}
+
+    def eb_block():
+        b = cfg["diagnostics.b"] if "diagnostics.b" in cfg else diag.default_energy_index(dyn.alpha)
+        values = diag.energy_Eb_series(dyn, diag.EnergyParams(b=b, xstar=xstar), traj)
+        return {"b": b, "times": traj.t, "values": values}
+
+    def ebp_block():
+        params = diag.strong_convergence_energy_params(dyn.alpha, xstar)
+        if "diagnostics.p" in cfg:
+            params = diag.EnergyParams(b=params.b, p=cfg["diagnostics.p"], xstar=xstar)
+        values = diag.energy_Ebp(dyn, params, traj)
+        return {"b": params.b, "p": params.p, "times": traj.t, "values": values}
+
+    def tikhonov_entry(e: float) -> dict:
         try:
-            b = cfg["diagnostics.b"] if "diagnostics.b" in cfg else diag.default_energy_index(dyn.alpha)
-            params = diag.EnergyParams(b=b, xstar=xstar)
-            values = diag.energy_Eb_series(obj, s, dyn, params, traj)
-            out["Eb"] = {"b": b, "times": traj.t, "values": values}
-        except ValueError as exc:
-            out["Eb"] = {"error": str(exc)}
-    if "Ebp" in reports:
-        try:
-            params = diag.strong_convergence_energy_params(dyn.alpha, xstar)
-            if "diagnostics.p" in cfg:
-                params = diag.EnergyParams(b=params.b, p=cfg["diagnostics.p"], xstar=xstar)
-            values = diag.energy_Ebp(obj, s, dyn, params, traj)
-            out["Ebp"] = {"b": params.b, "p": params.p, "times": traj.t, "values": values}
-        except ValueError as exc:
-            out["Ebp"] = {"error": str(exc)}
-    if "tikhonov_curve" in reports:
-        entries = []
-        for e in cfg["diagnostics.eps_grid"]:
-            try:
-                x_eps = diag.tikhonov_point(obj, e)
-                grad = np.asarray(obj.gradient(x_eps)) + e * x_eps
-                entries.append(
-                    {
-                        "eps": e,
-                        "x": x_eps,
-                        "norm": float(np.linalg.norm(x_eps)),
-                        "residual": float(np.linalg.norm(grad)),
-                    }
-                )
-            except diag.SolverError as exc:
-                entries.append({"eps": e, "error": str(exc), "residual": exc.residual})
-        out["tikhonov_curve"] = {
-            "points": entries,
+            x_eps = diag.tikhonov_point(obj, e)
+        except diag.SolverError as exc:
+            return {"eps": e, "error": str(exc), "residual": exc.residual}
+        residual = float(np.linalg.norm(np.asarray(obj.gradient(x_eps)) + e * x_eps))
+        return {"eps": e, "x": x_eps, "norm": float(np.linalg.norm(x_eps)), "residual": residual}
+
+    def tikhonov_block():
+        return {
+            "points": [tikhonov_entry(e) for e in cfg["diagnostics.eps_grid"]],
             "xstar_norm": float(np.linalg.norm(xstar)) if xstar is not None else None,
         }
-    return out
+
+    builders = {
+        "W": w_block,
+        "hypotheses": lambda: _hypotheses(exp),
+        "rates": lambda: diag.rate_report(traj),
+        "ergodic": ergodic_block,
+        "Eb": eb_block,
+        "Ebp": ebp_block,
+        "tikhonov_curve": tikhonov_block,
+    }
+    reports = cfg["diagnostics.reports"]
+    return {name: _report_entry(name, build) for name, build in builders.items() if name in reports}
 
 
 def _summary_block(traj: Trajectory) -> dict:
@@ -247,11 +241,11 @@ def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajector
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "manifest.json", exp.resolved)
         if exc.partial is not None:
-            w_partial = diag.energy_W_series(obj, s, exc.partial)
+            w_partial = diag.energy_W_series(obj, exc.partial)
             write_trajectory_csv(run_dir / "trajectory.csv", exc.partial, w_partial)
         raise
     run_dir.mkdir(parents=True, exist_ok=True)
-    w_series = diag.energy_W_series(obj, s, traj)
+    w_series = diag.energy_W_series(obj, traj)
     write_trajectory_csv(run_dir / "trajectory.csv", traj, w_series)
     report = {
         "label": exp.label,
@@ -297,6 +291,10 @@ def _run_cells(
     cells, error = [], None
     try:
         for label, overrides in variants:
+            # labels keep 6 significant digits (%g): two cells under one
+            # label would overwrite each other's artifacts
+            if any(cell.label == label for cell in cells):
+                raise ConfigError(f"two cells share the label {label!r}; give values that differ in %g")
             cells.append(_variant(exp, label, overrides))
     except ConfigError as exc:
         error = exc
@@ -306,18 +304,6 @@ def _run_cells(
             yield cell, run_experiment(cell, outcome)[1]
     if error is not None:
         raise error
-
-
-def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence]):
-    """A summary CSV: strings as they are, booleans as 1/0, numbers as %.17g."""
-    def field(value) -> str:
-        if isinstance(value, str):
-            return value
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        return _fmt(value)
-
-    path.write_text("\n".join(",".join(map(field, row)) for row in [header, *rows]) + "\n")
 
 
 def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
@@ -344,20 +330,22 @@ def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
     d = exp.objective.dimension
     header = ["run", "gamma", "final_gap", "min_x_norm"] + [f"final_x_{i}" for i in range(d)]
     top = exp.out_dir / exp.label
-    _write_rows(top / "comparison.csv", header, rows)
+    _write_csv(top / "comparison.csv", header, rows)
     return top
 
 
 def _crossing_time(exp: ExperimentConfig, bound: float) -> Optional[float]:
     """First time on the sample grid, extended past the horizon with the same
-    spacing (geometrically up to 1e45), at which t^2*eps(t) >= bound, or None.
-    The extension is searched in blocks of at most _BLOCK points, so memory
-    stays bounded however fine the grid; each block holds the same points,
-    bit for bit, as one array of the whole extension would."""
+    spacing (geometrically up to 1e45), at which t^2*eps(t) >= bound, or None,
+    for a power-law cell. For gamma >= 2, t^2*eps = scale*t^(2-gamma) does not
+    increase, so only the sample grid is searched. The extension is searched
+    in blocks of at most _BLOCK points, so memory stays bounded however fine
+    the grid; each block holds the same points, bit for bit, as one array of
+    the whole extension would."""
     dyn, s = exp.dynamics, exp.schedule
     ts = sample_times(dyn)
     t_cross = crossing_time_on_grid(s, bound, ts)
-    if t_cross is not None or ts.shape[0] < 2:
+    if t_cross is not None or ts.shape[0] < 2 or s.gamma >= 2.0:
         return t_cross
     geometric = dyn.sample_spacing == "logarithmic"
     if geometric:
@@ -370,10 +358,6 @@ def _crossing_time(exp: ExperimentConfig, bound: float) -> Optional[float]:
     for k0 in range(1, n_ext + 1, _BLOCK):
         k = np.arange(k0, min(k0 + _BLOCK, n_ext + 1))
         ext = dyn.horizon * ratio ** k if geometric else dyn.horizon + step * k
-        if s.kind == "tabulated":
-            ext = ext[ext <= s.grid_t[-1]]
-            if not ext.size:
-                return None
         t_cross = crossing_time_on_grid(s, bound, ext)
         if t_cross is not None:
             return t_cross
@@ -424,7 +408,7 @@ def sweep_experiment(
         )
     header = ["alpha", "beta", "gamma", "threshold", "t_cross", "within_horizon", "final_gap", "min_x_norm"]
     top = exp.out_dir / exp.label
-    _write_rows(top / "sweep_summary.csv", header, rows)
+    _write_csv(top / "sweep_summary.csv", header, rows)
     return top
 
 
@@ -435,7 +419,7 @@ def check_schedule_experiment(exp: ExperimentConfig) -> Path:
     payload = {
         "label": exp.label,
         "config": exp.resolved,
-        "hypotheses": _hypotheses_block(exp),
+        "hypotheses": _report_entry("hypotheses", lambda: _hypotheses(exp)),
     }
     _write_json(run_dir / "report.json", payload)
     return run_dir

@@ -81,7 +81,7 @@ def _validate_b(alpha: float, b: float, strict: bool = False):
 # -- energies ----------------------------------------------------------------
 
 
-def energy_W_series(obj: ObjectiveSpec, s: TikhonovSchedule, traj: Trajectory) -> np.ndarray:
+def energy_W_series(obj: ObjectiveSpec, traj: Trajectory) -> np.ndarray:
     """Descent energy W = g(x) + |x'|^2 / 2 + eps(t) |x|^2 / 2 at every sample."""
     g_vals = traj.gap + obj.min_value
     return (
@@ -91,13 +91,7 @@ def energy_W_series(obj: ObjectiveSpec, s: TikhonovSchedule, traj: Trajectory) -
     )
 
 
-def energy_Eb_series(
-    obj: ObjectiveSpec,
-    s: TikhonovSchedule,
-    cfg: DynamicsConfig,
-    params: EnergyParams,
-    traj: Trajectory,
-) -> np.ndarray:
+def energy_Eb_series(cfg: DynamicsConfig, params: EnergyParams, traj: Trajectory) -> np.ndarray:
     """Weighted energy at every sample, in its defining form.
 
     E_b = (t^2 - beta(b+2-alpha) t) (g - min g) + (t^2 eps / 2) |x|^2
@@ -116,13 +110,7 @@ def energy_Eb_series(
     )
 
 
-def energy_Ebp(
-    obj: ObjectiveSpec,
-    s: TikhonovSchedule,
-    cfg: DynamicsConfig,
-    params: EnergyParams,
-    traj: Trajectory,
-) -> np.ndarray:
+def energy_Ebp(cfg: DynamicsConfig, params: EnergyParams, traj: Trajectory) -> np.ndarray:
     """Scaled energy used in the strong-convergence argument, at every sample.
 
     E_b^p = t^(p+1) (t + alpha - beta - beta p - b - 1)(g - min g)
@@ -198,9 +186,7 @@ class RateReport:
     note: str = ""
 
 
-def rate_report(
-    traj: Trajectory, obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig
-) -> RateReport:
+def rate_report(traj: Trajectory) -> RateReport:
     """Tail-decay diagnostics for the claimed rates; needs >= 50 samples over >= 2 decades."""
     t = traj.t
     if traj.n_samples < 50 or t[-1] < 100.0 * t[0]:
@@ -354,7 +340,6 @@ def _running_drift(integral, t2: float, ts: np.ndarray) -> np.ndarray:
 
 def eb_drift_bound_check(
     traj: Trajectory,
-    obj: ObjectiveSpec,
     s: TikhonovSchedule,
     cfg: DynamicsConfig,
     params: EnergyParams,
@@ -413,7 +398,7 @@ def eb_drift_bound_check(
     ts = t[mask]
     if ts.shape[0] < 2:
         raise ValueError(f"fewer than two samples beyond t2 = {t2:g}")
-    energies = energy_Eb_series(obj, s, cfg, params, traj)[mask]
+    energies = energy_Eb_series(cfg, params, traj)[mask]
     scaled = alpha <= 3.0
     if scaled:
         energies = energies * (ts / (ts - beta))

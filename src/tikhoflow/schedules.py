@@ -226,19 +226,21 @@ def _simpson(f, grid: np.ndarray) -> float:
     return float(np.sum((grid[1:] - grid[:-1]) / 6.0 * (vals[:-1] + 4.0 * vmid + vals[1:])))
 
 
-def _grid_certify(predicate, t1: float, T_check: float = T_CHECK) -> Optional[float]:
-    """First grid time in {t1 * 1.05^k} <= T_check violating the predicate, else None."""
-    if t1 >= T_check:
-        return None
-    n = int(math.log(T_check / t1) / math.log(_GRID_RATIO)) + 1
-    grid = t1 * _GRID_RATIO ** np.arange(n + 1)
-    grid = grid[grid <= T_check * (1.0 + 1e-12)]
-    ok = predicate(grid)
-    bad = np.nonzero(~ok)[0]
-    return float(grid[bad[0]]) if bad.size else None
-
-
 _CERT_NOTE = "grid-certified on {t1*1.05^k} up to 1e6 with analytic tail"
+
+
+def _certify(pred, t1: float, fail_note: str = "") -> Verdict:
+    """The one certification rule: "holds" from t1 when pred holds on the
+    grid {t1 * 1.05^k} up to T_CHECK, else "fails" at the first grid time
+    violating it, with fail_note."""
+    if t1 < T_CHECK:
+        n = int(math.log(T_CHECK / t1) / math.log(_GRID_RATIO)) + 1
+        grid = t1 * _GRID_RATIO ** np.arange(n + 1)
+        grid = grid[grid <= T_CHECK * (1.0 + 1e-12)]
+        bad = np.nonzero(~pred(grid))[0]
+        if bad.size:
+            return _fails(grid[bad[0]], note=fail_note)
+    return _holds(t1, note=_CERT_NOTE)
 
 
 def check_condition_a(s: TikhonovSchedule, beta: float, a: float) -> Verdict:
@@ -262,16 +264,10 @@ def check_condition_a(s: TikhonovSchedule, beta: float, a: float) -> Verdict:
         target = rhs_coeff * s.scale
         if s.gamma > 1.0:
             t1 = max(s.t0, (target / s.gamma) ** (1.0 / (s.gamma - 1.0)))
-            bad = _grid_certify(pred, t1)
-            if bad is None:
-                return _holds(t1, note=_CERT_NOTE)
-            return _fails(bad, note="grid check contradicts closed form")
+            return _certify(pred, t1, "grid check contradicts closed form")
         if s.gamma == 1.0:
             if s.gamma >= target:
-                bad = _grid_certify(pred, s.t0)
-                if bad is None:
-                    return _holds(s.t0, note=_CERT_NOTE)
-                return _fails(bad)
+                return _certify(pred, s.t0)
             return _fails(s.t0, note="gamma=1: inequality fails uniformly")
         # gamma < 1: left side decays, eventually fails
         if s.gamma * s.t0 ** (s.gamma - 1.0) < target:
@@ -306,10 +302,7 @@ def check_condition_b(s: TikhonovSchedule, a: float) -> Verdict:
         # scale * t^(1-gamma) <= a
         if s.gamma > 1.0:
             t1 = max(s.t0, (s.scale / a) ** (1.0 / (s.gamma - 1.0)))
-            bad = _grid_certify(pred, t1)
-            if bad is None:
-                return _holds(t1, note=_CERT_NOTE)
-            return _fails(bad, note="grid check contradicts closed form")
+            return _certify(pred, t1, "grid check contradicts closed form")
         if s.gamma == 1.0:
             if s.scale <= a:
                 return _holds(s.t0, note="t*eps is constant at scale <= a")
@@ -394,10 +387,7 @@ def check_t2eps_growth(s: TikhonovSchedule, alpha: float, beta: float, c: float 
     if s.kind == "power":
         if s.gamma < 2.0:
             t1 = max(s.t0, (bound / s.scale) ** (1.0 / (2.0 - s.gamma)))
-            bad = _grid_certify(pred, t1)
-            if bad is None:
-                return _holds(t1, note=_CERT_NOTE)
-            return _fails(bad, note="grid check contradicts closed form")
+            return _certify(pred, t1, "grid check contradicts closed form")
         if s.gamma == 2.0:
             if s.scale >= bound:
                 return _holds(s.t0, note="t^2*eps is constant above the threshold")
@@ -408,10 +398,7 @@ def check_t2eps_growth(s: TikhonovSchedule, alpha: float, beta: float, c: float 
         t1 = max(s.t0, 1.0)
         while t1 * t1 < bound * math.log(s.offset + t1) and t1 < 1e12:
             t1 *= 2.0
-        bad = _grid_certify(pred, t1)
-        if bad is None:
-            return _holds(t1, note=_CERT_NOTE)
-        return _fails(bad)
+        return _certify(pred, t1)
     ts = s.grid_t[s.grid_t >= s.t0]
     bad = ~pred(ts)
     if np.any(bad) and not pred(np.array([ts[-1]]))[0]:

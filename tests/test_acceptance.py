@@ -66,7 +66,7 @@ def test_criterion_01_energy_dissipation():
             for beta in (0.0, 1.0):
                 for sched in (("zero",), ("power", 1.5), ("power", 2.5)):
                     obj, s, cfg, traj = run(problem, alpha, beta, sched, 300.0)
-                    W = tf.energy_W_series(obj, s, traj)
+                    W = tf.energy_W_series(obj, traj)
                     allowed = 1e-8 * (1.0 + abs(W[0]))
                     excess = float(np.max(np.diff(W))) / allowed
                     worst = max(worst, excess)
@@ -119,7 +119,7 @@ def test_criterion_04_small_o_rate_alpha4():
     for problem in ("paper1d", "shifted_quadratic"):
         for beta in (0.0, 1.0):
             obj, s, cfg, traj = run(problem, 4.0, beta, ("power", 2.5), 1e4)
-            rep = tf.rate_report(traj, obj, s, cfg)
+            rep = tf.rate_report(traj)
             good = (
                 rep.tail_decay_t2_gap.last_decade_max <= 0.5 * rep.tail_decay_t2_gap.prev_decade_max
                 and rep.t_momentum.last_decade_max <= 0.5 * rep.t_momentum.prev_decade_max
@@ -250,10 +250,10 @@ def test_criterion_09_hypothesis_truth_table():
 def test_criterion_10_eb_drift_bound():
     obj, s, cfg, traj = run("paper1d", 4.0, 1.0, ("power", 1.5), 1e4)
     params = tf.EnergyParams(b=2.5, xstar=np.zeros(1))
-    res_a = tf.eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case="a")
+    res_a = tf.eb_drift_bound_check(traj, s, cfg, params, a=2.0, case="a")
     obj2, s2, cfg2, traj2 = run("shifted_quadratic", 3.0, 0.0, ("power", 2.5), 1e4)
     params2 = tf.EnergyParams(b=2.0, xstar=np.array([1.0]))
-    res_b = tf.eb_drift_bound_check(traj2, obj2, s2, cfg2, params2, a=1.0, case="b")
+    res_b = tf.eb_drift_bound_check(traj2, s2, cfg2, params2, a=1.0, case="b")
     ok = res_a.passed and res_b.passed
     _report(
         10, "E_b drift bound", ok,
@@ -270,9 +270,9 @@ def test_criterion_11_algebraic_identities():
     worst_diff = 0.0
     b1, b2 = 2.3, 2.8
     pa, pb = tf.EnergyParams(b=b1, xstar=xstar), tf.EnergyParams(b=b2, xstar=xstar)
-    series = tf.energy_Eb_series(obj, s, cfg, params, traj)
-    series_a = tf.energy_Eb_series(obj, s, cfg, pa, traj)
-    series_b = tf.energy_Eb_series(obj, s, cfg, pb, traj)
+    series = tf.energy_Eb_series(cfg, params, traj)
+    series_a = tf.energy_Eb_series(cfg, pa, traj)
+    series_b = tf.energy_Eb_series(cfg, pb, traj)
     for i in range(traj.n_samples):
         t, x = traj.t[i], traj.x[i]
         e0 = series[i]

@@ -301,6 +301,52 @@ def test_sweep_crossing_past_the_horizon_is_the_first_extended_grid_point(
     assert float(row["t_cross"]) == first
 
 
+def test_sweep_cell_whose_t2eps_does_not_increase_is_decided_on_the_sample_grid(
+    tmp_path, monkeypatch
+):
+    # gamma = 2.5: t^2*eps = t^-0.5 never reaches the threshold 2, and the
+    # extension past this horizon up to 1e45 would take 1,583 blocks
+    calls = []
+    on_grid = cli.crossing_time_on_grid
+    monkeypatch.setattr(cli, "crossing_time_on_grid", lambda *a: calls.append(a) or on_grid(*a))
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(BASE + "dynamics.horizon = 1.0001\ndynamics.sample_count = 400\n")
+    out = tmp_path / "out"
+    code = main(["sweep", str(cfg), "--alpha", "3", "--beta", "1", "--gamma", "2.5", "--out", str(out)])
+    assert code == 0
+    rows = (out / "demo" / "sweep_summary.csv").read_text().strip().split("\n")
+    row = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert len(calls) == 1
+    assert row["t_cross"] == "nan" and row["within_horizon"] == "0"
+
+
+@pytest.mark.parametrize(
+    "verb, args, label, key, first",
+    [
+        ("compare", ["--gammas", "1.5", "1.5000001"], "gamma_1.5", "schedule.gamma", 1.5),
+        (
+            "sweep",
+            ["--alpha", "3", "3.0000001", "--beta", "1", "--gamma", "1.5"],
+            "alpha_3__beta_1__gamma_1.5",
+            "dynamics.alpha",
+            3.0,
+        ),
+    ],
+)
+def test_repeated_cell_label_exits_2_after_the_earlier_cells(
+    base_config, tmp_path, capsys, verb, args, label, key, first
+):
+    # labels keep 6 significant digits, so both values name one directory
+    out = tmp_path / "out"
+    assert main([verb, str(base_config), *args, "--out", str(out)]) == 2
+    assert repr(label) in capsys.readouterr().err
+    top = out / "demo"
+    cells = sorted(p.name for p in top.iterdir())
+    assert cells == (["gamma_1.5", "zero"] if verb == "compare" else [label])
+    assert json.loads((top / label / "manifest.json").read_text())[key] == first
+    assert (top / label / "report.json").exists()
+
+
 def test_check_schedule_no_integration(base_config, tmp_path):
     out = tmp_path / "out"
     assert main(["check-schedule", str(base_config), "--out", str(out)]) == 0
@@ -547,3 +593,46 @@ def test_benchmark_trace_installs():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_trace_hooks_are_called(tmp_path, monkeypatch):
+    # bench/spans.py replaces these module attributes to time each layer; a
+    # caller that binds one of them locally would bypass its span, and the
+    # benchmark would read 0 for that layer
+    from tikhoflow import diagnostics, dynamics
+
+    hooks = [
+        (cli, "resolve"),
+        (cli, "integrate"),
+        (cli, "run_experiment"),
+        (cli, "write_trajectory_csv"),
+        (cli, "check_strong_convergence_hypotheses"),
+        (dynamics, "solve"),
+    ] + [
+        (diagnostics, name)
+        for name in (
+            "energy_W_series", "energy_Eb_series", "energy_Ebp", "rate_report",
+            "ergodic_deviation", "monotonicity_check", "tikhonov_point",
+        )
+    ]
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in hooks:
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        BASE
+        + "dynamics.sample_count = 60\n"
+        + "diagnostics.reports = W,Eb,Ebp,rates,ergodic,tikhonov_curve,hypotheses\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert [key for key, n in calls.items() if n == 0] == []

@@ -57,20 +57,20 @@ def one_row(obj, s, t, x, v, y=None):
 def test_energy_W_vanishes_at_rest_at_origin():
     obj = builtin("shifted_quadratic", c=np.zeros(1))
     s = power_schedule(1.5)
-    assert energy_W_series(obj, s, one_row(obj, s, 4.0, [0.0], [0.0]))[0] == 0.0
+    assert energy_W_series(obj, one_row(obj, s, 4.0, [0.0], [0.0]))[0] == 0.0
 
 
 def test_energy_W_paper1d_direct():
     obj = builtin("paper1d")
     s = power_schedule(1.5)  # eps(4) = 0.125
     traj = one_row(obj, s, 4.0, [2.0], [1.0])
-    assert energy_W_series(obj, s, traj)[0] == pytest.approx(1.0 + 0.5 + 0.25)
+    assert energy_W_series(obj, traj)[0] == pytest.approx(1.0 + 0.5 + 0.25)
 
 
 def test_energy_W_reduces_without_regularization():
     obj = builtin("paper1d")
     s = zero_schedule()
-    assert energy_W_series(obj, s, one_row(obj, s, 4.0, [2.0], [1.0]))[0] == pytest.approx(1.5)
+    assert energy_W_series(obj, one_row(obj, s, 4.0, [2.0], [1.0]))[0] == pytest.approx(1.5)
 
 
 def test_energy_W_identity_with_wellposedness_path():
@@ -78,7 +78,7 @@ def test_energy_W_identity_with_wellposedness_path():
     s = power_schedule(1.5)
     cfg = DynamicsConfig(alpha=3, beta=1, t0=1, u0=[2.0], v0=[0.0], horizon=200.0)
     traj = integrate(obj, s, cfg)
-    series = energy_W_series(obj, s, traj)
+    series = energy_W_series(obj, traj)
     for i in range(0, traj.n_samples, 37):
         w = energy_W_wellposedness(obj, s, traj.t[i], traj.x[i], traj.v[i])
         assert series[i] == pytest.approx(w, rel=1e-12)
@@ -96,7 +96,7 @@ def test_energy_Eb_zero_at_minimizer():
     s = zero_schedule()
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
     traj = one_row(obj, s, 7.0, [0.0], [0.0])
-    assert energy_Eb_series(obj, s, _cfg(4.0, 0.0), params, traj)[0] == 0.0
+    assert energy_Eb_series(_cfg(4.0, 0.0), params, traj)[0] == 0.0
 
 
 def test_energy_Eb_paper1d_handworked_value():
@@ -104,7 +104,7 @@ def test_energy_Eb_paper1d_handworked_value():
     s = zero_schedule()
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
     traj = one_row(obj, s, 10.0, [2.0], [0.0], y=[3.0])  # gap g(2) = 1
-    val = energy_Eb_series(obj, s, _cfg(4.0, 1.0), params, traj)[0]
+    val = energy_Eb_series(_cfg(4.0, 1.0), params, traj)[0]
     assert val == pytest.approx(710.0)  # 95 + 612.5 + 2.5
 
 
@@ -122,7 +122,7 @@ def test_energy_Eb_alpha3_matches_reduced_form():
         + 0.5 * t * t * s.eps(t) * x * x
         + 0.5 * (2.0 * x + t * (v + grad)) ** 2
     )
-    assert energy_Eb_series(obj, s, cfg, params, traj)[0] == pytest.approx(explicit, rel=1e-14)
+    assert energy_Eb_series(cfg, params, traj)[0] == pytest.approx(explicit, rel=1e-14)
 
 
 def test_energy_Eb_validates_index():
@@ -131,9 +131,9 @@ def test_energy_Eb_validates_index():
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
     traj = one_row(obj, s, 2.0, [0.0], [0.0])
     with pytest.raises(ValueError, match="forces b = 2"):
-        energy_Eb_series(obj, s, _cfg(3.0, 1.0), params, traj)
+        energy_Eb_series(_cfg(3.0, 1.0), params, traj)
     with pytest.raises(ValueError, match="2 <= b"):
-        energy_Eb_series(obj, s, _cfg(4.0, 1.0), EnergyParams(b=3.5, xstar=np.zeros(1)), traj)
+        energy_Eb_series(_cfg(4.0, 1.0), EnergyParams(b=3.5, xstar=np.zeros(1)), traj)
 
 
 def test_energy_Eb_identity_regrouped_on_run():
@@ -142,7 +142,7 @@ def test_energy_Eb_identity_regrouped_on_run():
     cfg = DynamicsConfig(alpha=4.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=500.0)
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
-    series = energy_Eb_series(obj, s, cfg, params, traj)
+    series = energy_Eb_series(cfg, params, traj)
     for i in range(0, traj.n_samples, 13):
         e1 = energy_Eb_regrouped(obj, s, cfg, params, traj.t[i], traj.x[i], traj.v[i])
         assert series[i] == pytest.approx(e1, rel=1e-10)
@@ -156,8 +156,8 @@ def test_energy_Eb_difference_identity():
     traj = integrate(obj, s, cfg)
     xstar = np.array([1.0])
     b1, b2 = 2.5, 4.0
-    e1 = energy_Eb_series(obj, s, cfg, EnergyParams(b=b1, xstar=xstar), traj)
-    e2 = energy_Eb_series(obj, s, cfg, EnergyParams(b=b2, xstar=xstar), traj)
+    e1 = energy_Eb_series(cfg, EnergyParams(b=b1, xstar=xstar), traj)
+    e2 = energy_Eb_series(cfg, EnergyParams(b=b2, xstar=xstar), traj)
     for i in range(0, traj.n_samples, 19):
         t = traj.t[i]
         w = traj.y[i]  # x' + beta * grad
@@ -178,7 +178,7 @@ def test_energy_Ebp_zero_at_minimizer():
     s = power_schedule(1.5)
     params = EnergyParams(b=2.0, p=1.0, xstar=np.zeros(1))
     traj = one_row(obj, s, 9.0, [0.0], [0.0])
-    assert energy_Ebp(obj, s, _cfg(6.0, 1.0), params, traj)[0] == 0.0
+    assert energy_Ebp(_cfg(6.0, 1.0), params, traj)[0] == 0.0
 
 
 def test_energy_Ebp_p0_beta0_reduction():
@@ -192,7 +192,7 @@ def test_energy_Ebp_p0_beta0_reduction():
     gap = obj.value(x)  # 2.0
     combo = 2.5 * (x - xstar) + t * v
     expected = t * (t + 4.0 - 2.5 - 1.0) * gap + 0.5 * float(combo @ combo)
-    got = energy_Ebp(obj, s, cfg, params, one_row(obj, s, t, x, v))[0]
+    got = energy_Ebp(cfg, params, one_row(obj, s, t, x, v))[0]
     assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -206,7 +206,7 @@ def test_energy_Ebp_alpha3_leading_coefficient():
     t = 10.0
     # choose v so that x' + beta*grad = 0; then only the gap term survives (g(2) = 1)
     traj = one_row(obj, s, t, [2.0], [-3.0], y=[0.0])
-    got = energy_Ebp(obj, s, cfg, params, traj)[0]
+    got = energy_Ebp(cfg, params, traj)[0]
     expected = t * (t - 1.0) * 1.0 + 0.5 * (2.0 * 2.0) ** 2
     assert got == pytest.approx(expected, rel=1e-14)
 
@@ -225,7 +225,7 @@ def test_energy_Ebp_series_matches_per_sample_form(name, c, floor):
     traj = integrate(obj, s, cfg)
     params = strong_convergence_energy_params(6.0, obj.min_norm_solution)
     assert params.p == 1.0
-    series = energy_Ebp(obj, s, cfg, params, traj)
+    series = energy_Ebp(cfg, params, traj)
     oracle = np.array([
         energy_Ebp_sample(obj, s, cfg, params, traj.t[i], traj.x[i], traj.v[i])
         for i in range(traj.n_samples)
@@ -275,7 +275,7 @@ def test_rate_report_constant_minimizer_trajectory():
     traj = synthetic_trajectory(t, x, s.eps, np.zeros(1))
     obj = builtin("paper1d")
     cfg = DynamicsConfig(alpha=3, beta=1, t0=1.0, u0=[0.0], v0=[0.0], horizon=1e4, sample_count=120)
-    rep = rate_report(traj, obj, s, cfg)
+    rep = rate_report(traj)
     assert rep.sup_t2_gap == 0.0
     assert rep.tail_decay_t2_gap.verdict == "consistent-with-o"
     assert rep.t_momentum.verdict == "consistent-with-o"
@@ -288,7 +288,7 @@ def test_rate_report_insufficient_span():
     cfg = DynamicsConfig(alpha=3, beta=1, t0=1.0, u0=[2.0], v0=[0.0], horizon=10.0)
     traj = integrate(obj, s, cfg)
     with pytest.raises(ValueError, match="insufficient span"):
-        rate_report(traj, obj, s, cfg)
+        rate_report(traj)
 
 
 def test_rate_report_on_real_run_alpha4():
@@ -296,7 +296,7 @@ def test_rate_report_on_real_run_alpha4():
     s = power_schedule(2.5)
     cfg = DynamicsConfig(alpha=4.0, beta=0.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=1e4)
     traj = integrate(obj, s, cfg)
-    rep = rate_report(traj, obj, s, cfg)
+    rep = rate_report(traj)
     assert np.isfinite(rep.sup_t2_gap)
     assert rep.tail_decay_t2_gap.verdict == "consistent-with-o"
 
@@ -376,7 +376,7 @@ def test_drift_bound_zero_schedule_reduces_to_monotone_energy():
     cfg = DynamicsConfig(alpha=4.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=300.0)
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=2.5, xstar=np.array([1.0]))
-    res = eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case="a")
+    res = eb_drift_bound_check(traj, s, cfg, params, a=2.0, case="a")
     assert res.passed
     assert not res.scaled
 
@@ -387,7 +387,7 @@ def test_drift_bound_case_a_paper1d():
     cfg = DynamicsConfig(alpha=4.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=1e3)
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
-    res = eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case="a")
+    res = eb_drift_bound_check(traj, s, cfg, params, a=2.0, case="a")
     assert res.passed
     assert res.t2 == pytest.approx(4.0)  # max(t1=1, 2*2*1/1, 1*2/0.5)
     assert res.drift_coefficient == 2.5
@@ -399,7 +399,7 @@ def test_drift_bound_case_b_alpha3():
     cfg = DynamicsConfig(alpha=3.0, beta=0.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=1e3)
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=2.0, xstar=np.array([1.0]))
-    res = eb_drift_bound_check(traj, obj, s, cfg, params, a=1.0, case="b")
+    res = eb_drift_bound_check(traj, s, cfg, params, a=1.0, case="b")
     assert res.passed
     assert res.scaled  # t/(t-beta) scaling, trivial at beta=0
     assert res.drift_coefficient == pytest.approx(1.0)  # (2 + a*beta)/2 with beta=0
@@ -412,7 +412,7 @@ def test_drift_bound_case_a_beta_zero_degenerate_a():
     cfg = DynamicsConfig(alpha=4.0, beta=0.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=500.0)
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=2.5, xstar=np.array([1.0]))
-    res = eb_drift_bound_check(traj, obj, s, cfg, params, a=1.0, case="a")
+    res = eb_drift_bound_check(traj, s, cfg, params, a=1.0, case="a")
     assert res.passed
     assert res.t2 == 1.0
 
@@ -424,7 +424,7 @@ def test_drift_bound_requires_certified_hypotheses():
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=2.5, xstar=np.zeros(1))
     with pytest.raises(ValueError, match="not certified"):
-        eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case="b")
+        eb_drift_bound_check(traj, s, cfg, params, a=2.0, case="b")
 
 
 @pytest.mark.parametrize("alpha, b, case", [(4.0, 2.5, "a"), (3.0, 2.0, "b")])
@@ -436,7 +436,7 @@ def test_drift_bound_rejects_run_ending_before_t2(alpha, b, case):
     traj = integrate(obj, s, cfg)
     params = EnergyParams(b=b, xstar=np.zeros(1))
     with pytest.raises(ValueError, match="fewer than two samples beyond t2 = 4"):
-        eb_drift_bound_check(traj, obj, s, cfg, params, a=2.0, case=case)
+        eb_drift_bound_check(traj, s, cfg, params, a=2.0, case=case)
 
 
 # -- vanishing average (integrable eps/t) ------------------------------------------

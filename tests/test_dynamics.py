@@ -216,7 +216,7 @@ def test_energy_descent_and_velocity_bound():
     s = power_schedule(1.5)
     cfg = cfg1d(horizon=1000.0)
     traj = integrate(obj, s, cfg)
-    W = energy_W_series(obj, s, traj)
+    W = energy_W_series(obj, traj)
     assert np.all(np.diff(W) <= 1e-8 * (1.0 + abs(W[0])))
     # kinetic term is dominated by the initial energy surplus
     vbound = np.sqrt(2.0 * (W[0] - obj.min_value))
