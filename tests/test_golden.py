@@ -9,6 +9,9 @@ relative ``--out`` because `report.json` and `manifest.json` record
 settings where each block gives its result, its error or its refusal;
 ``least_squares`` asks for every block on a d=2 problem, so its arrays of
 several entries sit in dicts and in the list of Tikhonov-curve points.
+``compare`` and ``sweep`` integrate their cells as lanes; the ``compare_*``
+cases put each builtin other than paper1d through them, so that the row
+forms of every builtin gradient and value are pinned.
 
 ``python tests/test_golden.py`` prints the digests of every case for the
 current tree, in the shape of `GOLDEN`.
@@ -49,6 +52,18 @@ CASES = {
         ALL_REPORTS + "problem.name = least_squares\nproblem.A = 1 2; 3 4; 5 6\nproblem.b = 1 2 3\n",
     ),
     "check_schedule": (["check-schedule"], ""),
+    "compare_shifted_quadratic": (
+        ["compare", "--gammas", "1.5", "2.5"],
+        "problem.name = shifted_quadratic\nproblem.c = 1 -2 0.5\n",
+    ),
+    "compare_psd_quadratic": (
+        ["compare", "--gammas", "1.5", "2.5"],
+        "problem.name = psd_quadratic\nproblem.A = 1 1; 1 1\nproblem.b = 1 1\n",
+    ),
+    "compare_least_squares": (
+        ["compare", "--gammas", "1.5", "2.5"],
+        ALL_REPORTS + "problem.name = least_squares\nproblem.A = 1 2; 3 4; 5 6\nproblem.b = 1 2 3\n",
+    ),
     "sweep": (["sweep", "--alpha", "3", "4", "--beta", "0.5", "1", "--gamma", "1.5", "2.5"], ""),
 }
 
@@ -78,6 +93,72 @@ GOLDEN = {
             "a69a418a0643d461bc8de7c528b9d8bad9831d570d606091838fedbfefd3ddb9",
         "example/zero/trajectory.csv":
             "8985fac7e58e4a5c778427ac9521f3027a0ff74c8310f630a343ea26547cc9b6",
+    },
+    "compare_least_squares": {
+        "example/comparison.csv":
+            "c7cf753016728d8fdbc8f2f698baebce8d6942003c11822104d8f68f7d96dbfa",
+        "example/gamma_1.5/manifest.json":
+            "c6161a78c4f40e2d4b06ab940db573d0bdd2013915c2df0bbc33fe86be2b5d30",
+        "example/gamma_1.5/report.json":
+            "30374faff8a6a6c76c72a9ad2b603fd7843240b000bc6795216ee5866163e02e",
+        "example/gamma_1.5/trajectory.csv":
+            "14b3a8e04cf04d1627d3c4c6c186039c992ff67157bc9be92f27beff45f0721d",
+        "example/gamma_2.5/manifest.json":
+            "6ec112ec9b0925279a05cefc2e158feb24d58a2d494638ddcf8d2c44364335a0",
+        "example/gamma_2.5/report.json":
+            "ffc3803cff2c255e91a5619fe9e6a91aaed8282d2c48e4266e3cd13a8ae16b61",
+        "example/gamma_2.5/trajectory.csv":
+            "e5134ecb238e63df2fa0f260c264c6ff158d67e529d44d6654607ebf1522cbfa",
+        "example/zero/manifest.json":
+            "011bd877f105ad0818f739a74d92c4c7e580348cf1954a84e91f966586e0e8be",
+        "example/zero/report.json":
+            "93c844e43cb83b8936c928e8ab7ab3cfbca45b1aee380b18754ee5f02e64f954",
+        "example/zero/trajectory.csv":
+            "7bf66d3450d26bc314cedfeca8a530e184f0d040cdc7c21b9601eb0b1054ea38",
+    },
+    "compare_psd_quadratic": {
+        "example/comparison.csv":
+            "1c1d37e8a3aa96bc8048c03d408581bc937eb4f2bc1a5bffc9ef824d02d6a6e4",
+        "example/gamma_1.5/manifest.json":
+            "3fe9513c590800e378a774897d02b4b634f4e2435be5b28e195e10a8899e153e",
+        "example/gamma_1.5/report.json":
+            "2a56b6572d37c1fe5375c803e516a27478812ce8e953f58b44f26e471384d36b",
+        "example/gamma_1.5/trajectory.csv":
+            "3931284a05348f3d7a7f58a5b49bbc94be136b80056a0c40e869e3f2cf58947b",
+        "example/gamma_2.5/manifest.json":
+            "05978cef339488053a0d80035a8e3584e54fd16daa95d592d605f73bfc35cbb1",
+        "example/gamma_2.5/report.json":
+            "36ecf835f94be3b72567cb6ba397873e39cbc049b2eeeddb3c63be8bc915d6f4",
+        "example/gamma_2.5/trajectory.csv":
+            "8b4b00364f7fd14b8073dd5c5dbfeec41fdebfeaf98e243ac9581a59f6c8a680",
+        "example/zero/manifest.json":
+            "fa5a45ca9a54a1547e35edad3df83ce20b3707f6e498093deb67e1d0652b42b8",
+        "example/zero/report.json":
+            "72d7842e47735db721d12af431cb581c6328db6f935d6d566b8d9f82da3cdc15",
+        "example/zero/trajectory.csv":
+            "b172cb5cb784383b097c529180ca68a9847e1d72deed22472dc187985d83abeb",
+    },
+    "compare_shifted_quadratic": {
+        "example/comparison.csv":
+            "efceac5830d73e2fab629eecaed78c85429cc8705390a4e6c1abae89e911b1df",
+        "example/gamma_1.5/manifest.json":
+            "74afde51a81f1455ac41382cae7c858d5e0e98d7cd118bc81097ac4f21fc6a3d",
+        "example/gamma_1.5/report.json":
+            "cfdb87b9488ea4f2b2c53733757fbadc7d10aa748dd157d701b1ab5c1b34a2d7",
+        "example/gamma_1.5/trajectory.csv":
+            "439ebc60bda8eb8bd9c097f84d7051b2144a94fbaaf799f777f5824b98daea0d",
+        "example/gamma_2.5/manifest.json":
+            "092c36fde88aeb497ba704489196dc92cec1c30ab8e11a1d90f38ee3efbe33d8",
+        "example/gamma_2.5/report.json":
+            "4cbfccf7eda846f5580db1c2c7660b148f013a8fb3f9143610082fdcb1c15fba",
+        "example/gamma_2.5/trajectory.csv":
+            "7169906e219ec447f9c7669e0e721293cde1cc1cb40474d3d4721ff69b22bbcf",
+        "example/zero/manifest.json":
+            "5bb14db3f8ceea2928e9587d7e54853dd6bd6576f274e5e70f2a7b33fb3a3b3a",
+        "example/zero/report.json":
+            "7e65d4fa666ddcd619f812f69c84552056a72be6b4d62ddac9c1fb6f60288b49",
+        "example/zero/trajectory.csv":
+            "8f8a7bef3c16314c92cb7bdbe944f7b4f66895961d4699391a5ac6f3731c9460",
     },
     "example": {
         "example/manifest.json":
