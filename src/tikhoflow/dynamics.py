@@ -11,13 +11,19 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
     y' = -(alpha/t) y - (1 - alpha*beta/t) grad g(x) - eps(t) x.
 
 The lifted motion is written once (`_lifted`), for one run or for rows of
-lanes. `vector_field` is the lifted right-hand side and `integrate` steps
+lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
+eps(t) as inputs: a run forms them as floats at each stage, the lanes form
+them for all six stage times of an attempt at once, as columns, and make one
+gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
+`vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ only
 in alpha, beta and the schedule as lanes of one loop, each byte-identical to
 `integrate`; `integrate_direct` integrates the original second-order system
 in (x, x') via Hessian-vector products and serves as a cross-validation
 oracle. Both formulations are stepped by `_drive`, and every run, alone or
-as a lane, is finished by `_outcome`. Running integrals needed by the
+as a lane, is finished by `_outcome`, which takes the gradient and the
+objective value of all samples through `gradient_rows` and `value_rows`
+(one call each when the objective maps rows). Running integrals needed by the
 ergodic diagnostics are accumulated as extra state components, not by
 post-hoc quadrature. Each formulation supplies only its motion, the
 derivative of (x, y) or (x, x'); `_field` joins it with the schedule and the
@@ -28,7 +34,6 @@ per step attempt for all six stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -160,25 +165,31 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     its `integrator.Split`, so `solve` evaluates the schedule and the
     integrands once per attempt.
     """
-    motion = partial(_lifted(obj.dimension, obj.gradient), cfg.alpha, cfg.beta)
+    lifted = _lifted(obj.dimension, obj.gradient)
+    alpha, beta = cfg.alpha, cfg.beta
+
+    def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
+        lifted(-(alpha / t), 1.0 - alpha * beta / t, e, beta, z, out)
+
     return _field(obj, s, cfg, motion)
 
 
 def _lifted(d: int, grad):
-    """The lifted motion as motion(alpha, beta, t, e, z, out), which writes
-    x' = y - beta g and y' = -(alpha/t) y - (1 - alpha beta/t) g - e x, with
-    g = grad(x), into out[..., :2d]. For one run alpha, beta, t and the
-    schedule value e are floats and z is one state; for lanes they are
-    (lanes, 1) columns, z holds the lanes' states as rows and grad maps rows
-    of x to rows of gradients."""
+    """The lifted motion as motion(a, b, e, beta, z, out), which writes
+    x' = y - beta g and y' = a y - b g - e x, with g = grad(x), into
+    out[..., :2d]; a = -(alpha/t), b = 1 - alpha beta/t and the schedule
+    value e are the time-only coefficients. For one run they and beta are
+    floats and z is one state; for lanes they are (lanes, 1) columns, z
+    holds the lanes' states as rows and grad maps rows of x to rows of
+    gradients."""
 
     xs, ys = np.s_[..., :d], np.s_[..., d : 2 * d]  # built once: cheaper than ... per call
 
-    def motion(alpha, beta, t, e, z: np.ndarray, out: np.ndarray) -> None:
+    def motion(a, b, e, beta, z: np.ndarray, out: np.ndarray) -> None:
         x, y = z[xs], z[ys]
         g = grad(x)
         np.subtract(y, beta * g, out=out[xs])
-        out[ys] = -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x
+        out[ys] = a * y - b * g - e * x
 
     return motion
 
@@ -189,22 +200,28 @@ def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion)
     carries the parts as its `integrator.Split`."""
     quadrature = _quadrature(obj.dimension, min_norm_solution(obj))
     eps = s._span_eps(cfg.t0, cfg.horizon)
-    return _join(lambda t: float(eps(t)), eps, motion, quadrature)
+
+    def at(t: float):
+        e = float(eps(t))
+        return e, (t, e)
+
+    return _join(at, Split(eps, motion, quadrature))
 
 
-def _join(eps_at, eps, motion, quadrature):
+def _join(at, split: Split):
     """rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, carrying its
-    `integrator.Split` (eps, motion, quadrature): eps_at(t[, lanes]) is the
-    schedule at rhs's time, eps the schedule at an attempt's stage times."""
+    `integrator.Split`: at(t[, lanes]) gives the schedule at rhs's time and
+    the arguments that split.motion takes ahead of the state there."""
+    motion, quadrature = split.motion, split.quadrature
 
     def rhs(t, z: np.ndarray, *lanes) -> np.ndarray:
-        e = eps_at(t, *lanes)
+        e, args = at(t, *lanes)
         out = np.empty(z.shape)
-        motion(t, e, z, *lanes, out)
+        motion(*args, z, out)
         quadrature(t, e, z, out)
         return out
 
-    rhs.split = Split(eps, motion, quadrature)
+    rhs.split = split
     return rhs
 
 
@@ -233,16 +250,15 @@ def _finish(
     formulation: str,
 ) -> Trajectory:
     d = obj.dimension
-    n = ts.shape[0]
     X = Z[:, :d]
-    G = np.array([obj.gradient(X[i]) for i in range(n)])
+    G = obj.gradient_rows(X)
     if formulation == "lifted":
         Y = Z[:, d : 2 * d]
         V = Y - cfg.beta * G
     else:
         V = Z[:, d : 2 * d]
         Y = V + cfg.beta * G
-    gaps = np.array([obj.value(X[i]) for i in range(n)]) - obj.min_value
+    gaps = obj.value_rows(X) - obj.min_value
     eps_vals = s.eps(ts)
     return Trajectory(
         t=ts,
@@ -331,24 +347,33 @@ def integrate_lanes(
     (2d+3) floats, are held at once; each Trajectory is finished only when
     it is drawn, so a caller that drops it holds no more than that.
     """
+    if not runs:
+        raise ValueError("integrate_lanes needs at least one run; the run list is empty")
     cfg = runs[0][1]
     shared = [f.name for f in fields(DynamicsConfig) if f.name not in ("alpha", "beta")]
     if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d = obj.dimension
-    quadrature = _quadrature(d, min_norm_solution(obj))
-    grad = obj.gradient
-    lifted = _lifted(d, lambda X: np.array([grad(x) for x in X]))  # one call per lane
     eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
 
-    # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
-    def motion(t: np.ndarray, e: np.ndarray, Z: np.ndarray, lanes: np.ndarray,
-               out: np.ndarray) -> None:
-        lifted(alphas[lanes][:, None], betas[lanes][:, None], t[:, None], e[:, None], Z, out)
+    def coefficients(T: np.ndarray, lanes: np.ndarray):
+        """The schedule E at the lanes' times T (lanes, k) and, for each of
+        the k times, the motion's coefficient columns (a, b, e, beta)."""
+        E = eps(T, lanes)
+        # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
+        alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
+        Tc = T.T[..., None]  # (k, lanes, 1), so that each time's column comes out contiguous
+        columns = zip(-(alpha / Tc), 1.0 - alpha * beta / Tc, E.T[..., None])
+        return E, [(a, b, e, beta) for a, b, e in columns]
 
-    rhs = _join(lambda t, lanes: eps(t[:, None], lanes)[:, 0], eps, motion, quadrature)
+    def at(t: np.ndarray, lanes: np.ndarray):
+        E, P = coefficients(t[:, None], lanes)
+        return E[:, 0], P[0]
+
+    split = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))
+    rhs = _join(at, split)
     ts = sample_times(cfg)
     z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
     results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)

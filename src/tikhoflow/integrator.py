@@ -28,14 +28,18 @@ callable goes through the same attempt as a `Split` without quadratures
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
-and DP5 weight products for all active lanes at once. The step control is
+and DP5 weight products for all active lanes at once, and its `Split` gathers
+the per-lane coefficients of all six stages in one call, so that each stage
+makes one motion call for all lanes. The step control is
 written once, in `_Lane`, and both loops drive it in Python floats: `solve`
 one lane, `solve_lanes` one per run. Only the array work differs (`_attempt`
 with ndarray.dot, `_lanes_attempt` with stacked matmuls), so each lane's
 samples, counters and failure are byte-identical to `solve` on that lane
 alone. One lane runs about 2x slower through `solve_lanes` than through
-`solve` (1.9-2.0x on paper1d at the example.cfg settings), so single runs
-keep `solve`. Memory: lanes x samples x m floats for the samples.
+`solve` (2.2x CPU time on paper1d at the example.cfg settings, median of 15;
+the row gradient's fixed cost of a few numpy calls is not spread over other
+lanes), so single runs keep `solve`. Memory: lanes x samples x m floats for
+the samples.
 """
 from __future__ import annotations
 
@@ -99,9 +103,11 @@ class Split(NamedTuple):
       from the stage states Z (the same rows, in the same order) and the
       motion already in K.
 
-    For `solve_lanes` T and E are (lanes, 6) and ``coefficients`` and
-    ``motion`` also take the lane indices: ``coefficients(T, lanes)`` and
-    ``motion(t, e, Z, lanes, out)`` on rows of lanes.
+    For `solve_lanes` T is (lanes, 6) and the lanes' indices are passed on:
+    ``coefficients(T, lanes)`` returns (E, P), E (lanes, 6) for
+    ``quadrature`` and P the six tuples of stage arguments, each gathered
+    once per attempt, so that stage k calls ``motion(*P[k], Z, out)`` on
+    rows of lanes.
     """
 
     coefficients: Callable
@@ -109,20 +115,29 @@ class Split(NamedTuple):
     quadrature: Callable
 
 
-def _split(rhs) -> Split:
+def _split(rhs, on_lanes: bool = False) -> Split:
     """rhs's `Split`, or a plain callable as one without quadratures: its
-    coefficients are the times themselves and its motion writes the whole
-    derivative, so each stage calls rhs once with the time and state that
-    calling it stage by stage would pass."""
+    coefficients are the times themselves (with the lane indices, for
+    `solve_lanes`) and its motion writes the whole derivative, so each stage
+    calls rhs once with the time and state that calling it stage by stage
+    would pass."""
     split = getattr(rhs, "split", None)
     if split is not None:
         return split
+    if on_lanes:
+        def coefficients(T, lanes):
+            return T, [(t, lanes) for t in T.T]
 
-    def motion(t, e, z, *lanes_out):
-        *lanes, out = lanes_out
-        out[...] = rhs(t, z, *lanes)
+        def motion(t, lanes, Z, out):
+            out[...] = rhs(t, Z, lanes)
+    else:
+        def coefficients(T):
+            return T
 
-    return Split(lambda T, *lanes: T, motion, lambda T, E, Z, K: None)
+        def motion(t, e, z, out):
+            out[...] = rhs(t, z)
+
+    return Split(coefficients, motion, lambda T, E, Z, K: None)
 
 
 def _rms(v: np.ndarray) -> float:
@@ -316,7 +331,7 @@ def _lanes_attempt(rhs):
     """`_attempt` on rows of lanes: returns attempt(T, Hc, T_new, Z, K,
     lanes), which fills K[:, 1:7] and returns Z_new, for the lanes' times T,
     step sizes Hc (lanes, 1) and stage rows K (lanes, 7, m)."""
-    coefficients, motion, quadrature = _split(rhs)
+    coefficients, motion, quadrature = _split(rhs, on_lanes=True)
     stages = tuple((k, _A[k][:k]) for k in range(1, 6))
     C = _C[1:]
 
@@ -324,15 +339,15 @@ def _lanes_attempt(rhs):
         TS = np.empty((T.shape[0], 6))
         TS[:, :5] = T[:, None] + C * Hc
         TS[:, 5] = T_new
-        E = coefficients(TS, lanes)
+        E, P = coefficients(TS, lanes)
         S = np.empty((T.shape[0], 6, Z.shape[1]))
-        for k, a in stages:
+        for (k, a), p in zip(stages, P):
             Sk = S[:, k - 1]
             np.add(Z, Hc * np.matmul(a, K[:, :k]), out=Sk)
-            motion(TS[:, k - 1], E[:, k - 1], Sk, lanes, K[:, k])
+            motion(*p, Sk, K[:, k])
         S5 = S[:, 5]
         np.add(Z, Hc * np.matmul(_B, K[:, :6]), out=S5)
-        motion(T_new, E[:, 5], S5, lanes, K[:, 6])  # FSAL stage
+        motion(*P[5], S5, K[:, 6])  # FSAL stage
         quadrature(TS, E, S, K[:, 1:])
         return Z + Hc * np.matmul(_B, K[:, :6])
 

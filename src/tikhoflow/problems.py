@@ -3,6 +3,17 @@
 Every builtin carries its exact minimal value and, where the argmin is not a
 singleton, the minimum-norm minimizer, so that trajectory diagnostics can be
 checked against closed forms.
+
+Every builtin also maps rows: its `gradient` and `value` take rows X (n, d)
+as well as one point and give, bit for bit, what they give row by row. The
+one-point forms stay as they were, since `run` calls them once per stage.
+The row forms repeat each one-point operation elementwise: paper1d powers
+through `np.float_power`, which calls libm `pow` as the scalar `**` does
+(`np.square`, which an array's `** 2` calls, differs in the last bit); the
+quadratics and least squares multiply by matrices with stacked
+`np.matmul(A, X[..., None])`, one BLAS gemv per row as `A @ x` makes (`X @ A.T`
+is one gemm, which rounds differently), and dot rows with `np.vecdot`, one
+ddot per row as `np.dot` makes.
 """
 from __future__ import annotations
 
@@ -21,6 +32,11 @@ class ObjectiveSpec:
     `value`, `gradient` and `hessian_vec` must be mutually consistent;
     `min_value` is the exact minimum and `min_norm_solution`, when present,
     the smallest-norm minimizer. Instances are immutable and safe to share.
+
+    `rows` declares that `gradient` and `value` also map rows X (n, d) to
+    gradients (n, d) and values (n,), bit for bit what they give row by row.
+    `gradient_rows` and `value_rows` then make one call on the rows; without
+    it they call the one-point forms once per row.
     """
 
     dimension: int
@@ -29,6 +45,13 @@ class ObjectiveSpec:
     hessian_vec: Callable[[Vector, Vector], Vector]
     min_value: float
     min_norm_solution: Optional[Vector] = None
+    rows: bool = False
+
+    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
+        return self.gradient(X) if self.rows else np.array([self.gradient(x) for x in X])
+
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
+        return self.value(X) if self.rows else np.array([self.value(x) for x in X])
 
 
 def _as_vector(x, dimension: int, name: str = "x") -> Vector:
@@ -52,9 +75,26 @@ def min_norm_solution(obj: ObjectiveSpec) -> Vector:
 # -- builtins ---------------------------------------------------------------
 
 
+def _stacked(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # A @ x for each row x of X, one gemv per row
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def _beyond(X: np.ndarray) -> np.ndarray:
+    """s + 1 where s < -1, s - 1 where s > 1 and +0.0 elsewhere (NaN too), for
+    each entry s of X: fmin/fmax drop NaN, and u + 0.0 is u for u != 0."""
+    u = np.fmin(X + 1.0, 0.0)
+    u += np.fmax(X - 1.0, 0.0)
+    return u
+
+
 def _paper1d() -> ObjectiveSpec:
-    # piecewise cubic, flat on [-1, 1]; C^2 with vanishing derivatives at the seams
+    # piecewise cubic, flat on [-1, 1]; C^2 with vanishing derivatives at the seams.
+    # On rows, with u = _beyond(x): -(u^3) = |u^3| for u < 0, and -3 u^2 is
+    # 3 u^2 with u's sign, as IEEE rounding is symmetric in the sign.
     def value(x: Vector) -> float:
+        if x.ndim > 1:
+            return np.abs(np.float_power(_beyond(x[:, 0]), 3.0))
         s = x[0]
         if s < -1.0:
             return -((s + 1.0) ** 3)
@@ -63,6 +103,11 @@ def _paper1d() -> ObjectiveSpec:
         return 0.0
 
     def gradient(x: Vector) -> Vector:
+        if x.ndim > 1:
+            u = _beyond(x)
+            g = np.float_power(u, 2.0)
+            g *= 3.0
+            return np.copysign(g, u, out=g)
         s = x[0]
         if s < -1.0:
             return np.array([-3.0 * (s + 1.0) ** 2])
@@ -87,19 +132,26 @@ def _paper1d() -> ObjectiveSpec:
         hessian_vec=hessian_vec,
         min_value=0.0,
         min_norm_solution=np.array([0.0]),
+        rows=True,
     )
 
 
 def _shifted_quadratic(c) -> ObjectiveSpec:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     d = c.shape[0]
+
+    def value(x: Vector) -> float:
+        D = x - c
+        return 0.5 * np.vecdot(D, D) if x.ndim > 1 else 0.5 * float(np.dot(D, D))
+
     return ObjectiveSpec(
         dimension=d,
-        value=lambda x: 0.5 * float(np.dot(x - c, x - c)),
+        value=value,
         gradient=lambda x: x - c,
         hessian_vec=lambda x, v: np.array(v, dtype=float),
         min_value=0.0,
         min_norm_solution=c.copy(),
+        rows=True,
     )
 
 
@@ -121,13 +173,20 @@ def _psd_quadratic(A, b) -> ObjectiveSpec:
     xhat = np.linalg.pinv(A) @ b
     if np.linalg.norm(A @ xhat - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise ValueError("b is not in the range of A; the quadratic is unbounded below")
+
+    def value(x: Vector) -> float:
+        if x.ndim > 1:
+            return 0.5 * np.vecdot(x, _stacked(A, x)) - np.vecdot(x, b)
+        return 0.5 * float(x @ (A @ x)) - float(b @ x)
+
     return ObjectiveSpec(
         dimension=d,
-        value=lambda x: 0.5 * float(x @ (A @ x)) - float(b @ x),
-        gradient=lambda x: A @ x - b,
+        value=value,
+        gradient=lambda x: _stacked(A, x) - b if x.ndim > 1 else A @ x - b,
         hessian_vec=lambda x, v: A @ v,
         min_value=-0.5 * float(b @ xhat),
         min_norm_solution=xhat,
+        rows=True,
     )
 
 
@@ -142,16 +201,25 @@ def _least_squares(A, b) -> ObjectiveSpec:
     At = A.T
 
     def value(x: Vector) -> float:
+        if x.ndim > 1:
+            R = _stacked(A, x) - b
+            return 0.5 * np.vecdot(R, R)
         r = A @ x - b
         return 0.5 * float(r @ r)
+
+    def gradient(x: Vector) -> Vector:
+        if x.ndim > 1:
+            return _stacked(At, _stacked(A, x) - b)
+        return At @ (A @ x - b)
 
     return ObjectiveSpec(
         dimension=d,
         value=value,
-        gradient=lambda x: At @ (A @ x - b),
+        gradient=gradient,
         hessian_vec=lambda x, v: At @ (A @ v),
         min_value=0.5 * float(residual @ residual),
         min_norm_solution=xhat,
+        rows=True,
     )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 
 import tikhoflow as tf
 from tikhoflow.cli import main as cli_main
+from tikhoflow.dynamics import integrate_lanes
 from tikhoflow.schedules import check_limit_condition, check_t2eps_growth
 
 from helpers import POWER_TRUTH, energy_Eb_regrouped
@@ -40,17 +41,36 @@ def _schedule(key, t0=1.0):
     raise KeyError(key)
 
 
+def _config(problem, alpha, beta, horizon, rel_tol=1e-9, abs_tol=1e-12):
+    _, u0, v0 = _problem(problem)
+    return tf.DynamicsConfig(
+        alpha=alpha, beta=beta, t0=1.0, u0=u0, v0=v0, horizon=horizon,
+        rel_tol=rel_tol, abs_tol=abs_tol,
+    )
+
+
 def run(problem, alpha, beta, sched_key, horizon, rel_tol=1e-9, abs_tol=1e-12):
     key = (problem, alpha, beta, sched_key, horizon, rel_tol)
     if key not in _RUNS:
-        obj, u0, v0 = _problem(problem)
+        obj = _problem(problem)[0]
         s = _schedule(sched_key)
-        cfg = tf.DynamicsConfig(
-            alpha=alpha, beta=beta, t0=1.0, u0=u0, v0=v0, horizon=horizon,
-            rel_tol=rel_tol, abs_tol=abs_tol,
-        )
+        cfg = _config(problem, alpha, beta, horizon, rel_tol, abs_tol)
         _RUNS[key] = (obj, s, cfg, tf.integrate(obj, s, cfg))
     return _RUNS[key]
+
+
+def run_lanes(problem, cells, horizon):
+    """Cache the `run` of each (alpha, beta, sched_key) cell of one problem at
+    the default tolerances, integrated together as lanes of one
+    `integrate_lanes` call; each lane is byte for byte what `integrate` gives
+    that run alone (tests/test_lanes.py)."""
+    cells = [c for c in cells if (problem, *c, horizon, 1e-9) not in _RUNS]
+    obj = _problem(problem)[0]
+    runs = [(_schedule(sched), _config(problem, a, b, horizon)) for a, b, sched in cells]
+    for cell, (s, cfg), traj in zip(cells, runs, integrate_lanes(obj, runs) if runs else ()):
+        if isinstance(traj, tf.IntegrationError):
+            raise traj
+        _RUNS[(problem, *cell, horizon, 1e-9)] = (obj, s, cfg, traj)
 
 
 def _report(num: int, name: str, passed: bool, detail: str = ""):
@@ -61,16 +81,21 @@ def _report(num: int, name: str, passed: bool, detail: str = ""):
 
 def test_criterion_01_energy_dissipation():
     worst = 0.0
+    cells = [
+        (alpha, beta, sched)
+        for alpha in (3.0, 4.0, 10.0)
+        for beta in (0.0, 1.0)
+        for sched in (("zero",), ("power", 1.5), ("power", 2.5))
+    ]
     for problem in ("paper1d", "shifted_quadratic", "least_squares"):
-        for alpha in (3.0, 4.0, 10.0):
-            for beta in (0.0, 1.0):
-                for sched in (("zero",), ("power", 1.5), ("power", 2.5)):
-                    obj, s, cfg, traj = run(problem, alpha, beta, sched, 300.0)
-                    W = tf.energy_W_series(obj, traj)
-                    allowed = 1e-8 * (1.0 + abs(W[0]))
-                    excess = float(np.max(np.diff(W))) / allowed
-                    worst = max(worst, excess)
-                    assert np.max(np.diff(W)) <= allowed, (problem, alpha, beta, sched)
+        run_lanes(problem, cells, 300.0)  # 18 lanes per problem
+        for alpha, beta, sched in cells:
+            obj, s, cfg, traj = run(problem, alpha, beta, sched, 300.0)
+            W = tf.energy_W_series(obj, traj)
+            allowed = 1e-8 * (1.0 + abs(W[0]))
+            excess = float(np.max(np.diff(W))) / allowed
+            worst = max(worst, excess)
+            assert np.max(np.diff(W)) <= allowed, (problem, alpha, beta, sched)
     _report(1, "energy dissipation", worst <= 1.0, f"54 runs, worst violation {worst:.2e} x tol")
 
 

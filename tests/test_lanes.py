@@ -118,6 +118,73 @@ def test_cosh_non_finite_lanes_match_integrate():
     assert all(isinstance(exc, IntegrationError) for exc in lanes)
 
 
+def test_objective_without_rows_goes_through_lanes_row_by_row():
+    # a custom objective without `rows` whose gradient handles one point
+    # only (on rows it returns one entry): the lanes and the finishing must
+    # call it once per row and still give what `integrate` gives
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: float(np.cosh(x[0])),
+        gradient=lambda x: np.array([np.sinh(x[0])]),
+        hessian_vec=lambda x, v: np.cosh(x) * v,
+        min_value=1.0,
+        min_norm_solution=np.array([0.0]),
+    )
+    runs = [
+        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        for a, b, g in ((3.0, 0.0, 1.5), (5.0, 1.0, 2.5), (10.0, 0.5, 1.1))
+    ]
+    _assert_lanes_match_integrate(obj, runs + [(zero_schedule(), DynamicsConfig(**BASE))])
+
+
+def test_empty_run_list_is_refused():
+    with pytest.raises(ValueError, match="run list is empty"):
+        integrate_lanes(builtin("paper1d"), [])
+
+
+def _counting(obj):
+    """obj with gradient and value wrapped to count their one-point calls
+    (entry 0) and row calls (entry 1)."""
+    calls = {"gradient": [0, 0], "value": [0, 0]}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name][x.ndim - 1] += 1
+            return fn(x)
+
+        return wrapper
+
+    counting = dataclasses.replace(obj, gradient=counted("gradient", obj.gradient),
+                                   value=counted("value", obj.value))
+    return counting, calls
+
+
+def test_lanes_call_the_gradient_once_per_stage_for_all_lanes():
+    runs = [
+        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        for a in (3.0, 10.0, 200.0)
+        for b in (0.0, 0.5, 1.0)
+        for g in (1.1, 1.5, 1.9)
+    ]
+    obj, calls = _counting(builtin("paper1d"))
+    lanes = list(integrate_lanes(obj, runs))
+    # every lane attempts in each batched attempt until it is done
+    attempts = max(traj.meta["stats"]["steps"] + traj.meta["stats"]["rejected"] for traj in lanes)
+    # one point: each run's initial lift; rows: the first derivative of all
+    # lanes, each lane's initial-step probe, the six stages of each batched
+    # attempt, and one finishing call per run
+    assert calls["gradient"] == [27, 1 + 27 + 6 * attempts + 27]
+    assert calls["value"] == [0, 27]
+
+
+def test_integrate_finishes_with_one_gradient_and_one_value_call():
+    obj, calls = _counting(builtin("paper1d"))
+    traj = integrate(obj, power_schedule(1.5), DynamicsConfig(**BASE))
+    # one point: the initial lift and each right-hand side evaluation
+    assert calls["gradient"] == [1 + traj.meta["stats"]["rhs_evals"], 1]
+    assert calls["value"] == [0, 1]
+
+
 @pytest.mark.parametrize(
     "name, value",
     [

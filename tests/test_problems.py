@@ -223,3 +223,88 @@ def test_hvp_linearity_property_paper1d(x, u, v, a, b):
     lin = obj.hessian_vec(xa, a * ua + b * va)
     ref = a * obj.hessian_vec(xa, ua) + b * obj.hessian_vec(xa, va)
     assert np.linalg.norm(lin - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+
+
+# -- row forms --------------------------------------------------------------
+# Every builtin's gradient and value also take rows X (n, d); they must give,
+# bit for bit, what the one-point forms give row by row, since the lanes and
+# the sample finishing call them on rows while `run` steps the one-point form.
+
+
+def _assert_rows_match_points(obj, X):
+    assert obj.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, V = obj.gradient(X), obj.value(X)
+        G_ref = np.array([obj.gradient(x) for x in X])
+        V_ref = np.array([obj.value(x) for x in X])
+    assert G.shape == X.shape and G.dtype == np.float64
+    assert V.shape == X.shape[:1] and V.dtype == np.float64
+    assert G.tobytes() == G_ref.tobytes()
+    assert V.tobytes() == V_ref.tobytes()
+
+
+def _as_lane_rows(X):
+    # the x columns of a wider state array, as the lanes and `_finish` pass them
+    Z = np.zeros((X.shape[0], 2 * X.shape[1] + 3))
+    Z[:, : X.shape[1]] = X
+    return Z[:, : X.shape[1]]
+
+
+def test_paper1d_rows_match_points_at_the_seams_and_beyond():
+    seams = [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+             np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 0.0, -0.0, np.nan,
+             1e154, -1e154, 1.5e154, -1.5e154, 1e200, -1e200, 1.7e308, -1.7e308,
+             np.inf, -np.inf, 1.0 + 1e-300, -1.0 - 2.0**-52, 1.0 + 2.0**-30, -1.0 - 2.0**-30]
+    obj = builtin("paper1d")
+    X = np.array(seams)[:, None]
+    _assert_rows_match_points(obj, X)
+    _assert_rows_match_points(obj, _as_lane_rows(X))
+    # the flat part gives +0.0, as the one-point forms do, also for -0.0 and NaN
+    flat = obj.gradient(np.array([[-0.0], [np.nan], [-0.5]]))
+    assert flat.tobytes() == np.zeros((3, 1)).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (-1e8, 1e8), (-1.0 - 1e-9, 1.0 + 1e-9)])
+def test_paper1d_rows_match_points_on_draws(lo, hi):
+    X = np.random.default_rng(11).uniform(lo, hi, (20000, 1))
+    _assert_rows_match_points(builtin("paper1d"), _as_lane_rows(X))
+
+
+def test_quadratic_rows_match_points():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((60, 60))
+    for obj, d in (
+        (builtin("shifted_quadratic", c=rng.standard_normal(3)), 3),
+        (builtin("psd_quadratic", A=M @ M.T, b=M @ rng.standard_normal(60)), 60),
+        (builtin("psd_quadratic", A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=np.array([1.0, 1.0])), 2),
+    ):
+        X = rng.standard_normal((500, d)) * 10.0
+        _assert_rows_match_points(obj, X)
+        _assert_rows_match_points(obj, _as_lane_rows(X))
+
+
+def test_least_squares_40x60_rows_match_points():
+    # a stacked gemv per row keeps the per-row bits; X @ A.T, one gemm,
+    # would not at this size
+    rng = np.random.default_rng(0)
+    obj = builtin("least_squares", A=rng.standard_normal((40, 60)), b=rng.standard_normal(40))
+    X = rng.standard_normal((500, 60))
+    _assert_rows_match_points(obj, X)
+    _assert_rows_match_points(obj, _as_lane_rows(X))
+    _assert_rows_match_points(obj, X[:1])
+
+
+def test_custom_objective_keeps_the_per_row_fallback():
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: float(np.cosh(x[0])),
+        gradient=lambda x: np.array([np.sinh(x[0])]),  # wrong shape on rows
+        hessian_vec=lambda x, v: np.cosh(x) * v,
+        min_value=1.0,
+    )
+    assert not obj.rows
+    X = _as_lane_rows(np.linspace(-2.0, 2.0, 7)[:, None])
+    G, V = obj.gradient_rows(X), obj.value_rows(X)
+    assert G.shape == (7, 1) and V.shape == (7,)
+    assert G.tobytes() == np.array([obj.gradient(x) for x in X]).tobytes()
+    assert V.tobytes() == np.array([obj.value(x) for x in X]).tobytes()
