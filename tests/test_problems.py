@@ -293,18 +293,3 @@ def test_least_squares_40x60_rows_match_points():
     _assert_rows_match_points(obj, _as_lane_rows(X))
     _assert_rows_match_points(obj, X[:1])
 
-
-def test_custom_objective_keeps_the_per_row_fallback():
-    obj = ObjectiveSpec(
-        dimension=1,
-        value=lambda x: float(np.cosh(x[0])),
-        gradient=lambda x: np.array([np.sinh(x[0])]),  # wrong shape on rows
-        hessian_vec=lambda x, v: np.cosh(x) * v,
-        min_value=1.0,
-    )
-    assert not obj.rows
-    X = _as_lane_rows(np.linspace(-2.0, 2.0, 7)[:, None])
-    G, V = obj.gradient_rows(X), obj.value_rows(X)
-    assert G.shape == (7, 1) and V.shape == (7,)
-    assert G.tobytes() == np.array([obj.gradient(x) for x in X]).tobytes()
-    assert V.tobytes() == np.array([obj.value(x) for x in X]).tobytes()
