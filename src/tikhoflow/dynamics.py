@@ -15,6 +15,12 @@ lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
 eps(t) as inputs: a run forms them as floats at each stage, the lanes form
 them for all six stage times of an attempt at once, as columns, and make one
 gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
+Only the lanes copy: their stage rows hold x and y as (lanes, d) views with
+gaps between rows, so the motion copies each into one block, and the
+coefficient columns of each stage time are built as one block too; numpy
+then runs every later operation of the motion on contiguous operands. The
+lanes pick their columns of alpha, beta and the schedule once per live set,
+not once per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ only
 in alpha, beta and the schedule as lanes of one loop, each byte-identical to
@@ -38,7 +44,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .integrator import IntegrationError, Split, solve, solve_lanes
+from .integrator import IntegrationError, Split, _per_live_set, solve, solve_lanes
 from .problems import ObjectiveSpec, _as_vector, min_norm_solution
 from .schedules import TikhonovSchedule, _lanes_eps
 
@@ -97,6 +103,14 @@ class DynamicsConfig:
             raise ValueError("sample_spacing must be 'linear' or 'logarithmic'")
         if self.u0.shape != self.v0.shape:
             raise ValueError("u0 and v0 must have the same dimension")
+        # a grid with a repeated time would step zero-length steps between equal samples
+        ts = sample_times(self)
+        if not (ts[1:] > ts[:-1]).all():
+            raise ValueError(
+                f"the {self.sample_count} sample times from t0 = {self.t0!r} to horizon = "
+                f"{self.horizon!r} are not strictly increasing; lower dynamics.sample_count "
+                "or widen dynamics.horizon"
+            )
 
 
 def sample_times(cfg: DynamicsConfig) -> np.ndarray:
@@ -181,12 +195,17 @@ def _lifted(d: int, grad):
     value e are the time-only coefficients. For one run they and beta are
     floats and z is one state; for lanes they are (lanes, 1) columns, z
     holds the lanes' states as rows and grad maps rows of x to rows of
-    gradients."""
+    gradients. On rows, x and y are copied once into contiguous blocks:
+    numpy then runs every later operation on contiguous operands, which
+    saves more than the copies cost (paper1d, best of 25: 12.7 -> 10.8 us
+    per motion call at 9 lanes, 11.6 -> 10.1 us at 27)."""
 
     xs, ys = np.s_[..., :d], np.s_[..., d : 2 * d]  # built once: cheaper than ... per call
 
     def motion(a, b, e, beta, z: np.ndarray, out: np.ndarray) -> None:
         x, y = z[xs], z[ys]
+        if z.ndim > 1:
+            x, y = x.copy(), y.copy()
         g = grad(x)
         np.subtract(y, beta * g, out=out[xs])
         out[ys] = a * y - b * g - e * x
@@ -358,14 +377,21 @@ def integrate_lanes(
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
 
+    def select(lanes: np.ndarray):
+        # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
+        alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
+        return alpha, beta, alpha * beta
+
+    lane_columns = _per_live_set(select)
+
     def coefficients(T: np.ndarray, lanes: np.ndarray):
         """The schedule E at the lanes' times T (lanes, k) and, for each of
         the k times, the motion's coefficient columns (a, b, e, beta)."""
         E = eps(T, lanes)
-        # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
-        alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
-        Tc = T.T[..., None]  # (k, lanes, 1), so that each time's column comes out contiguous
-        columns = zip(-(alpha / Tc), 1.0 - alpha * beta / Tc, E.T[..., None])
+        alpha, beta, alpha_beta = lane_columns(lanes)
+        # (k, lanes, 1) copies: each time's columns come out as one block
+        Tc = T.T.copy()[..., None]
+        columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T.copy()[..., None])
         return E, [(a, b, e, beta) for a, b, e in columns]
 
     def at(t: np.ndarray, lanes: np.ndarray):

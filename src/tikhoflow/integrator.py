@@ -30,16 +30,25 @@ callable goes through the same attempt as a `Split` without quadratures
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
 and DP5 weight products for all active lanes at once, and its `Split` gathers
 the per-lane coefficients of all six stages in one call, so that each stage
-makes one motion call for all lanes. The step control is
-written once, in `_Lane`, and both loops drive it in Python floats: `solve`
-one lane, `solve_lanes` one per run. Only the array work differs (`_attempt`
-with ndarray.dot, `_lanes_attempt` with stacked matmuls), so each lane's
-samples, counters and failure are byte-identical to `solve` on that lane
-alone. One lane runs about 2x slower through `solve_lanes` than through
-`solve` (2.2x CPU time on paper1d at the example.cfg settings, median of 15;
-the row gradient's fixed cost of a few numpy calls is not spread over other
-lanes), so single runs keep `solve`. Memory: lanes x samples x m floats for
-the samples.
+makes one motion call for all lanes. The stage states are stored stage-major,
+so that each stage's state rows are one block.
+
+The step control is written once, in `_Lane`, and both loops drive it in
+Python floats: `solve` one lane, `solve_lanes` one per run. After each finite
+attempt one call of `_Lane.advance` concludes it and proposes the next one,
+so a lane costs one controller call per attempt; `solve_lanes` tests
+finiteness once for the whole batch, visits the lanes one by one only when
+that test fails, and collects the next attempt's step sizes and times in the
+same pass. It builds its array of live lane indices anew only when the live
+set changes, so that the right-hand side picks its per-lane columns once per
+live set (`_per_live_set`), not once per attempt. Only the array work
+differs (`_attempt` with ndarray.dot, `_lanes_attempt` with stacked
+matmuls), so each lane's samples, counters and failure are byte-identical to
+`solve` on that lane alone. One lane runs about 2x slower through
+`solve_lanes` than through `solve` (1.96x CPU time on paper1d at the
+example.cfg settings, median of 15; the row gradient's fixed cost of a few
+numpy calls is not spread over other lanes), so single runs keep `solve`.
+Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations
 
@@ -161,7 +170,7 @@ def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
 
 def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     """The step-size law: the step to try after an attempt of size h_try with
-    error norm err, when h was the step size before it (`_Lane.conclude`).
+    error norm err, when h was the step size before it (`_Lane.advance`).
     A NaN err takes the reject law, as it fails the acceptance test err <= 1."""
     if not err <= 1.0:
         return h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
@@ -211,12 +220,15 @@ def _attempt(rhs, K: np.ndarray):
 
 class _Lane:
     """Step control of one run in Python floats, shared by `solve` and each
-    lane of `solve_lanes`: the first derivative check and initial step
-    (`start`); the step budget, clamping onto the next sample time and the
-    underflow test before an attempt (`propose`); the non-finite test after
-    it (`attempted`); acceptance, `_next_h` and the underflow test after a
-    rejection (`conclude`). A failure raises the IntegrationError that
-    carries the samples so far from ``rows``, the run's (samples, m) buffer.
+    lane of `solve_lanes`. `start` checks the first derivative, picks the
+    initial step and proposes the first attempt. After each finite attempt
+    one call of `advance` does the rest: it accepts or rejects the attempt
+    (`_next_h`, then the underflow test after a rejection) and proposes the
+    next one (the step budget, clamping onto the next sample time, the
+    underflow test before an attempt). `non_finite` gives the error of an
+    attempt that did not stay finite. A failure raises the IntegrationError
+    that carries the samples so far from ``rows``, the run's (samples, m)
+    buffer.
 
     A state is given as an array Z and an index p: Z[p] is a row of the
     lanes' states, or `solve`'s state with p = Ellipsis. The row is taken
@@ -245,15 +257,48 @@ class _Lane:
                                 rows=self.rows[: self.next_i].copy(), stats=self.stats())
 
     def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
-        """Check f = rhs(t0, z) and pick the initial step, which calls rhs once more."""
+        """Check f = rhs(t0, z), pick the initial step, which calls rhs once
+        more, and propose the first attempt from z."""
         self.evals = 1
         if not np.isfinite(f).all():
             raise self.error("non-finite derivative at the initial state", z, Ellipsis)
         self.h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
         self.evals += 1
+        self.advance(None, z, z, Ellipsis)
 
-    def propose(self, Z: np.ndarray, p):
-        """Set h_try and t_new of the next attempt from the state Z[p]."""
+    def non_finite(self, Z: np.ndarray, p) -> IntegrationError:
+        """Count the attempt from Z[p], which did not stay finite, and return its error."""
+        self.evals += 6
+        return self.error(f"non-finite state encountered near t={self.t_new:.6g}", Z, p)
+
+    def advance(self, err: Optional[float], Z: np.ndarray, Z_new: np.ndarray, p) -> bool:
+        """Count the finite attempt from Z[p] to Z_new[p] of error norm err
+        and accept it (True) or reject it; then, unless the run is done, set
+        h_try and t_new of the next attempt from the state it starts at.
+        With err None (from `start`) there is no attempt to conclude."""
+        accepted = False
+        if err is not None:
+            self.evals += 6
+            self.h = _next_h(err, self.h, self.h_try, self.clamped, self.err_prev,
+                             self.just_rejected)
+            if err <= 1.0:
+                accepted = True
+                self.steps += 1
+                self.t = self.t_new
+                self.floor = _STEP_FLOOR * max(abs(self.t), 1.0)
+                if self.clamped:
+                    self.rows[self.next_i] = Z_new[p]
+                    self.next_i += 1
+                    if self.done:
+                        return True
+                self.err_prev = max(err, 1e-4)
+                self.just_rejected = False
+                Z = Z_new
+            else:
+                self.rejected += 1
+                self.just_rejected = True
+                if self.h < self.floor:
+                    raise self.error(f"step size underflow at t={self.t:.6g} (h={self.h:.3g})", Z, p)
         if self.steps + self.rejected > _MAX_STEPS:
             raise self.error("step budget exhausted", Z, p)
         target = self.grid[self.next_i]
@@ -263,32 +308,7 @@ class _Lane:
         if not clamped and h_try < self.floor:
             raise self.error(f"step size underflow at t={self.t:.6g} (h={h_try:.3g})", Z, p)
         self.t_new = target if clamped else self.t + h_try
-
-    def attempted(self, finite: bool, Z: np.ndarray, p):
-        """Count the attempt from Z[p]; finite tells whether it stayed finite."""
-        self.evals += 6
-        if not finite:
-            raise self.error(f"non-finite state encountered near t={self.t_new:.6g}", Z, p)
-
-    def conclude(self, err: float, Z: np.ndarray, Z_new: np.ndarray, p) -> bool:
-        """Accept (True) or reject the attempt from Z[p] to Z_new[p] of error norm err."""
-        self.h = _next_h(err, self.h, self.h_try, self.clamped, self.err_prev,
-                         self.just_rejected)
-        if err <= 1.0:
-            self.steps += 1
-            self.t = self.t_new
-            self.floor = _STEP_FLOOR * max(abs(self.t), 1.0)
-            if self.clamped:
-                self.rows[self.next_i] = Z_new[p]
-                self.next_i += 1
-            self.err_prev = max(err, 1e-4)
-            self.just_rejected = False
-            return True
-        self.rejected += 1
-        self.just_rejected = True
-        if self.h < self.floor:
-            raise self.error(f"step size underflow at t={self.t:.6g} (h={self.h:.3g})", Z, p)
-        return False
+        return accepted
 
 
 def solve(
@@ -316,12 +336,12 @@ def solve(
     K[0] = f  # FSAL: after an accepted step K[0] takes over K[6]
     attempt = _attempt(rhs, K)
     while not lane.done:
-        lane.propose(z, Ellipsis)
         h_try = lane.h_try
         z_new = attempt(lane.t, z, h_try, lane.t_new)
-        lane.attempted(np.isfinite(z_new).all() and np.isfinite(K).all(), z, Ellipsis)
+        if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
+            raise lane.non_finite(z, Ellipsis)
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        if lane.conclude(_rms(h_try * _E.dot(K) / sc), z, z_new, Ellipsis):
+        if lane.advance(_rms(h_try * _E.dot(K) / sc), z, z_new, Ellipsis):
             z = z_new
             K[0] = K[6]
     return out, lane.stats()
@@ -340,18 +360,34 @@ def _lanes_attempt(rhs):
         TS[:, :5] = T[:, None] + C * Hc
         TS[:, 5] = T_new
         E, P = coefficients(TS, lanes)
-        S = np.empty((T.shape[0], 6, Z.shape[1]))
+        # stage-major, so that each stage state is one block
+        S = np.empty((6,) + Z.shape)
         for (k, a), p in zip(stages, P):
-            Sk = S[:, k - 1]
+            Sk = S[k - 1]
             np.add(Z, Hc * np.matmul(a, K[:, :k]), out=Sk)
             motion(*p, Sk, K[:, k])
-        S5 = S[:, 5]
+        S5 = S[5]
         np.add(Z, Hc * np.matmul(_B, K[:, :6]), out=S5)
         motion(*P[5], S5, K[:, 6])  # FSAL stage
-        quadrature(TS, E, S, K[:, 1:])
+        quadrature(TS, E, S.transpose(1, 0, 2), K[:, 1:])
         return Z + Hc * np.matmul(_B, K[:, :6])
 
     return attempt
+
+
+def _per_live_set(select):
+    """take(lanes) -> select(lanes), selected again only when lanes is not
+    the array of the call before: `solve_lanes` passes one lanes array for
+    as long as the set of live lanes stays the same, so a right-hand side
+    picks its per-lane columns once per live set, not once per attempt."""
+    last = [None, None]
+
+    def take(lanes: np.ndarray):
+        if lanes is not last[0]:
+            last[:] = lanes, select(lanes)
+        return last[1]
+
+    return take
 
 
 def _one_lane(rhs, i: int):
@@ -398,49 +434,60 @@ def solve_lanes(
     for i, ln in enumerate(lanes):
         try:
             ln.start(_one_lane(rhs, i), Z[i], F[i], rel_tol, abs_tol)
-            ln.propose(Z, i)
             live.append(i)
         except IntegrationError as exc:
             results[i] = exc
     Z, K = Z[live], np.zeros((len(live), 7, m))
     K[:, 0] = F[live]
+    # the next attempt's step sizes, times and end times, in the order of live
+    H = [lanes[i].h_try for i in live]
+    T = [lanes[i].t for i in live]
+    T_new = [lanes[i].t_new for i in live]
+    # rebuilt only when live changes, so that the rhs can key what it
+    # selects per live set on this array (`_per_live_set`)
+    indices = np.array(live)
     attempt = _lanes_attempt(rhs)
     while live:
-        Hc = np.array([lanes[i].h_try for i in live])[:, None]
-        Z_new = attempt(np.array([lanes[i].t for i in live]), Hc,
-                        np.array([lanes[i].t_new for i in live]), Z, K, np.array(live))
-        finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
-        go = []
-        for p, i in enumerate(live):
-            try:
-                lanes[i].attempted(finite[p], Z, p)
-                go.append(p)
-            except IntegrationError as exc:
-                results[i] = exc
-        if len(go) < len(live):
+        Hc = np.array(H)[:, None]
+        Z_new = attempt(np.array(T), Hc, np.array(T_new), Z, K, indices)
+        if not (np.isfinite(Z_new).all() and np.isfinite(K).all()):
+            finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
+            go = []
+            for p, i in enumerate(live):
+                if finite[p]:
+                    go.append(p)
+                else:
+                    results[i] = lanes[i].non_finite(Z, p)
             live, Z, K, Z_new, Hc = [live[p] for p in go], Z[go], K[go], Z_new[go], Hc[go]
             if not live:
                 break
+            indices = np.array(live)
         sc = abs_tol + rel_tol * np.maximum(np.abs(Z), np.abs(Z_new))
         v = Hc * np.matmul(_E, K) / sc
         errs = np.sqrt(np.add.reduce(v * v, axis=1) / m).tolist()
-        accepted, go = [], []
+        accepted, go, H, T, T_new = [], [], [], [], []
         for p, (i, err) in enumerate(zip(live, errs)):
             ln = lanes[i]
             try:
-                if ln.conclude(err, Z, Z_new, p):
+                if ln.advance(err, Z, Z_new, p):
                     accepted.append(p)
                     if ln.done:
                         results[i] = (ln.rows, ln.stats())
                         continue
-                    ln.propose(Z_new, p)
-                else:
-                    ln.propose(Z, p)
-                go.append(p)
             except IntegrationError as exc:
                 results[i] = exc
-        Z[accepted] = Z_new[accepted]
-        K[accepted, 0] = K[accepted, 6]
+                continue
+            go.append(p)
+            H.append(ln.h_try)
+            T.append(ln.t)
+            T_new.append(ln.t_new)
+        if len(accepted) == len(live):
+            Z = Z_new
+            K[:, 0] = K[:, 6]
+        else:
+            Z[accepted] = Z_new[accepted]
+            K[accepted, 0] = K[accepted, 6]
         if len(go) < len(live):
             live, Z, K = [live[p] for p in go], Z[go], K[go]
+            indices = np.array(live)
     return results

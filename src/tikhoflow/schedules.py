@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from .integrator import _per_live_set
+
 T_CHECK = 1e6
 _GRID_RATIO = 1.05
 
@@ -63,13 +65,16 @@ def _lanes_eps(schedules, lo: float, hi: float):
     unchecked evaluator (T, lanes) -> eps of schedules[lanes[j]] at the times
     in row T[j], for T of shape (len(lanes), k), bit-equal per lane to
     `_span_eps`: one `np.power` call when every schedule is a power law, one
-    evaluation per lane otherwise."""
+    evaluation per lane otherwise. The lanes' columns of scale and gamma, or
+    their evaluators, are picked once per live set (`_per_live_set`)."""
     evals = [s._span_eps(lo, hi) for s in schedules]
     if all(s.kind == "power" for s in schedules):
         scale = np.array([[s.scale] for s in schedules])
         gamma = np.array([[s.gamma] for s in schedules])
-        return lambda T, lanes: _power_eps(T, scale[lanes], gamma[lanes])
-    return lambda T, lanes: np.array([evals[i](row) for i, row in zip(lanes.tolist(), T)])
+        columns = _per_live_set(lambda lanes: (scale[lanes], gamma[lanes]))
+        return lambda T, lanes: _power_eps(T, *columns(lanes))
+    chosen = _per_live_set(lambda lanes: [evals[i] for i in lanes.tolist()])
+    return lambda T, lanes: np.array([ev(row) for ev, row in zip(chosen(lanes), T)])
 
 
 @dataclass(frozen=True, eq=False)

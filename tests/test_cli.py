@@ -483,6 +483,28 @@ def test_horizon_at_t0_records_the_w_refusal(tmp_path):
     assert report["summary"]["samples"] == 1
 
 
+@pytest.mark.parametrize("spacing", ["logarithmic", "linear"])
+def test_sample_grid_with_repeated_times_exits_2(tmp_path, capsys, spacing):
+    # the double after t0 leaves room for two distinct sample times, not 400:
+    # such a grid used to run, stepping zero-length steps between equal samples
+    cfg = tmp_path / "rep.cfg"
+    cfg.write_text(
+        BASE.replace("dynamics.horizon = 150", "dynamics.horizon = 1.0000000000000002")
+        .replace("dynamics.sample_count = 120", "dynamics.sample_count = 400")
+        + f"dynamics.sample_spacing = {spacing}\n"
+    )
+    for verb in (["run"], ["sweep", "--alpha", "3", "10"]):
+        out = tmp_path / verb[0]
+        assert main([verb[0], str(cfg), *verb[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dynamics:"), err
+        assert "dynamics.sample_count" in err and "dynamics.horizon" in err
+        assert not list(out.rglob("*.csv"))
+    # a horizon at t0 is one sample, whatever the count
+    resolved = resolve({**load_config(cfg), "dynamics.horizon": 1.0})
+    assert cli.sample_times(resolved.dynamics).tolist() == [1.0]
+
+
 PROBLEM_KEYS = {
     "paper1d": "",
     "shifted_quadratic": "problem.c = 1 -2\n",

@@ -20,6 +20,7 @@ from tikhoflow import (
     power_schedule,
     zero_schedule,
 )
+from tikhoflow import integrator
 from tikhoflow.cli import main
 from tikhoflow.dynamics import integrate_lanes
 from tikhoflow.integrator import _MIN_FACTOR, _next_h, solve, solve_lanes
@@ -381,3 +382,61 @@ def test_sweep_config_error_keeps_earlier_cells(cell_config, tmp_path):
     assert not (top / "alpha_3__beta_0__gamma_-1").exists()
     assert not (top / "alpha_3__beta_1__gamma_1.5").exists()
     assert not (top / "sweep_summary.csv").exists()
+
+
+# A quadratic whose gradient turns NaN below x = -1, with row forms: a lane
+# that swings past -1 fails mid-run with a non-finite state while damped
+# lanes go on, all through the real lane field.
+GUARDED = ObjectiveSpec(
+    dimension=1,
+    value=lambda x: 0.5 * (x[..., 0] * x[..., 0]),
+    gradient=lambda x: np.where(x < -1.0, np.nan, x),
+    hessian_vec=lambda x, v: v,
+    min_value=0.0,
+    min_norm_solution=np.array([0.0]),
+    rows=True,
+)
+
+
+def test_live_set_changes_midway_and_each_lane_matches_integrate():
+    # the undamped lane (alpha = beta = 0) reaches x = -1 at t = 1 + 2 pi/3;
+    # the others finish after different numbers of attempts, so the live
+    # set shrinks by a failure and by finishing lanes, and every lane must
+    # still get its own columns of alpha, beta and the schedule
+    runs = [
+        (power_schedule(1.5), DynamicsConfig(**{**BASE, "alpha": 3.0, "beta": 1.0})),
+        (zero_schedule(), DynamicsConfig(**{**BASE, "alpha": 0.0, "beta": 0.0})),
+        (power_schedule(1.1), DynamicsConfig(**{**BASE, "alpha": 10.0, "beta": 1.0})),
+        (power_schedule(1.9), DynamicsConfig(**{**BASE, "alpha": 200.0, "beta": 0.5})),
+        (power_schedule(2.5, scale=2.0), DynamicsConfig(**{**BASE, "alpha": 3.0, "beta": 2.0})),
+    ]
+    with np.errstate(invalid="ignore"):
+        lanes = _assert_lanes_match_integrate(GUARDED, runs)
+    failed = lanes[1]
+    assert isinstance(failed, IntegrationError) and "non-finite state" in str(failed)
+    assert 1 < failed.rows.shape[0] < BASE["sample_count"]
+    finished = [lane for i, lane in enumerate(lanes) if i != 1]
+    steps = [traj.meta["stats"]["steps"] + traj.meta["stats"]["rejected"] for traj in finished]
+    assert len(set(steps)) == len(finished) and min(steps) > failed.stats["steps"]
+
+
+def test_step_budget_fails_the_costly_lanes_only(monkeypatch):
+    runs = [
+        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        for a, b, g in ((3.0, 1.0, 1.5), (200.0, 0.0, 1.1), (10.0, 0.5, 1.9), (3.0, 0.0, 1.1))
+    ]
+    obj = builtin("paper1d")
+    stats = [integrate(obj, *run).meta["stats"] for run in runs]
+    costs = [st["steps"] + st["rejected"] for st in stats]
+    # a run fails when it would start attempt budget + 2; a lane with this
+    # budget therefore finishes if it needs at most budget + 1 attempts
+    budget = sorted(costs)[len(costs) // 2] - 2
+    monkeypatch.setattr(integrator, "_MAX_STEPS", budget)
+    lanes = _assert_lanes_match_integrate(obj, runs)
+    for cost, lane in zip(costs, lanes):
+        if cost > budget + 1:
+            assert isinstance(lane, IntegrationError) and str(lane) == "step budget exhausted"
+            assert lane.stats["steps"] + lane.stats["rejected"] == budget + 1
+        else:
+            assert lane.meta["stats"]["steps"] + lane.meta["stats"]["rejected"] == cost
+    assert any(cost > budget + 1 for cost in costs) and any(cost <= budget + 1 for cost in costs)

@@ -18,9 +18,12 @@ from tikhoflow import (
     tabulated_schedule,
     zero_schedule,
 )
+from tikhoflow import integrator
+from tikhoflow.dynamics import sample_times, vector_field
 from tikhoflow.integrator import solve
 from tikhoflow.problems import ObjectiveSpec
 
+import helpers
 from helpers import reference_integrate, reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
@@ -103,4 +106,20 @@ def test_step_underflow_matches_reference():
     args = (rhs, np.array([0.0]), np.array([1.0, 1.2, 2.0]), 1e-9, 1e-12)
     got, ref = _raised(solve, *args), _raised(reference_solve, *args)
     assert "underflow" in str(got) and got.stats["steps"] > 0
+    _assert_same_failure(got, ref)
+
+
+def test_step_budget_matches_reference(monkeypatch):
+    # the budget of 20,000,000 attempts is shrunk in both steppers, so that a
+    # short run exhausts it
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 100)
+    monkeypatch.setattr(helpers, "_MAX_STEPS", 100)
+    obj, s, _ = CASES["paper1d-power"]
+    cfg = DynamicsConfig(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0, sample_count=40)
+    rhs = vector_field(obj, s, cfg)
+    args = (rhs, np.concatenate([cfg.u0, cfg.v0 + cfg.beta * obj.gradient(cfg.u0), np.zeros(3)]),
+            sample_times(cfg), cfg.rel_tol, cfg.abs_tol)
+    got, ref = _raised(solve, *args), _raised(reference_solve, *args)
+    assert str(got) == "step budget exhausted"
+    assert got.stats["steps"] + got.stats["rejected"] == 101 and 1 < got.rows.shape[0] < 40
     _assert_same_failure(got, ref)
