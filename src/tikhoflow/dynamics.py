@@ -15,12 +15,21 @@ lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
 eps(t) as inputs: a run forms them as floats at each stage, the lanes form
 them for all six stage times of an attempt at once, as columns, and make one
 gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
-Only the lanes copy: their stage rows hold x and y as (lanes, d) views with
-gaps between rows, so the motion copies each into one block, and the
-coefficient columns of each stage time are built as one block too; numpy
-then runs every later operation of the motion on contiguous operands. The
-lanes pick their columns of alpha, beta and the schedule once per live set,
-not once per attempt.
+The formula's operands are chosen when the motion is built. A run of
+dimension 1, the paper's worked example, reads x, y and its one gradient
+entry as Python floats: on 1-element arrays numpy's per-call cost, not the
+arithmetic, sets the price, and Python floats round each multiply and
+subtract in the same order as numpy does, so every bit stays
+(`oscillatory`'s `integrate`: 1.51 -> 0.99 s CPU time, median of 10). A run
+of dimension d >= 2 uses numpy on views of its state. Only the lanes copy:
+their stage rows hold x and y as (lanes, d) views with gaps between rows, so
+the motion copies each into one block, and the coefficient columns of each
+stage time are built as one block too; numpy then runs every later
+operation of the motion on contiguous operands. The stage products, the
+quadrature and the error norm stay in numpy for every kind of state: the
+products are BLAS gemv calls, whose rounding a Python sum does not repeat.
+The lanes pick their columns of alpha, beta and the schedule once per live
+set, not once per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ only
 in alpha, beta and the schedule as lanes of one loop, each byte-identical to
@@ -39,6 +48,7 @@ per step attempt for all six stages.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
@@ -104,8 +114,7 @@ class DynamicsConfig:
         if self.u0.shape != self.v0.shape:
             raise ValueError("u0 and v0 must have the same dimension")
         # a grid with a repeated time would step zero-length steps between equal samples
-        ts = sample_times(self)
-        if not (ts[1:] > ts[:-1]).all():
+        if not _grid_increases(self):
             raise ValueError(
                 f"the {self.sample_count} sample times from t0 = {self.t0!r} to horizon = "
                 f"{self.horizon!r} are not strictly increasing; lower dynamics.sample_count "
@@ -123,6 +132,27 @@ def sample_times(cfg: DynamicsConfig) -> np.ndarray:
         ts = np.geomspace(cfg.t0, cfg.horizon, cfg.sample_count)
     ts[0], ts[-1] = cfg.t0, cfg.horizon
     return ts
+
+
+def _grid_increases(cfg: DynamicsConfig) -> bool:
+    """Whether `sample_times` is strictly increasing, without building it
+    unless its spacing comes near the rounding of `linspace`/`geomspace`.
+    Each linspace point is off by a few ulps of the horizon, each geomspace
+    point by a few ulps relative to itself times max(1, |log10 t|) (it
+    powers 10 to a linspace of log10 t0 .. log10 horizon). A spacing above
+    1e-12 of that scale clears twice those errors by a factor of about 500."""
+    if cfg.horizon == cfg.t0:
+        return True
+    n = cfg.sample_count - 1
+    if cfg.sample_spacing == "linear":
+        wide = (cfg.horizon - cfg.t0) / n > 1e-12 * cfg.horizon
+    else:
+        lo, hi = math.log10(cfg.t0), math.log10(cfg.horizon)
+        wide = (hi - lo) / n > 1e-12 * max(1.0, abs(lo), abs(hi))
+    if wide:
+        return True
+    ts = sample_times(cfg)
+    return bool((ts[1:] > ts[:-1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +207,10 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t. The schedule is checked
     against [t0, horizon] once here; rhs evaluates it unchecked. rhs carries
     its `integrator.Split`, so `solve` evaluates the schedule and the
-    integrands once per attempt.
+    integrands once per attempt. For d = 1 the motion runs in Python floats
+    (`_lifted`).
     """
-    lifted = _lifted(obj.dimension, obj.gradient)
+    lifted = _lifted(obj.dimension, obj.gradient, floats=obj.dimension == 1)
     alpha, beta = cfg.alpha, cfg.beta
 
     def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
@@ -188,21 +219,42 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     return _field(obj, s, cfg, motion)
 
 
-def _lifted(d: int, grad):
+def _lifted(d: int, grad, floats: bool = False):
     """The lifted motion as motion(a, b, e, beta, z, out), which writes
     x' = y - beta g and y' = a y - b g - e x, with g = grad(x), into
     out[..., :2d]; a = -(alpha/t), b = 1 - alpha beta/t and the schedule
     value e are the time-only coefficients. For one run they and beta are
     floats and z is one state; for lanes they are (lanes, 1) columns, z
     holds the lanes' states as rows and grad maps rows of x to rows of
-    gradients. On rows, x and y are copied once into contiguous blocks:
-    numpy then runs every later operation on contiguous operands, which
-    saves more than the copies cost (paper1d, best of 25: 12.7 -> 10.8 us
-    per motion call at 9 lanes, 11.6 -> 10.1 us at 27)."""
+    gradients.
+
+    The operands depend on the state, fixed when the motion is built:
+
+    - one run of dimension 1 (``floats``): x, y and the one entry of
+      grad(z[:1]), the objective's one-point form, are read as Python
+      floats, and both results are written into out[:2] at once (paper1d,
+      one motion call: 6.6 -> 1.9 us). The bits hold: a numpy ufunc on
+      float64 rounds each multiply and subtract on its own, as a Python
+      float operation does, nothing is fused, and the order is the same.
+      Float operations raise no numpy floating-point warning; a state that
+      overflows or turns NaN here is caught, as on every path, by the
+      finiteness test after the attempt. The gradient entry is read as a
+      float64, as the lanes' float64 columns promote a float32 gradient.
+    - one run of dimension d >= 2: numpy on the views z[:d] and z[d:2d].
+    - rows of lanes: x and y are copied once into contiguous blocks, so
+      that numpy runs every later operation on contiguous operands, which
+      saves more than the copies cost (paper1d, best of 25: 12.7 -> 10.8 us
+      per motion call at 9 lanes, 11.6 -> 10.1 us at 27).
+    """
 
     xs, ys = np.s_[..., :d], np.s_[..., d : 2 * d]  # built once: cheaper than ... per call
 
     def motion(a, b, e, beta, z: np.ndarray, out: np.ndarray) -> None:
+        if floats:
+            x, y = z[:2].tolist()
+            g = grad(z[:1]).item()
+            out[0], out[1] = y - beta * g, a * y - b * g - e * x
+            return
         x, y = z[xs], z[ys]
         if z.ndim > 1:
             x, y = x.copy(), y.copy()

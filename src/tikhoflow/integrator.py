@@ -10,9 +10,12 @@ bit-identical output.
 
 For small states numpy's per-call overhead, not arithmetic, sets the cost, so
 everything invariant across attempts (stage rows, views of K, the step floor
-between accepted steps) is built once. `dynamics` checks the schedule domain
-once per run before calling `solve`; the public `TikhonovSchedule.eps` still
-checks on every call.
+between accepted steps) is built once. A run of dimension 1 goes further: its
+motion reads the state in Python floats (`dynamics._lifted`), which round as
+numpy does, while the stage products, the quadrature and the error norm stay
+in numpy here, since a BLAS gemv does not round as a Python sum does.
+`dynamics` checks the schedule domain once per run before calling `solve`;
+the public `TikhonovSchedule.eps` still checks on every call.
 
 A right-hand side may also carry its `Split`: its last components are
 quadratures, running integrals whose integrands read the state and its
@@ -44,10 +47,11 @@ set changes, so that the right-hand side picks its per-lane columns once per
 live set (`_per_live_set`), not once per attempt. Only the array work
 differs (`_attempt` with ndarray.dot, `_lanes_attempt` with stacked
 matmuls), so each lane's samples, counters and failure are byte-identical to
-`solve` on that lane alone. One lane runs about 2x slower through
-`solve_lanes` than through `solve` (1.96x CPU time on paper1d at the
+`solve` on that lane alone. One lane runs about 3x slower through
+`solve_lanes` than through `solve` (2.96x CPU time on paper1d at the
 example.cfg settings, median of 15; the row gradient's fixed cost of a few
-numpy calls is not spread over other lanes), so single runs keep `solve`.
+numpy calls is not spread over other lanes, and a run of dimension 1 steps
+its motion in Python floats), so single runs keep `solve`.
 Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations

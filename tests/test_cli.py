@@ -505,6 +505,22 @@ def test_sample_grid_with_repeated_times_exits_2(tmp_path, capsys, spacing):
     assert cli.sample_times(resolved.dynamics).tolist() == [1.0]
 
 
+def test_resolve_checks_a_large_sample_grid_without_building_it(tmp_path):
+    # 2,000,000 samples are 16 MB as one grid; their spacing is far above the
+    # rounding of geomspace, so the grid check needs none of it
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(BASE.replace("dynamics.sample_count = 120", "dynamics.sample_count = 2000000"))
+    data = load_config(cfg)
+    tracemalloc.start()
+    try:
+        resolve(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert main(["check-schedule", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 PROBLEM_KEYS = {
     "paper1d": "",
     "shifted_quadratic": "problem.c = 1 -2\n",

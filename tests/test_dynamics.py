@@ -104,6 +104,42 @@ def test_vector_field_flat_region():
     assert out[4] == 2.0  # |x'|^2 / t = 4 / 2
 
 
+EDGE = [0.0, -0.0, 5e-324, -2.5e-310, 1.5, -1e308, 1e308, np.inf, -np.inf, np.nan]
+
+
+def _same_or_both_nan(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("schedule", [power_schedule(1.5), zero_schedule()], ids=["power", "zero"])
+@pytest.mark.parametrize("alpha,beta,t", [(3.0, 0.0, 2.0), (3.0, 1.0, 2.0), (3.0, 1.0, 3.0), (0.0, 2.5, 1e300)])
+def test_one_run_motion_in_floats_matches_numpy_on_edge_values(schedule, alpha, beta, t):
+    # a d = 1 run evaluates its motion in Python floats; numpy on 1-vectors
+    # must give the same bytes for signed zeros, subnormals, products that
+    # overflow to inf, and inf/NaN states (NaN compared by position)
+    obj = builtin("shifted_quadratic", c=np.zeros(1))
+    cfg = cfg1d(alpha=alpha, beta=beta, horizon=1e300)
+    rhs = vector_field(obj, schedule, cfg)
+    e = float(schedule.eps(t))
+    a, b = -(alpha / t), 1.0 - alpha * beta / t
+    out = np.empty(5)
+    for x0 in EDGE:
+        for y0 in EDGE:
+            z = _z([x0], [y0])
+            x, y = z[:1], z[1:2]
+            with np.errstate(all="ignore"):
+                g = obj.gradient(x)
+                want = np.concatenate([y - beta * g, a * y - b * g - e * x])
+                got = rhs(t, z)[:2]
+            _same_or_both_nan(got, want)
+            # the float operations raise no numpy floating-point condition
+            with np.errstate(all="raise"):
+                rhs.split.motion(t, e, z, out)
+            _same_or_both_nan(out[:2], want)
+
+
 def test_vector_field_rejects_schedule_not_covering_run():
     obj = builtin("paper1d")
     s = tabulated_schedule([1.0, 10.0], [1.0, 0.5])
@@ -201,6 +237,33 @@ def test_sampling_grid_contract():
     obj = builtin("paper1d")
     traj = integrate(obj, power_schedule(1.5), cfg)
     assert np.array_equal(traj.t, ts)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_grid_check_accepts_only_strictly_increasing_grids(spacing):
+    # the grid check skips building the grid when its spacing exceeds 1e-12
+    # of the scale; spacings from 1e-17 to 1e-11 of it, at any magnitude of
+    # t0, cross both that limit and the rounding of the grid itself, and
+    # every grid the check accepts must strictly increase
+    rng = np.random.default_rng(20261019)
+    rejected = 0
+    for _ in range(300):
+        t0 = 10.0 ** rng.uniform(-300, 300)
+        n = int(rng.integers(2, 3000))
+        f = 10.0 ** rng.uniform(-5.0, 1.0)
+        if spacing == "linear":
+            horizon = t0 / (1.0 - 1e-12 * (n - 1) * f)
+        else:
+            lo = np.log10(t0)
+            horizon = 10.0 ** (lo + 1e-12 * (n - 1) * f * max(1.0, abs(lo)))
+        try:
+            cfg = cfg1d(t0=t0, horizon=horizon, sample_count=n, sample_spacing=spacing)
+        except ValueError as exc:
+            assert "not strictly increasing" in str(exc)
+            rejected += 1
+            continue
+        assert np.all(np.diff(sample_times(cfg)) > 0), (t0, horizon, n)
+    assert 0 < rejected < 300
 
 
 def test_running_integrals_nondecreasing():

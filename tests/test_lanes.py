@@ -78,6 +78,21 @@ def _assert_lanes_match_integrate(obj, runs):
     return lanes
 
 
+def test_float32_gradient_d1_run_matches_its_lanes():
+    # a d = 1 run reads the gradient entry as a float64, as the lanes'
+    # float64 coefficient columns promote it; numpy with float coefficients
+    # would have rounded beta g and b g in float32
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: 0.5 * float((x[0] - 1.0) ** 2),
+        gradient=lambda x: (x - 1.0).astype(np.float32),
+        hessian_vec=lambda x, v: v,
+        min_value=0.0,
+        min_norm_solution=np.array([1.0]),
+    )
+    _assert_lanes_match_integrate(obj, [(power_schedule(1.5), DynamicsConfig(**BASE))])
+
+
 def test_paper1d_grid_lanes_match_integrate():
     runs = [
         (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))

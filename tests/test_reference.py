@@ -44,6 +44,15 @@ CASES = {
         power_schedule(2.5),
         dict(beta=0.0, u0=[0.0, 0.0], v0=[0.0, 0.0]),
     ),
+    # d = 1 runs step their motion in Python floats: the oscillatory settings
+    # at horizon 30, and paper1d on its flat part with v0 = -0.0, so that
+    # signed zeros (g = 0, and b g = -0.0 while t < alpha beta) pass through
+    "shifted1d-beta0": (
+        builtin("shifted_quadratic", c=np.array([1.0])),
+        power_schedule(2.5),
+        dict(beta=0.0, sample_count=400),
+    ),
+    "paper1d-flat-negzero": (_PAPER1D, power_schedule(1.5), dict(u0=[0.5], v0=[-0.0])),
     "lsq60-beta1": (
         builtin("least_squares", A=_RNG.standard_normal((20, 60)) / 8.0, b=_RNG.standard_normal(20)),
         power_schedule(1.5),
