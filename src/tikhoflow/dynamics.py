@@ -19,17 +19,16 @@ The formula's operands are chosen when the motion is built. A run of
 dimension 1, the paper's worked example, reads x, y and its one gradient
 entry as Python floats: on 1-element arrays numpy's per-call cost, not the
 arithmetic, sets the price, and Python floats round each multiply and
-subtract in the same order as numpy does, so every bit stays
-(`oscillatory`'s `integrate`: 1.51 -> 0.99 s CPU time, median of 10). A run
-of dimension d >= 2 uses numpy on views of its state. Only the lanes copy:
+subtract in the same order as numpy does, so every bit stays. A run of
+dimension d >= 2 uses numpy on views of its state. Only the lanes copy:
 their stage rows hold x and y as (lanes, d) views with gaps between rows, so
 the motion copies each into one block, and the coefficient columns of each
 stage time are built as one block too; numpy then runs every later
 operation of the motion on contiguous operands. The stage products, the
 quadrature and the error norm stay in numpy for every kind of state: the
 products are BLAS gemv calls, whose rounding a Python sum does not repeat.
-The lanes pick their columns of alpha, beta and the schedule once per live
-set, not once per attempt.
+The lanes bind their columns of alpha, beta and the schedule once per live
+set (`integrator.Split`), not once per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ only
 in alpha, beta and the schedule as lanes of one loop, each byte-identical to
@@ -54,7 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .integrator import IntegrationError, Split, _per_live_set, solve, solve_lanes
+from .integrator import IntegrationError, Split, solve, solve_lanes
 from .problems import ObjectiveSpec, _as_vector, min_norm_solution
 from .schedules import TikhonovSchedule, _lanes_eps
 
@@ -232,19 +231,20 @@ def _lifted(d: int, grad, floats: bool = False):
 
     - one run of dimension 1 (``floats``): x, y and the one entry of
       grad(z[:1]), the objective's one-point form, are read as Python
-      floats, and both results are written into out[:2] at once (paper1d,
-      one motion call: 6.6 -> 1.9 us). The bits hold: a numpy ufunc on
-      float64 rounds each multiply and subtract on its own, as a Python
-      float operation does, nothing is fused, and the order is the same.
-      Float operations raise no numpy floating-point warning; a state that
-      overflows or turns NaN here is caught, as on every path, by the
-      finiteness test after the attempt. The gradient entry is read as a
-      float64, as the lanes' float64 columns promote a float32 gradient.
+      floats, and both results are written into out[:2] at once. The bits
+      hold: a numpy ufunc on float64 rounds each multiply and subtract on
+      its own, as a Python float operation does, nothing is fused, and the
+      order is the same. Float operations raise no numpy floating-point
+      warning; a state that overflows or turns NaN here is caught, as on
+      every path, by the finiteness test after the attempt.
     - one run of dimension d >= 2: numpy on the views z[:d] and z[d:2d].
     - rows of lanes: x and y are copied once into contiguous blocks, so
       that numpy runs every later operation on contiguous operands, which
-      saves more than the copies cost (paper1d, best of 25: 12.7 -> 10.8 us
-      per motion call at 9 lanes, 11.6 -> 10.1 us at 27).
+      saves more than the copies cost.
+
+    The gradient is read as float64 on every path, as the lanes' float64
+    columns promote a float32 gradient; Python float coefficients would
+    keep it in float32.
     """
 
     xs, ys = np.s_[..., :d], np.s_[..., d : 2 * d]  # built once: cheaper than ... per call
@@ -258,7 +258,7 @@ def _lifted(d: int, grad, floats: bool = False):
         x, y = z[xs], z[ys]
         if z.ndim > 1:
             x, y = x.copy(), y.copy()
-        g = grad(x)
+        g = grad(x).astype(float, copy=False)
         np.subtract(y, beta * g, out=out[xs])
         out[ys] = a * y - b * g - e * x
 
@@ -425,29 +425,30 @@ def integrate_lanes(
     if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d = obj.dimension
-    eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
+    bind_eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
 
-    def select(lanes: np.ndarray):
+    def coefficients(lanes: np.ndarray):
+        """at(T) for the lanes: the schedule E at their times T (lanes, k)
+        and, for each of the k times, the motion's coefficient columns
+        (a, b, e, beta)."""
+        eps = bind_eps(lanes)
         # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
         alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
-        return alpha, beta, alpha * beta
+        alpha_beta = alpha * beta
 
-    lane_columns = _per_live_set(select)
+        def at(T: np.ndarray):
+            E = eps(T)
+            # (k, lanes, 1) copies: each time's columns come out as one block
+            Tc = T.T.copy()[..., None]
+            columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T.copy()[..., None])
+            return E, [(a, b, e, beta) for a, b, e in columns]
 
-    def coefficients(T: np.ndarray, lanes: np.ndarray):
-        """The schedule E at the lanes' times T (lanes, k) and, for each of
-        the k times, the motion's coefficient columns (a, b, e, beta)."""
-        E = eps(T, lanes)
-        alpha, beta, alpha_beta = lane_columns(lanes)
-        # (k, lanes, 1) copies: each time's columns come out as one block
-        Tc = T.T.copy()[..., None]
-        columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T.copy()[..., None])
-        return E, [(a, b, e, beta) for a, b, e in columns]
+        return at
 
     def at(t: np.ndarray, lanes: np.ndarray):
-        E, P = coefficients(t[:, None], lanes)
+        E, P = coefficients(lanes)(t[:, None])
         return E[:, 0], P[0]
 
     split = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))

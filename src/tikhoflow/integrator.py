@@ -42,16 +42,15 @@ attempt one call of `_Lane.advance` concludes it and proposes the next one,
 so a lane costs one controller call per attempt; `solve_lanes` tests
 finiteness once for the whole batch, visits the lanes one by one only when
 that test fails, and collects the next attempt's step sizes and times in the
-same pass. It builds its array of live lane indices anew only when the live
-set changes, so that the right-hand side picks its per-lane columns once per
-live set (`_per_live_set`), not once per attempt. Only the array work
-differs (`_attempt` with ndarray.dot, `_lanes_attempt` with stacked
+same pass. It binds the live lanes' coefficients (`Split`) at the start
+and again only when the live set shrinks, so that the right-hand side picks
+its per-lane columns once per live set, not once per attempt. Only the array
+work differs (`_attempt` with ndarray.dot, `_lanes_attempt` with stacked
 matmuls), so each lane's samples, counters and failure are byte-identical to
-`solve` on that lane alone. One lane runs about 3x slower through
-`solve_lanes` than through `solve` (2.96x CPU time on paper1d at the
-example.cfg settings, median of 15; the row gradient's fixed cost of a few
-numpy calls is not spread over other lanes, and a run of dimension 1 steps
-its motion in Python floats), so single runs keep `solve`.
+`solve` on that lane alone. One lane runs slower through `solve_lanes` than
+through `solve`: the row gradient's fixed cost of a few numpy calls is not
+spread over other lanes, and a run of dimension 1 steps its motion in Python
+floats. So single runs keep `solve`.
 Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations
@@ -116,11 +115,13 @@ class Split(NamedTuple):
       from the stage states Z (the same rows, in the same order) and the
       motion already in K.
 
-    For `solve_lanes` T is (lanes, 6) and the lanes' indices are passed on:
-    ``coefficients(T, lanes)`` returns (E, P), E (lanes, 6) for
-    ``quadrature`` and P the six tuples of stage arguments, each gathered
-    once per attempt, so that stage k calls ``motion(*P[k], Z, out)`` on
-    rows of lanes.
+    For `solve_lanes` the per-lane data is bound to the live lanes:
+    ``coefficients(lanes)``, with lanes the integer indices of the live
+    lanes, returns at(T) -> (E, P) for their times T (lanes, 6), E (lanes, 6)
+    for ``quadrature`` and P the six tuples of stage arguments, so that stage
+    k calls ``motion(*P[k], Z, out)`` on rows of lanes. `solve_lanes` binds
+    at the start and again each time the live set shrinks, and calls ``at``
+    once per attempt.
     """
 
     coefficients: Callable
@@ -130,7 +131,7 @@ class Split(NamedTuple):
 
 def _split(rhs, on_lanes: bool = False) -> Split:
     """rhs's `Split`, or a plain callable as one without quadratures: its
-    coefficients are the times themselves (with the lane indices, for
+    coefficients are the times themselves (with the bound lane indices, for
     `solve_lanes`) and its motion writes the whole derivative, so each stage
     calls rhs once with the time and state that calling it stage by stage
     would pass."""
@@ -138,8 +139,8 @@ def _split(rhs, on_lanes: bool = False) -> Split:
     if split is not None:
         return split
     if on_lanes:
-        def coefficients(T, lanes):
-            return T, [(t, lanes) for t in T.T]
+        def coefficients(lanes):
+            return lambda T: (T, [(t, lanes) for t in T.T])
 
         def motion(t, lanes, Z, out):
             out[...] = rhs(t, Z, lanes)
@@ -351,19 +352,19 @@ def solve(
     return out, lane.stats()
 
 
-def _lanes_attempt(rhs):
-    """`_attempt` on rows of lanes: returns attempt(T, Hc, T_new, Z, K,
-    lanes), which fills K[:, 1:7] and returns Z_new, for the lanes' times T,
-    step sizes Hc (lanes, 1) and stage rows K (lanes, 7, m)."""
-    coefficients, motion, quadrature = _split(rhs, on_lanes=True)
+def _lanes_attempt(motion, quadrature):
+    """`_attempt` on rows of lanes: returns attempt(T, Hc, T_new, Z, K, at),
+    which fills K[:, 1:7] and returns Z_new, for the lanes' times T, step
+    sizes Hc (lanes, 1), stage rows K (lanes, 7, m) and their bound
+    coefficients at (`Split`)."""
     stages = tuple((k, _A[k][:k]) for k in range(1, 6))
     C = _C[1:]
 
-    def attempt(T, Hc, T_new, Z, K, lanes):
+    def attempt(T, Hc, T_new, Z, K, at):
         TS = np.empty((T.shape[0], 6))
         TS[:, :5] = T[:, None] + C * Hc
         TS[:, 5] = T_new
-        E, P = coefficients(TS, lanes)
+        E, P = at(TS)
         # stage-major, so that each stage state is one block
         S = np.empty((6,) + Z.shape)
         for (k, a), p in zip(stages, P):
@@ -377,21 +378,6 @@ def _lanes_attempt(rhs):
         return Z + Hc * np.matmul(_B, K[:, :6])
 
     return attempt
-
-
-def _per_live_set(select):
-    """take(lanes) -> select(lanes), selected again only when lanes is not
-    the array of the call before: `solve_lanes` passes one lanes array for
-    as long as the set of live lanes stays the same, so a right-hand side
-    picks its per-lane columns once per live set, not once per attempt."""
-    last = [None, None]
-
-    def take(lanes: np.ndarray):
-        if lanes is not last[0]:
-            last[:] = lanes, select(lanes)
-        return last[1]
-
-    return take
 
 
 def _one_lane(rhs, i: int):
@@ -447,13 +433,13 @@ def solve_lanes(
     H = [lanes[i].h_try for i in live]
     T = [lanes[i].t for i in live]
     T_new = [lanes[i].t_new for i in live]
-    # rebuilt only when live changes, so that the rhs can key what it
-    # selects per live set on this array (`_per_live_set`)
-    indices = np.array(live)
-    attempt = _lanes_attempt(rhs)
+    # dtype=int: np.array([]) of an empty live list is float, which cannot index
+    bind, motion, quadrature = _split(rhs, on_lanes=True)
+    at = bind(np.array(live, dtype=int))
+    attempt = _lanes_attempt(motion, quadrature)
     while live:
         Hc = np.array(H)[:, None]
-        Z_new = attempt(np.array(T), Hc, np.array(T_new), Z, K, indices)
+        Z_new = attempt(np.array(T), Hc, np.array(T_new), Z, K, at)
         if not (np.isfinite(Z_new).all() and np.isfinite(K).all()):
             finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
             go = []
@@ -465,7 +451,7 @@ def solve_lanes(
             live, Z, K, Z_new, Hc = [live[p] for p in go], Z[go], K[go], Z_new[go], Hc[go]
             if not live:
                 break
-            indices = np.array(live)
+            at = bind(np.array(live, dtype=int))
         sc = abs_tol + rel_tol * np.maximum(np.abs(Z), np.abs(Z_new))
         v = Hc * np.matmul(_E, K) / sc
         errs = np.sqrt(np.add.reduce(v * v, axis=1) / m).tolist()
@@ -493,5 +479,5 @@ def solve_lanes(
             K[accepted, 0] = K[accepted, 6]
         if len(go) < len(live):
             live, Z, K = [live[p] for p in go], Z[go], K[go]
-            indices = np.array(live)
+            at = bind(np.array(live, dtype=int))
     return results

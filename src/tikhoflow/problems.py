@@ -5,10 +5,12 @@ singleton, the minimum-norm minimizer, so that trajectory diagnostics can be
 checked against closed forms.
 
 Every builtin also maps rows: its `gradient` and `value` take rows X (n, d)
-as well as one point and give, bit for bit, what they give row by row. The
-one-point forms stay as they were, since `run` calls them once per stage.
-The row forms repeat each one-point operation elementwise: paper1d powers
-through `np.float_power`, which calls libm `pow` as the scalar `**` does
+as well as one point and give, bit for bit, what they give row by row.
+`value` has one form, which on one point x (d,) gives what it gives on the
+row x[None]. `gradient` keeps a one-point form beside its row form where
+that is cheaper, since `run` calls it at every stage. The row forms repeat
+each one-point operation elementwise: paper1d powers through
+`np.float_power`, which calls libm `pow` as the scalar `**` does
 (`np.square`, which an array's `** 2` calls, differs in the last bit); the
 quadratics and least squares multiply by matrices with stacked
 `np.matmul(A, X[..., None])`, one BLAS gemv per row as `A @ x` makes (`X @ A.T`
@@ -99,14 +101,7 @@ def _paper1d() -> ObjectiveSpec:
     # On rows, with u = _beyond(x): -(u^3) = |u^3| for u < 0, and -3 u^2 is
     # 3 u^2 with u's sign, as IEEE rounding is symmetric in the sign.
     def value(x: Vector) -> float:
-        if x.ndim > 1:
-            return np.abs(np.float_power(_beyond(x[:, 0]), _THREE))
-        s = x[0]
-        if s < -1.0:
-            return -((s + 1.0) ** 3)
-        if s > 1.0:
-            return (s - 1.0) ** 3
-        return 0.0
+        return np.abs(np.float_power(_beyond(x[..., 0]), _THREE))
 
     def gradient(x: Vector) -> Vector:
         if x.ndim > 1:
@@ -148,7 +143,7 @@ def _shifted_quadratic(c) -> ObjectiveSpec:
 
     def value(x: Vector) -> float:
         D = x - c
-        return 0.5 * np.vecdot(D, D) if x.ndim > 1 else 0.5 * float(np.dot(D, D))
+        return 0.5 * np.vecdot(D, D)
 
     return ObjectiveSpec(
         dimension=d,
@@ -180,14 +175,9 @@ def _psd_quadratic(A, b) -> ObjectiveSpec:
     if np.linalg.norm(A @ xhat - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise ValueError("b is not in the range of A; the quadratic is unbounded below")
 
-    def value(x: Vector) -> float:
-        if x.ndim > 1:
-            return 0.5 * np.vecdot(x, _stacked(A, x)) - np.vecdot(x, b)
-        return 0.5 * float(x @ (A @ x)) - float(b @ x)
-
     return ObjectiveSpec(
         dimension=d,
-        value=value,
+        value=lambda x: 0.5 * np.vecdot(x, _stacked(A, x)) - np.vecdot(x, b),
         gradient=lambda x: _stacked(A, x) - b if x.ndim > 1 else A @ x - b,
         hessian_vec=lambda x, v: A @ v,
         min_value=-0.5 * float(b @ xhat),
@@ -207,11 +197,8 @@ def _least_squares(A, b) -> ObjectiveSpec:
     At = A.T
 
     def value(x: Vector) -> float:
-        if x.ndim > 1:
-            R = _stacked(A, x) - b
-            return 0.5 * np.vecdot(R, R)
-        r = A @ x - b
-        return 0.5 * float(r @ r)
+        R = _stacked(A, x) - b
+        return 0.5 * np.vecdot(R, R)
 
     def gradient(x: Vector) -> Vector:
         if x.ndim > 1:

@@ -21,8 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import _per_live_set
-
 T_CHECK = 1e6
 _GRID_RATIO = 1.05
 
@@ -61,20 +59,28 @@ def _power_eps(t, scale, gamma):
 
 
 def _lanes_eps(schedules, lo: float, hi: float):
-    """Check [lo, hi] against each schedule's domain once; return an
-    unchecked evaluator (T, lanes) -> eps of schedules[lanes[j]] at the times
-    in row T[j], for T of shape (len(lanes), k), bit-equal per lane to
+    """Check [lo, hi] against each schedule's domain once; return
+    bind(lanes) -> eps, an unchecked evaluator of schedules[lanes[j]] at the
+    times in row T[j], for T of shape (len(lanes), k), bit-equal per lane to
     `_span_eps`: one `np.power` call when every schedule is a power law, one
-    evaluation per lane otherwise. The lanes' columns of scale and gamma, or
-    their evaluators, are picked once per live set (`_per_live_set`)."""
+    evaluation per lane otherwise. bind picks the lanes' columns of scale
+    and gamma, or their evaluators."""
     evals = [s._span_eps(lo, hi) for s in schedules]
     if all(s.kind == "power" for s in schedules):
         scale = np.array([[s.scale] for s in schedules])
         gamma = np.array([[s.gamma] for s in schedules])
-        columns = _per_live_set(lambda lanes: (scale[lanes], gamma[lanes]))
-        return lambda T, lanes: _power_eps(T, *columns(lanes))
-    chosen = _per_live_set(lambda lanes: [evals[i] for i in lanes.tolist()])
-    return lambda T, lanes: np.array([ev(row) for ev, row in zip(chosen(lanes), T)])
+
+        def bind(lanes: np.ndarray):
+            sc, g = scale[lanes], gamma[lanes]
+            return lambda T: _power_eps(T, sc, g)
+
+        return bind
+
+    def bind(lanes: np.ndarray):
+        chosen = [evals[i] for i in lanes.tolist()]
+        return lambda T: np.array([ev(row) for ev, row in zip(chosen, T)])
+
+    return bind
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,8 +291,7 @@ def check_condition_a(s: TikhonovSchedule, beta: float, a: float) -> Verdict:
         witness = max(s.t0, 2.0 * max(bound - s.offset, s.t0))
         return _fails(witness, note="1/(offset+t) eventually drops below a*beta/2")
     # tabulated: can refute on the grid, never certify beyond it
-    ts = s.grid_t[s.grid_t >= s.t0]
-    mids = 0.5 * (ts[:-1] + ts[1:]) if ts.size > 1 else ts
+    mids = 0.5 * (s.grid_t[:-1] + s.grid_t[1:])
     bad = ~pred(mids)
     if np.any(bad):
         return _fails(float(mids[np.nonzero(bad)[0][0]]), note="violated inside the tabulated grid")
@@ -322,10 +327,9 @@ def check_condition_b(s: TikhonovSchedule, a: float) -> Verdict:
                 return _fails(t, note="t/log(offset+t) is unbounded")
             t *= 2.0
         return _fails(t, note="t/log(offset+t) is unbounded")
-    ts = s.grid_t[s.grid_t >= s.t0]
-    bad = ~pred(ts)
+    bad = ~pred(s.grid_t)
     if np.any(bad):
-        return _fails(float(ts[np.nonzero(bad)[0][0]]), note="violated inside the tabulated grid")
+        return _fails(float(s.grid_t[np.nonzero(bad)[0][0]]), note="violated inside the tabulated grid")
     return _unknown("holds on the tabulated grid; tail behaviour unknown beyond it")
 
 
@@ -334,10 +338,6 @@ class IntegralClassification:
     int_eps_over_t: str
     int_t_eps: str
     int_eps: str
-    partial_sums: Optional[dict] = None
-
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.int_eps_over_t, self.int_t_eps, self.int_eps)
 
 
 def classify_integrals(s: TikhonovSchedule) -> IntegralClassification:
@@ -353,14 +353,7 @@ def classify_integrals(s: TikhonovSchedule) -> IntegralClassification:
     if s.kind == "logarithmic":
         # 1/(t log t) already diverges; the larger integrands follow
         return IntegralClassification(INFINITE, INFINITE, INFINITE)
-    t, e = s.grid_t, s.grid_eps
-    sums = {
-        "int_eps_over_t": float(np.trapezoid(e / t, t)),
-        "int_t_eps": float(np.trapezoid(t * e, t)),
-        "int_eps": float(np.trapezoid(e, t)),
-        "grid_end": float(t[-1]),
-    }
-    return IntegralClassification(UNKNOWN, UNKNOWN, UNKNOWN, partial_sums=sums)
+    return IntegralClassification(UNKNOWN, UNKNOWN, UNKNOWN)
 
 
 def t2eps_threshold(alpha: float, beta: float, c: float) -> float:
@@ -404,9 +397,7 @@ def check_t2eps_growth(s: TikhonovSchedule, alpha: float, beta: float, c: float 
         while t1 * t1 < bound * math.log(s.offset + t1) and t1 < 1e12:
             t1 *= 2.0
         return _certify(pred, t1)
-    ts = s.grid_t[s.grid_t >= s.t0]
-    bad = ~pred(ts)
-    if np.any(bad) and not pred(np.array([ts[-1]]))[0]:
+    if not pred(s.grid_t[-1:])[0]:
         return _unknown("below the threshold at the grid end; tail unknown")
     return _unknown("eventual lower bound cannot be certified from a finite grid")
 

@@ -17,7 +17,9 @@ from tikhoflow import (
     IntegrationError,
     builtin,
     integrate,
+    logarithmic_schedule,
     power_schedule,
+    tabulated_schedule,
     zero_schedule,
 )
 from tikhoflow import integrator
@@ -78,19 +80,21 @@ def _assert_lanes_match_integrate(obj, runs):
     return lanes
 
 
-def test_float32_gradient_d1_run_matches_its_lanes():
-    # a d = 1 run reads the gradient entry as a float64, as the lanes'
-    # float64 coefficient columns promote it; numpy with float coefficients
-    # would have rounded beta g and b g in float32
+@pytest.mark.parametrize("d", [1, 2])
+def test_float32_gradient_run_matches_its_lanes(d):
+    # a run reads the gradient as a float64, as the lanes' float64
+    # coefficient columns promote it; numpy with float coefficients would
+    # have rounded beta g and b g in float32
     obj = ObjectiveSpec(
-        dimension=1,
-        value=lambda x: 0.5 * float((x[0] - 1.0) ** 2),
+        dimension=d,
+        value=lambda x: 0.5 * float(np.dot(x - 1.0, x - 1.0)),
         gradient=lambda x: (x - 1.0).astype(np.float32),
         hessian_vec=lambda x, v: v,
         min_value=0.0,
-        min_norm_solution=np.array([1.0]),
+        min_norm_solution=np.ones(d),
     )
-    _assert_lanes_match_integrate(obj, [(power_schedule(1.5), DynamicsConfig(**BASE))])
+    cfg = DynamicsConfig(**{**BASE, "u0": np.full(d, 2.0), "v0": np.zeros(d), "horizon": 100.0})
+    _assert_lanes_match_integrate(obj, [(power_schedule(1.5), cfg)])
 
 
 def test_paper1d_grid_lanes_match_integrate():
@@ -108,10 +112,21 @@ def test_paper1d_grid_lanes_match_integrate():
     assert any(st["rejected"] for st in stats)
 
 
-def test_mixed_zero_and_power_lanes_match_integrate():
+def test_mixed_schedule_kinds_lanes_match_integrate():
+    # one evaluator per lane; the lanes finish after different numbers of
+    # attempts, so the evaluators are rebound each time the live set shrinks
     cfg = DynamicsConfig(**BASE)
-    runs = [(zero_schedule(), cfg), (power_schedule(1.5), cfg), (power_schedule(2.5, scale=2.0), cfg)]
-    _assert_lanes_match_integrate(builtin("paper1d"), runs)
+    grid = np.geomspace(1.0, 30.0, 12)
+    runs = [
+        (logarithmic_schedule(), DynamicsConfig(**{**BASE, "alpha": 200.0})),
+        (tabulated_schedule(grid, grid**-1.5), cfg),
+        (zero_schedule(), cfg),
+        (power_schedule(1.5), cfg),
+        (power_schedule(2.5, scale=2.0), cfg),
+    ]
+    lanes = _assert_lanes_match_integrate(builtin("paper1d"), runs)
+    attempts = [traj.meta["stats"]["steps"] + traj.meta["stats"]["rejected"] for traj in lanes]
+    assert len(set(attempts)) == len(runs)
 
 
 def test_least_squares_d60_lanes_match_integrate():
