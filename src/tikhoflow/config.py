@@ -12,12 +12,14 @@ values are checked, then dropped. `resolve` reads exactly those keys, builds
 the runtime objects from the values it read, and keeps those values as the
 manifest.
 
-In a `key = value` file, text keys take the rest of the line; other values
-are numbers, whitespace- or comma-separated vectors, or matrices with rows
-separated by ';'. Scalar initial data (u0, v0) is broadcast to the problem
-dimension. A malformed value (a non-finite or non-numeric number, a JSON
-object, null, a boolean, a wrongly nested list) is a ConfigError naming its
-key.
+A key given twice takes its last value, in both formats (a later line, or
+a later member of the JSON object), so a setting can be overridden by
+appending it. In a `key = value` file, text keys take the rest of the line;
+other values are numbers, whitespace- or comma-separated vectors, or
+matrices with rows separated by ';'. Scalar initial data (u0, v0) is
+broadcast to the problem dimension. A malformed value (a non-finite or
+non-numeric number, a JSON object, null, a boolean, a wrongly nested list)
+is a ConfigError naming its key.
 """
 from __future__ import annotations
 

@@ -35,15 +35,15 @@ in alpha, beta and the schedule as lanes of one loop, each byte-identical to
 `integrate`; `integrate_direct` integrates the original second-order system
 in (x, x') via Hessian-vector products and serves as a cross-validation
 oracle. Both formulations are stepped by `_drive`, and every run, alone or
-as a lane, is finished by `_outcome`, which takes the gradient and the
-objective value of all samples through `gradient_rows` and `value_rows`
-(one call each when the objective maps rows). Running integrals needed by the
-ergodic diagnostics are accumulated as extra state components, not by
-post-hoc quadrature. Each formulation supplies only its motion, the
-derivative of (x, y) or (x, x'); `_field` joins it with the schedule and the
-one implementation of the integrands (`_quadrature`) into a right-hand side
-whose `integrator.Split` lets `solve` evaluate schedule and integrands once
-per step attempt for all six stages.
+as a lane, is finished by `_outcome`, which reads the gradient and the
+objective value of all samples as float64 through `gradient_rows` and
+`value_rows` (one call each when the objective maps rows). Running
+integrals needed by the ergodic diagnostics are accumulated as extra state
+components, not by post-hoc quadrature. Each formulation supplies only its
+motion, the derivative of (x, y) or (x, x'); with the schedule and the one
+implementation of the integrands (`_quadrature`) it makes the right-hand
+side, an `integrator.Split` (`_field`), whose schedule and integrands
+`solve` evaluates once per step attempt for all six stages.
 """
 from __future__ import annotations
 
@@ -204,10 +204,10 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
 
     z = (x, y, three running integrals); rhs returns (x', y') and the
     integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t. The schedule is checked
-    against [t0, horizon] once here; rhs evaluates it unchecked. rhs carries
-    its `integrator.Split`, so `solve` evaluates the schedule and the
-    integrands once per attempt. For d = 1 the motion runs in Python floats
-    (`_lifted`).
+    against [t0, horizon] once here; rhs evaluates it unchecked. rhs is an
+    `integrator.Split`: `solve` steps its motion stage by stage and evaluates
+    the schedule and the integrands once per attempt. For d = 1 the motion
+    runs in Python floats (`_lifted`).
     """
     lifted = _lifted(obj.dimension, obj.gradient, floats=obj.dimension == 1)
     alpha, beta = cfg.alpha, cfg.beta
@@ -265,35 +265,12 @@ def _lifted(d: int, grad, floats: bool = False):
     return motion
 
 
-def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion):
-    """rhs(t, z) of a formulation from its motion, the derivative of (x, x')
-    or (x, y) written into out[:2d], and the shared running integrands; rhs
-    carries the parts as its `integrator.Split`."""
+def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion) -> Split:
+    """The right-hand side of a formulation: its motion, the derivative of
+    (x, x') or (x, y) written into out[:2d], with the schedule checked over
+    [t0, horizon] and the shared running integrands."""
     quadrature = _quadrature(obj.dimension, min_norm_solution(obj))
-    eps = s._span_eps(cfg.t0, cfg.horizon)
-
-    def at(t: float):
-        e = float(eps(t))
-        return e, (t, e)
-
-    return _join(at, Split(eps, motion, quadrature))
-
-
-def _join(at, split: Split):
-    """rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, carrying its
-    `integrator.Split`: at(t[, lanes]) gives the schedule at rhs's time and
-    the arguments that split.motion takes ahead of the state there."""
-    motion, quadrature = split.motion, split.quadrature
-
-    def rhs(t, z: np.ndarray, *lanes) -> np.ndarray:
-        e, args = at(t, *lanes)
-        out = np.empty(z.shape)
-        motion(*args, z, out)
-        quadrature(t, e, z, out)
-        return out
-
-    rhs.split = split
-    return rhs
+    return Split(s._span_eps(cfg.t0, cfg.horizon), motion, quadrature)
 
 
 def _quadrature(d: int, xstar: np.ndarray):
@@ -322,14 +299,14 @@ def _finish(
 ) -> Trajectory:
     d = obj.dimension
     X = Z[:, :d]
-    G = obj.gradient_rows(X)
+    G = np.asarray(obj.gradient_rows(X), dtype=float)
     if formulation == "lifted":
         Y = Z[:, d : 2 * d]
         V = Y - cfg.beta * G
     else:
         V = Z[:, d : 2 * d]
         Y = V + cfg.beta * G
-    gaps = obj.value_rows(X) - obj.min_value
+    gaps = np.asarray(obj.value_rows(X), dtype=float) - obj.min_value
     eps_vals = s.eps(ts)
     return Trajectory(
         t=ts,
@@ -447,12 +424,7 @@ def integrate_lanes(
 
         return at
 
-    def at(t: np.ndarray, lanes: np.ndarray):
-        E, P = coefficients(lanes)(t[:, None])
-        return E[:, 0], P[0]
-
-    split = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))
-    rhs = _join(at, split)
+    rhs = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))
     ts = sample_times(cfg)
     z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
     results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)

@@ -17,17 +17,19 @@ in numpy here, since a BLAS gemv does not round as a Python sum does.
 `dynamics` checks the schedule domain once per run before calling `solve`;
 the public `TikhonovSchedule.eps` still checks on every call.
 
-A right-hand side may also carry its `Split`: its last components are
-quadratures, running integrals whose integrands read the state and its
-derivative but never feed back (CVODES calls them quadrature variables). An
-attempt then knows all six stage times before its first stage, evaluates the
-time-only coefficients (the schedule) at all six in one call, lets each stage
-write only the derivative of the other components into its row of K, and
-fills the integrand columns of the six new rows in one batch after the FSAL
-stage. The integrals stay in the state and in the error norm, and every bit
-is what calling the whole right-hand side stage by stage gives. A plain
-callable goes through the same attempt as a `Split` without quadratures
-(`_split`), called once per stage.
+A right-hand side is a `Split`: its last components are quadratures,
+running integrals whose integrands read the state and its derivative but
+never feed back (CVODES calls them quadrature variables). An attempt
+evaluates the time-only coefficients (the schedule) at all six stage times
+in one call, lets each stage write only the derivative of the other
+components into its row of K, and fills the integrand columns of the six
+new rows in one batch after the last stage. Dormand-Prince is
+first-same-as-last (FSAL): the sixth stage evaluates at z_new, with the
+5th-order weights as its row of the table (`_A[6] is _B`), so one loop over
+the table runs all six stages. The integrals stay in the state and in the
+error norm, and every bit is what calling the whole `Split` stage by stage
+gives. A plain callable goes through the same attempt as a `Split` without
+quadratures (`_split`), called once per stage.
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
@@ -63,6 +65,7 @@ import numpy as np
 # classic Dormand-Prince coefficients; B is the 5th-order weight row and E the
 # difference against the embedded 4th-order row (error estimate)
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _A = (
     np.array([0.0, 0, 0, 0, 0]),
     np.array([1 / 5, 0, 0, 0, 0]),
@@ -70,8 +73,8 @@ _A = (
     np.array([44 / 45, -56 / 15, 32 / 9, 0, 0]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    _B,  # FSAL: the last stage evaluates at z_new, the 5th-order solution
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _SAFETY = 0.9
@@ -104,8 +107,8 @@ class IntegrationError(RuntimeError):
 
 
 class Split(NamedTuple):
-    """A right-hand side as `solve` steps it attempt by attempt, exposed as
-    its ``split`` attribute. With T the six stage times of an attempt:
+    """A right-hand side in the parts that `solve` steps attempt by attempt.
+    With T the six stage times of an attempt:
 
     - ``coefficients(T)`` returns E, the time-only coefficients at T;
     - ``motion(t, e, z, out)`` writes the derivative of every component but
@@ -122,22 +125,37 @@ class Split(NamedTuple):
     k calls ``motion(*P[k], Z, out)`` on rows of lanes. `solve_lanes` binds
     at the start and again each time the live set shrinks, and calls ``at``
     once per attempt.
+
+    Called as rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, a `Split`
+    evaluates the whole derivative at one time: the coefficients there, the
+    motion and the quadrature columns, as the stages of an attempt do.
     """
 
     coefficients: Callable
     motion: Callable
     quadrature: Callable
 
+    def __call__(self, t, z: np.ndarray, *lanes) -> np.ndarray:
+        if lanes:
+            E, P = self.coefficients(*lanes)(t[:, None])
+            e, args = E[:, 0], P[0]
+        else:
+            e = float(self.coefficients(t))
+            args = (t, e)
+        out = np.empty(z.shape)
+        self.motion(*args, z, out)
+        self.quadrature(t, e, z, out)
+        return out
+
 
 def _split(rhs, on_lanes: bool = False) -> Split:
-    """rhs's `Split`, or a plain callable as one without quadratures: its
-    coefficients are the times themselves (with the bound lane indices, for
-    `solve_lanes`) and its motion writes the whole derivative, so each stage
-    calls rhs once with the time and state that calling it stage by stage
-    would pass."""
-    split = getattr(rhs, "split", None)
-    if split is not None:
-        return split
+    """rhs itself if it is a `Split`, or a plain callable as one without
+    quadratures: its coefficients are the times themselves (with the bound
+    lane indices, for `solve_lanes`) and its motion writes the whole
+    derivative, so each stage calls rhs once with the time and state that
+    calling it stage by stage would pass."""
+    if isinstance(rhs, Split):
+        return rhs
     if on_lanes:
         def coefficients(lanes):
             return lambda T: (T, [(t, lanes) for t in T.T])
@@ -194,29 +212,26 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
 def _attempt(rhs, K: np.ndarray):
     """One DP5 attempt on the stage rows K (7, m), K[0] holding f(t, z):
     returns attempt(t, z, h, t_new), which fills K[1:7] and returns z_new.
-    Stage k evaluates at t + c_k h and z + h (a_k @ K[:k]); the quadrature
-    columns of K[1:6] are only filled after the FSAL stage, which leaves the
-    other columns of every product untouched (K starts zeroed, so no stage
-    reads uninitialised memory). The weight products
-    use ndarray.dot: the BLAS gemv that `@` calls, at half its overhead."""
-    K6 = K[:6]
+    Stage k = 1..6 evaluates at t + c_k h (t_new for k = 6) and
+    z + h (a_k @ K[:k]); the quadrature columns of K[1:7] are only filled
+    after the last stage, which leaves the other columns of every product
+    untouched (K starts zeroed, so no stage reads uninitialised memory). The
+    weight products use ndarray.dot: the BLAS gemv that `@` calls, at half
+    its overhead."""
     coefficients, motion, quadrature = _split(rhs)
     S = np.empty((6, K.shape[1]))  # stage states; S[5] is z_new before its integrals
-    stages = tuple((_A[k][:k], K[:k], S[k - 1], K[k]) for k in range(1, 6))
+    stages = tuple((_A[k][:k], K[:k], S[k - 1], K[k]) for k in range(1, 7))
     cs = _C[1:].tolist()
-    S5, K6_row, K_new = S[5], K[6], K[1:]
+    K6, K_new = K[:6], K[1:]
 
     def attempt(t, z, h, t_new):
         ts = [t + c * h for c in cs]
         ts.append(t_new)
         T = np.array(ts)
         E = coefficients(T)
-        es = E.tolist()
-        for (a, Kk, Sk, Kout), tk, ek in zip(stages, ts, es):
+        for (a, Kk, Sk, Kout), tk, ek in zip(stages, ts, E.tolist()):
             np.add(z, h * a.dot(Kk), out=Sk)
             motion(tk, ek, Sk, Kout)
-        np.add(z, h * _B.dot(K6), out=S5)
-        motion(t_new, es[5], S5, K6_row)  # FSAL stage
         quadrature(T, E, S, K_new)
         return z + h * _B.dot(K6)
 
@@ -357,7 +372,7 @@ def _lanes_attempt(motion, quadrature):
     which fills K[:, 1:7] and returns Z_new, for the lanes' times T, step
     sizes Hc (lanes, 1), stage rows K (lanes, 7, m) and their bound
     coefficients at (`Split`)."""
-    stages = tuple((k, _A[k][:k]) for k in range(1, 6))
+    stages = tuple((k, _A[k][:k]) for k in range(1, 7))
     C = _C[1:]
 
     def attempt(T, Hc, T_new, Z, K, at):
@@ -371,9 +386,6 @@ def _lanes_attempt(motion, quadrature):
             Sk = S[k - 1]
             np.add(Z, Hc * np.matmul(a, K[:, :k]), out=Sk)
             motion(*p, Sk, K[:, k])
-        S5 = S[5]
-        np.add(Z, Hc * np.matmul(_B, K[:, :6]), out=S5)
-        motion(*P[5], S5, K[:, 6])  # FSAL stage
         quadrature(TS, E, S.transpose(1, 0, 2), K[:, 1:])
         return Z + Hc * np.matmul(_B, K[:, :6])
 

@@ -7,8 +7,9 @@ checked against closed forms.
 Every builtin also maps rows: its `gradient` and `value` take rows X (n, d)
 as well as one point and give, bit for bit, what they give row by row.
 `value` has one form, which on one point x (d,) gives what it gives on the
-row x[None]. `gradient` keeps a one-point form beside its row form where
-that is cheaper, since `run` calls it at every stage. The row forms repeat
+row x[None], and so has `gradient` for the quadratics. paper1d and least
+squares keep a one-point `gradient` beside the row form, since `run` calls
+it at every stage and it is cheaper there. The row forms repeat
 each one-point operation elementwise: paper1d powers through
 `np.float_power`, which calls libm `pow` as the scalar `**` does
 (`np.square`, which an array's `** 2` calls, differs in the last bit); the
@@ -178,7 +179,7 @@ def _psd_quadratic(A, b) -> ObjectiveSpec:
     return ObjectiveSpec(
         dimension=d,
         value=lambda x: 0.5 * np.vecdot(x, _stacked(A, x)) - np.vecdot(x, b),
-        gradient=lambda x: _stacked(A, x) - b if x.ndim > 1 else A @ x - b,
+        gradient=lambda x: _stacked(A, x) - b,
         hessian_vec=lambda x, v: A @ v,
         min_value=-0.5 * float(b @ xhat),
         min_norm_solution=xhat,

@@ -113,6 +113,17 @@ def test_sample_count_must_be_whole(tmp_path, raw, count):
         assert resolve(load_config(cfg)).dynamics.sample_count == count
 
 
+@pytest.mark.parametrize("name, text", [
+    ("exp.cfg", BASE + "dynamics.alpha = 4\n"),
+    ("exp.json", '{"dynamics.alpha": 3, "dynamics.alpha": 4}'),
+])
+def test_key_given_twice_takes_its_last_value(tmp_path, name, text):
+    # appending `key = value` overrides a setting, in both file formats
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    assert resolve(load_config(cfg)).dynamics.alpha == 4.0
+
+
 def test_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE + "dynamics.bogus = 1\n")

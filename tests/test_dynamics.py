@@ -16,7 +16,7 @@ from tikhoflow import (
     vector_field,
     zero_schedule,
 )
-from tikhoflow.integrator import solve
+from tikhoflow.integrator import Split, _split, solve
 
 
 def cfg1d(**kw):
@@ -136,7 +136,7 @@ def test_one_run_motion_in_floats_matches_numpy_on_edge_values(schedule, alpha, 
             _same_or_both_nan(got, want)
             # the float operations raise no numpy floating-point condition
             with np.errstate(all="raise"):
-                rhs.split.motion(t, e, z, out)
+                rhs.motion(t, e, z, out)
             _same_or_both_nan(out[:2], want)
 
 
@@ -419,3 +419,18 @@ def test_plain_callable_steps_to_the_same_bytes(run, monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.meta["stats"] == want.meta["stats"]
     assert len(calls) == got.meta["stats"]["rhs_evals"]
+
+
+@pytest.mark.parametrize("run", [integrate, integrate_direct])
+def test_field_is_the_split_that_solve_steps(run, monkeypatch):
+    # the right-hand side is its Split: `solve` steps it as it is
+    seen = []
+
+    def spy_solve(rhs, *args):
+        seen.append(rhs)
+        return solve(rhs, *args)
+
+    monkeypatch.setattr("tikhoflow.dynamics.solve", spy_solve)
+    run(builtin("paper1d"), power_schedule(1.5), cfg1d(horizon=3.0, sample_count=5))
+    (rhs,) = seen
+    assert isinstance(rhs, Split) and _split(rhs) is rhs

@@ -97,6 +97,28 @@ def test_float32_gradient_run_matches_its_lanes(d):
     _assert_lanes_match_integrate(obj, [(power_schedule(1.5), cfg)])
 
 
+def test_float32_objective_finishes_in_float64():
+    # a finished run reads the gradient and the value as float64, as the
+    # motion does, so no column of the run or of its lane is float32
+    beta = 0.7
+    obj = ObjectiveSpec(
+        dimension=2,
+        value=lambda x: np.float32(0.5 * np.dot(x - 1.0, x - 1.0)),
+        gradient=lambda x: (x - 1.0).astype(np.float32),
+        hessian_vec=lambda x, v: v,
+        min_value=0.0,
+        min_norm_solution=np.ones(2),
+    )
+    cfg = DynamicsConfig(**{**BASE, "beta": beta, "u0": [2.0, 2.0], "v0": [0.0, 0.0], "horizon": 100.0})
+    s = power_schedule(1.5)
+    for traj in (integrate(obj, s, cfg), *_assert_lanes_match_integrate(obj, [(s, cfg)])):
+        for name in ("x", "v", "y", "gap", "grad_norm"):
+            assert getattr(traj, name).dtype == np.float64, name
+        G = obj.gradient_rows(traj.x).astype(np.float64)
+        assert traj.grad_norm.tobytes() == np.linalg.norm(G, axis=1).tobytes()
+        assert traj.v.tobytes() == (traj.y - beta * G).tobytes()
+
+
 def test_paper1d_grid_lanes_match_integrate():
     runs = [
         (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))

@@ -77,6 +77,17 @@ def test_trajectory_matches_reference_bit_for_bit(case, formulation):
     assert got.meta["stats"] == ref.meta["stats"]
 
 
+def test_dp5_table_drives_all_six_stages():
+    # the last stage row is the 5th-order weight row (FSAL), so one loop over
+    # the table runs every stage; each row sums to its stage's time fraction
+    A, B, C, E = integrator._A, integrator._B, integrator._C, integrator._E
+    assert len(A) == 7 and A[6] is B
+    for k in range(1, 6):
+        assert abs(A[k][:k].sum() - C[k]) <= 1e-15, k
+    assert abs(B.sum() - 1.0) <= 1e-15
+    assert abs(E.sum()) <= 1e-15
+
+
 def _raised(fn, *args):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as info:
