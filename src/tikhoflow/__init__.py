@@ -34,11 +34,9 @@ from .schedules import (
 from .dynamics import (
     DynamicsConfig,
     IntegrationError,
-    LiftedState,
     Trajectory,
     integrate,
     integrate_direct,
-    lift_initial_conditions,
     sample_times,
     vector_field,
 )

@@ -13,7 +13,7 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
 The lifted motion is written once (`_lifted`), for one run or for rows of
 lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
 eps(t) as inputs: a run forms them as floats at each stage, the lanes form
-them for all six stage times of an attempt at once, as columns, and make one
+them for all stage times of an attempt at once, as columns, and make one
 gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
 The formula's operands are chosen when the motion is built. A run of
 dimension 1, the paper's worked example, reads x, y and its one gradient
@@ -43,7 +43,7 @@ components, not by post-hoc quadrature. Each formulation supplies only its
 motion, the derivative of (x, y) or (x, x'); with the schedule and the one
 implementation of the integrands (`_quadrature`) it makes the right-hand
 side, an `integrator.Split` (`_field`), whose schedule and integrands
-`solve` evaluates once per step attempt for all six stages.
+`solve` evaluates once per step attempt for all its stages.
 """
 from __future__ import annotations
 
@@ -59,10 +59,8 @@ from .schedules import TikhonovSchedule, _lanes_eps
 
 __all__ = [
     "DynamicsConfig",
-    "LiftedState",
     "Trajectory",
     "IntegrationError",
-    "lift_initial_conditions",
     "vector_field",
     "integrate",
     "integrate_lanes",
@@ -154,12 +152,6 @@ def _grid_increases(cfg: DynamicsConfig) -> bool:
     return bool((ts[1:] > ts[:-1]).all())
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedState:
-    x: np.ndarray
-    y: np.ndarray
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Sampled solution plus running integrals and the integrator's counters.
@@ -190,13 +182,6 @@ class Trajectory:
     @property
     def dimension(self) -> int:
         return self.x.shape[1]
-
-
-def lift_initial_conditions(obj: ObjectiveSpec, beta: float, u0, v0) -> LiftedState:
-    """Initial lifted state: x = u0, y = v0 + beta * grad g(u0)."""
-    u0 = _as_vector(u0, obj.dimension, "u0")
-    v0 = _as_vector(v0, obj.dimension, "v0")
-    return LiftedState(x=u0, y=v0 + beta * np.asarray(obj.gradient(u0), dtype=float))
 
 
 def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
@@ -371,8 +356,12 @@ def integrate(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig) -> T
 
 
 def _lifted_z0(obj: ObjectiveSpec, cfg: DynamicsConfig) -> np.ndarray:
-    init = lift_initial_conditions(obj, cfg.beta, cfg.u0, cfg.v0)
-    return np.concatenate([init.x, init.y, np.zeros(3)])
+    """Initial lifted state: x = u0, y = v0 + beta * grad g(u0), and the
+    three running integrals at zero."""
+    u0 = _as_vector(cfg.u0, obj.dimension, "u0")
+    v0 = _as_vector(cfg.v0, obj.dimension, "v0")
+    y0 = v0 + cfg.beta * np.asarray(obj.gradient(u0), dtype=float)
+    return np.concatenate([u0, y0, np.zeros(3)])
 
 
 def _row_dots(D: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Embedded Dormand-Prince 5(4) stepper with PI step-size control.
 
+The table `_C`, `_A`, `_E` and its exponent `_ERR_EXP` alone fix the method:
+the stage count, the FSAL row, the eval count and the step laws' exponent are
+read from them where they are used, so replacing them replaces the method.
+
 The solver advances an autonomous-in-form system z' = f(t, z) from the first
 sample time to the last, clamping steps so that every requested sample time is
 hit exactly (no interpolation error enters the reported states). Step size is
@@ -20,21 +24,21 @@ the public `TikhonovSchedule.eps` still checks on every call.
 A right-hand side is a `Split`: its last components are quadratures,
 running integrals whose integrands read the state and its derivative but
 never feed back (CVODES calls them quadrature variables). An attempt
-evaluates the time-only coefficients (the schedule) at all six stage times
+evaluates the time-only coefficients (the schedule) at all its stage times
 in one call, lets each stage write only the derivative of the other
-components into its row of K, and fills the integrand columns of the six
-new rows in one batch after the last stage. Dormand-Prince is
-first-same-as-last (FSAL): the sixth stage evaluates at z_new, with the
-5th-order weights as its row of the table (`_A[6] is _B`), so one loop over
-the table runs all six stages. The integrals stay in the state and in the
-error norm, and every bit is what calling the whole `Split` stage by stage
-gives. A plain callable goes through the same attempt as a `Split` without
+components into its row of K, and fills the integrand columns of the new
+rows in one batch after the last stage. Dormand-Prince is
+first-same-as-last (FSAL): the last stage evaluates at z_new, with the
+solution weights as the last row of the table, so one loop over the table
+runs every stage. The integrals stay in the state and in the error norm,
+and every bit is what calling the whole `Split` stage by stage gives. A
+plain callable goes through the same attempt as a `Split` without
 quadratures (`_split`), called once per stage.
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it: each attempt does its elementwise work
-and DP5 weight products for all active lanes at once, and its `Split` gathers
-the per-lane coefficients of all six stages in one call, so that each stage
+and weight products for all active lanes at once, and its `Split` gathers
+the per-lane coefficients of all stages in one call, so that each stage
 makes one motion call for all lanes. The stage states are stored stage-major,
 so that each stage's state rows are one block.
 
@@ -62,26 +66,28 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-# classic Dormand-Prince coefficients; B is the 5th-order weight row and E the
-# difference against the embedded 4th-order row (error estimate)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+# The classic Dormand-Prince 5(4) pair, the only place that knows the method.
+# Stage k = 1, 2, ... evaluates at t + C[k-1] h and z + h (A[k-1] @ K[:k]),
+# K[0] being f(t, z). The last row is the 5th-order solution: the last stage
+# evaluates at z_new and t_new (FSAL), so C has one entry fewer than A. E is
+# the difference against the embedded 4th-order row (error estimate), and
+# _ERR_EXP = 1/(q+1), q = 4 the embedded order, is the step laws' exponent.
+_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _A = (
-    np.array([0.0, 0, 0, 0, 0]),
-    np.array([1 / 5, 0, 0, 0, 0]),
-    np.array([3 / 40, 9 / 40, 0, 0, 0]),
-    np.array([44 / 45, -56 / 15, 32 / 9, 0, 0]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    _B,  # FSAL: the last stage evaluates at z_new, the 5th-order solution
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_ERR_EXP = 0.2
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA_PI = 0.04
-_ALPHA_PI = 0.2 - 0.75 * _BETA_PI
 _STEP_FLOOR = 1e-14
 _MAX_STEPS = 20_000_000
 
@@ -108,7 +114,7 @@ class IntegrationError(RuntimeError):
 
 class Split(NamedTuple):
     """A right-hand side in the parts that `solve` steps attempt by attempt.
-    With T the six stage times of an attempt:
+    With T the stage times of an attempt:
 
     - ``coefficients(T)`` returns E, the time-only coefficients at T;
     - ``motion(t, e, z, out)`` writes the derivative of every component but
@@ -120,11 +126,11 @@ class Split(NamedTuple):
 
     For `solve_lanes` the per-lane data is bound to the live lanes:
     ``coefficients(lanes)``, with lanes the integer indices of the live
-    lanes, returns at(T) -> (E, P) for their times T (lanes, 6), E (lanes, 6)
-    for ``quadrature`` and P the six tuples of stage arguments, so that stage
-    k calls ``motion(*P[k], Z, out)`` on rows of lanes. `solve_lanes` binds
-    at the start and again each time the live set shrinks, and calls ``at``
-    once per attempt.
+    lanes, returns at(T) -> (E, P) for their times T (lanes, stages), E of
+    T's shape for ``quadrature`` and P one tuple of arguments per stage, so
+    that stage k calls ``motion(*P[k], Z, out)`` on rows of lanes.
+    `solve_lanes` binds at the start and again each time the live set
+    shrinks, and calls ``at`` once per attempt.
 
     Called as rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, a `Split`
     evaluates the whole derivative at one time: the coefficients there, the
@@ -187,7 +193,7 @@ def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** _ERR_EXP
     return min(100 * h0, h1, span)
 
 
@@ -196,13 +202,13 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     error norm err, when h was the step size before it (`_Lane.advance`).
     A NaN err takes the reject law, as it fails the acceptance test err <= 1."""
     if not err <= 1.0:
-        return h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+        return h_try * max(_MIN_FACTOR, _SAFETY * err ** -_ERR_EXP)
     if clamped:
         return h  # a step shortened onto a sample time leaves h as it was
     if err == 0.0:
         factor = _MAX_FACTOR
     else:
-        factor = _SAFETY * err ** (-_ALPHA_PI) * err_prev ** _BETA_PI
+        factor = _SAFETY * err ** -(_ERR_EXP - 0.75 * _BETA_PI) * err_prev ** _BETA_PI
         factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
     if just_rejected:
         factor = min(1.0, factor)
@@ -210,19 +216,18 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
 
 
 def _attempt(rhs, K: np.ndarray):
-    """One DP5 attempt on the stage rows K (7, m), K[0] holding f(t, z):
-    returns attempt(t, z, h, t_new), which fills K[1:7] and returns z_new.
-    Stage k = 1..6 evaluates at t + c_k h (t_new for k = 6) and
-    z + h (a_k @ K[:k]); the quadrature columns of K[1:7] are only filled
-    after the last stage, which leaves the other columns of every product
-    untouched (K starts zeroed, so no stage reads uninitialised memory). The
-    weight products use ndarray.dot: the BLAS gemv that `@` calls, at half
-    its overhead."""
+    """One attempt on the stage rows K (one row per stage of the table and
+    one more), K[0] holding f(t, z): returns attempt(t, z, h, t_new), which
+    fills K[1:], one row per stage, and returns z_new. The quadrature columns
+    of K[1:] are only filled after the last stage, which leaves the other
+    columns of every product untouched (K starts zeroed, so no stage reads
+    uninitialised memory). The weight products use ndarray.dot: the BLAS
+    gemv that `@` calls, at half its overhead."""
     coefficients, motion, quadrature = _split(rhs)
-    S = np.empty((6, K.shape[1]))  # stage states; S[5] is z_new before its integrals
-    stages = tuple((_A[k][:k], K[:k], S[k - 1], K[k]) for k in range(1, 7))
-    cs = _C[1:].tolist()
-    K6, K_new = K[:6], K[1:]
+    S = np.empty((len(_A), K.shape[1]))  # stage states; S[-1] is z_new before its integrals
+    stages = tuple((a, K[:k], S[k - 1], K[k]) for k, a in enumerate(_A, 1))
+    cs = _C.tolist()
+    b, K_b, K_new = _A[-1], K[:-1], K[1:]
 
     def attempt(t, z, h, t_new):
         ts = [t + c * h for c in cs]
@@ -233,7 +238,7 @@ def _attempt(rhs, K: np.ndarray):
             np.add(z, h * a.dot(Kk), out=Sk)
             motion(tk, ek, Sk, Kout)
         quadrature(T, E, S, K_new)
-        return z + h * _B.dot(K6)
+        return z + h * b.dot(K_b)
 
     return attempt
 
@@ -288,7 +293,7 @@ class _Lane:
 
     def non_finite(self, Z: np.ndarray, p) -> IntegrationError:
         """Count the attempt from Z[p], which did not stay finite, and return its error."""
-        self.evals += 6
+        self.evals += len(_A)
         return self.error(f"non-finite state encountered near t={self.t_new:.6g}", Z, p)
 
     def advance(self, err: Optional[float], Z: np.ndarray, Z_new: np.ndarray, p) -> bool:
@@ -298,7 +303,7 @@ class _Lane:
         With err None (from `start`) there is no attempt to conclude."""
         accepted = False
         if err is not None:
-            self.evals += 6
+            self.evals += len(_A)
             self.h = _next_h(err, self.h, self.h_try, self.clamped, self.err_prev,
                              self.just_rejected)
             if err <= 1.0:
@@ -352,8 +357,8 @@ def solve(
         return out, lane.stats()
     f = rhs(lane.t, z)
     lane.start(rhs, z, f, rel_tol, abs_tol)
-    K = np.zeros((7, z.shape[0]))
-    K[0] = f  # FSAL: after an accepted step K[0] takes over K[6]
+    K = np.zeros((len(_A) + 1, z.shape[0]))
+    K[0] = f  # FSAL: after an accepted step K[0] takes over the last stage's row
     attempt = _attempt(rhs, K)
     while not lane.done:
         h_try = lane.h_try
@@ -363,31 +368,31 @@ def solve(
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
         if lane.advance(_rms(h_try * _E.dot(K) / sc), z, z_new, Ellipsis):
             z = z_new
-            K[0] = K[6]
+            K[0] = K[-1]
     return out, lane.stats()
 
 
 def _lanes_attempt(motion, quadrature):
     """`_attempt` on rows of lanes: returns attempt(T, Hc, T_new, Z, K, at),
-    which fills K[:, 1:7] and returns Z_new, for the lanes' times T, step
-    sizes Hc (lanes, 1), stage rows K (lanes, 7, m) and their bound
+    which fills K[:, 1:] and returns Z_new, for the lanes' times T, step
+    sizes Hc (lanes, 1), stage rows K (lanes, stages + 1, m) and their bound
     coefficients at (`Split`)."""
-    stages = tuple((k, _A[k][:k]) for k in range(1, 7))
-    C = _C[1:]
+    stages = tuple(enumerate(_A, 1))
+    C, b, n = _C, _A[-1], len(_A)
 
     def attempt(T, Hc, T_new, Z, K, at):
-        TS = np.empty((T.shape[0], 6))
-        TS[:, :5] = T[:, None] + C * Hc
-        TS[:, 5] = T_new
+        TS = np.empty((T.shape[0], n))
+        TS[:, :-1] = T[:, None] + C * Hc
+        TS[:, -1] = T_new
         E, P = at(TS)
         # stage-major, so that each stage state is one block
-        S = np.empty((6,) + Z.shape)
+        S = np.empty((n,) + Z.shape)
         for (k, a), p in zip(stages, P):
             Sk = S[k - 1]
             np.add(Z, Hc * np.matmul(a, K[:, :k]), out=Sk)
             motion(*p, Sk, K[:, k])
         quadrature(TS, E, S.transpose(1, 0, 2), K[:, 1:])
-        return Z + Hc * np.matmul(_B, K[:, :6])
+        return Z + Hc * np.matmul(b, K[:, :-1])
 
     return attempt
 
@@ -439,7 +444,7 @@ def solve_lanes(
             live.append(i)
         except IntegrationError as exc:
             results[i] = exc
-    Z, K = Z[live], np.zeros((len(live), 7, m))
+    Z, K = Z[live], np.zeros((len(live), len(_A) + 1, m))
     K[:, 0] = F[live]
     # the next attempt's step sizes, times and end times, in the order of live
     H = [lanes[i].h_try for i in live]
@@ -485,10 +490,10 @@ def solve_lanes(
             T_new.append(ln.t_new)
         if len(accepted) == len(live):
             Z = Z_new
-            K[:, 0] = K[:, 6]
+            K[:, 0] = K[:, -1]
         else:
             Z[accepted] = Z_new[accepted]
-            K[accepted, 0] = K[accepted, 6]
+            K[accepted, 0] = K[accepted, -1]
         if len(go) < len(live):
             live, Z, K = [live[p] for p in go], Z[go], K[go]
             at = bind(np.array(live, dtype=int))

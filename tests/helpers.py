@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from tikhoflow import Trajectory
-from tikhoflow.dynamics import _finish, lift_initial_conditions, sample_times
+from tikhoflow.dynamics import _finish, _lifted_z0, sample_times
 from tikhoflow.integrator import IntegrationError
 from tikhoflow.problems import _as_vector, min_norm_solution
 
@@ -269,8 +269,7 @@ def reference_integrate(obj, s, cfg, formulation="lifted"):
     grad, hvp = obj.gradient, obj.hessian_vec
     eps = s.eps
     if formulation == "lifted":
-        init = lift_initial_conditions(obj, beta, cfg.u0, cfg.v0)
-        z0 = np.concatenate([init.x, init.y, np.zeros(3)])
+        z0 = _lifted_z0(obj, cfg)
 
         def rhs(t: float, z: np.ndarray) -> np.ndarray:
             x = z[:d]

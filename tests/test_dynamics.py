@@ -8,7 +8,6 @@ from tikhoflow import (
     energy_W_series,
     integrate,
     integrate_direct,
-    lift_initial_conditions,
     logarithmic_schedule,
     power_schedule,
     sample_times,
@@ -16,6 +15,7 @@ from tikhoflow import (
     vector_field,
     zero_schedule,
 )
+from tikhoflow.dynamics import _lifted_z0
 from tikhoflow.integrator import Split, _split, solve
 
 
@@ -28,35 +28,43 @@ def cfg1d(**kw):
 # -- lift / recover ------------------------------------------------------------
 
 
+def _lift(obj, **kw):
+    # the initial lifted (x, y), the running integrals stripped
+    d = obj.dimension
+    z0 = _lifted_z0(obj, cfg1d(**kw))
+    assert np.array_equal(z0[2 * d :], np.zeros(3))
+    return z0[:d], z0[d : 2 * d]
+
+
 def test_lift_paper1d():
     obj = builtin("paper1d")
-    st = lift_initial_conditions(obj, beta=1.0, u0=[2.0], v0=[0.0])
-    assert st.x[0] == 2.0
-    assert st.y[0] == 3.0  # v0 + beta * grad g(2) = 0 + 3
+    x, y = _lift(obj, beta=1.0, u0=[2.0], v0=[0.0])
+    assert x[0] == 2.0
+    assert y[0] == 3.0  # v0 + beta * grad g(2) = 0 + 3
 
 
 def test_lift_beta_zero_is_velocity():
     obj = builtin("shifted_quadratic", c=np.array([1.0, 2.0]))
-    st = lift_initial_conditions(obj, beta=0.0, u0=[3.0, 3.0], v0=[0.5, -0.5])
-    assert np.array_equal(st.y, np.array([0.5, -0.5]))
+    _, y = _lift(obj, beta=0.0, u0=[3.0, 3.0], v0=[0.5, -0.5])
+    assert np.array_equal(y, np.array([0.5, -0.5]))
 
 
 def test_lift_quadratic_at_origin_center():
     obj = builtin("shifted_quadratic", c=np.zeros(2))
-    st = lift_initial_conditions(obj, beta=2.0, u0=[1.0, 0.0], v0=[0.0, 1.0])
-    assert np.array_equal(st.y, np.array([2.0, 1.0]))
+    _, y = _lift(obj, beta=2.0, u0=[1.0, 0.0], v0=[0.0, 1.0])
+    assert np.array_equal(y, np.array([2.0, 1.0]))
 
 
 def test_lift_recover_roundtrip():
     # exact on representable arithmetic, within one rounding step otherwise
     obj1 = builtin("paper1d")
-    st1 = lift_initial_conditions(obj1, beta=1.0, u0=[2.0], v0=[0.0])
-    assert (st1.y - 1.0 * obj1.gradient(st1.x))[0] == 0.0
+    x1, y1 = _lift(obj1, beta=1.0, u0=[2.0], v0=[0.0])
+    assert (y1 - 1.0 * obj1.gradient(x1))[0] == 0.0
     obj = builtin("shifted_quadratic", c=np.array([1.0, -2.0, 0.5]))
     u0 = np.array([0.3, 0.7, -1.1])
     v0 = np.array([-0.2, 0.9, 2.0])
-    st = lift_initial_conditions(obj, beta=1.7, u0=u0, v0=v0)
-    assert np.allclose(st.y - 1.7 * obj.gradient(st.x), v0, rtol=0, atol=1e-15)
+    x, y = _lift(obj, beta=1.7, u0=u0, v0=v0)
+    assert np.allclose(y - 1.7 * obj.gradient(x), v0, rtol=0, atol=1e-15)
 
 
 # -- vector field ----------------------------------------------------------------

@@ -78,14 +78,59 @@ def test_trajectory_matches_reference_bit_for_bit(case, formulation):
 
 
 def test_dp5_table_drives_all_six_stages():
-    # the last stage row is the 5th-order weight row (FSAL), so one loop over
-    # the table runs every stage; each row sums to its stage's time fraction
-    A, B, C, E = integrator._A, integrator._B, integrator._C, integrator._E
-    assert len(A) == 7 and A[6] is B
-    for k in range(1, 6):
-        assert abs(A[k][:k].sum() - C[k]) <= 1e-15, k
-    assert abs(B.sum() - 1.0) <= 1e-15
+    # the table is the frozen DP5 one: row k weights the k stages before it,
+    # the last row is the 5th-order weight row (FSAL), so one loop over the
+    # table runs every stage; each row sums to its stage's time fraction
+    A, C, E = integrator._A, integrator._C, integrator._E
+    assert len(A) == 6 and len(C) == 5
+    for k, a in enumerate(A[:-1], 1):
+        assert a.tobytes() == helpers._A[k][:k].tobytes(), k
+        assert abs(a.sum() - C[k - 1]) <= 1e-15, k
+    assert A[-1].tobytes() == helpers._B.tobytes()
+    assert C.tobytes() == helpers._C[1:].tobytes()
+    assert E.tobytes() == helpers._E.tobytes()
+    assert integrator._ERR_EXP == 0.2
+    assert abs(A[-1].sum() - 1.0) <= 1e-15
     assert abs(E.sum()) <= 1e-15
+
+
+def _oscillators(t, Z, lanes):
+    # lane l is x'' = -(l + 1)^2 x, as rows (x, x')
+    w2 = (lanes + 1.0) ** 2
+    return np.stack([Z[:, 1], -w2 * Z[:, 0]], axis=1)
+
+
+def test_table_is_the_whole_method(monkeypatch):
+    # Bogacki-Shampine 3(2), FSAL like DP5: swapping the table alone changes
+    # the stages, the eval count and the step laws' exponent in both loops
+    monkeypatch.setattr(integrator, "_C", np.array([1 / 2, 3 / 4]))
+    monkeypatch.setattr(integrator, "_A", (
+        np.array([1 / 2]),
+        np.array([0.0, 3 / 4]),
+        np.array([2 / 9, 1 / 3, 4 / 9]),
+    ))
+    monkeypatch.setattr(integrator, "_E", np.array([-5 / 72, 1 / 12, 1 / 9, -1 / 8]))
+    monkeypatch.setattr(integrator, "_ERR_EXP", 1 / 3)
+    ts, rtol, atol = np.linspace(0.0, 10.0, 21), 1e-6, 1e-9
+    Z, stats = solve(lambda t, z: np.array([z[1], -z[0]]), np.array([1.0, 0.0]), ts, rtol, atol)
+    assert np.abs(Z[:, 0] - np.cos(ts)).max() <= 10 * rtol
+    assert stats["rhs_evals"] == 3 * (stats["steps"] + stats["rejected"]) + 2
+    z0 = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, -2.0]])
+    lanes = integrator.solve_lanes(_oscillators, z0, ts, rtol, atol)
+    for i, (Z_lane, stats_lane) in enumerate(lanes):
+        lane = np.array([i])
+        Z_ref, stats_ref = solve(lambda t, z: _oscillators(t, z[None], lane)[0], z0[i], ts, rtol, atol)
+        assert Z_lane.tobytes() == Z_ref.tobytes(), i
+        assert stats_lane == stats_ref, i
+    # the reject law, the PI accept law and the initial step take 1/3
+    next_h, safety, beta_pi = integrator._next_h, integrator._SAFETY, integrator._BETA_PI
+    assert next_h(2.0, 1.0, 0.5, False, 1e-4, False) == 0.5 * max(
+        integrator._MIN_FACTOR, safety * 2.0 ** (-1 / 3))
+    accept = safety * 0.5 ** -(1 / 3 - 0.75 * beta_pi) * 1e-4 ** beta_pi
+    assert next_h(0.5, 1.0, 1.0, False, 1e-4, False) == accept
+    one = np.ones(1)
+    h0 = integrator._initial_step(lambda t, z: one, 0.0, one, one, 0.0, 1.0, 10.0)
+    assert h0 == 0.01 ** (1 / 3)
 
 
 def _raised(fn, *args):
