@@ -2,14 +2,15 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py > hashes.txt
 
-Each config, `configs/example.cfg` and seven variants of it (logarithmic,
+Each config, `configs/example.cfg` and eight variants of it (logarithmic,
 tabulated and zero schedules, linear sample spacing, psd_quadratic,
-least_squares at horizon 1e2, and a shifted_quadratic run from u0 = 1e200,
-which fails), goes through `run`, `compare`, `sweep` and `check-schedule`.
+least_squares at horizon 1e2, a shifted_quadratic run from u0 = 1e200,
+which fails, and an undamped one-center shifted_quadratic at horizon 1e3),
+goes through `run`, `compare`, `sweep` and `check-schedule`.
 The calls run in a temporary directory and write to a relative ``--out``,
 because `report.json` and `manifest.json` record the output directory. The
 script prints one ``exit <code>  <call>`` line per call, then one
-``<sha256>  <path>`` line per artifact, sorted by path. It takes about 30 s
+``<sha256>  <path>`` line per artifact, sorted by path. It takes about 45 s
 on one core of a 2-CPU x86-64 host.
 
 It imports whichever `tikhoflow` comes first on the path, so running it
@@ -45,6 +46,11 @@ VARIANTS = {
         "dynamics.horizon = 1e2\n"
     ),
     "u0_1e200": "problem.name = shifted_quadratic\nproblem.c = 1 -2 0.5\ndynamics.u0 = 1e200\n",
+    # one center, undamped: the quadratic half of the d = 1 float attempt
+    "undamped_1d": (
+        "problem.name = shifted_quadratic\nproblem.c = 1\ndynamics.beta = 0\n"
+        "dynamics.horizon = 1e3\n"
+    ),
 }
 
 CALLS = {

@@ -15,18 +15,19 @@ lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
 eps(t) as inputs: a run forms them as floats at each stage, the lanes form
 them for all stage times of an attempt at once, as columns, and make one
 gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
-The formula's operands are chosen when the motion is built. A run of
-dimension 1, the paper's worked example, reads x, y and its one gradient
-entry as Python floats: on 1-element arrays numpy's per-call cost, not the
-arithmetic, sets the price, and Python floats round each multiply and
-subtract in the same order as numpy does, so every bit stays. A run of
-dimension d >= 2 uses numpy on views of its state. Only the lanes copy:
-their stage rows hold x and y as (lanes, d) views with gaps between rows, so
+One run uses numpy on views of its state. Only the lanes copy: their
+stage rows hold x and y as (lanes, d) views with gaps between rows, so
 the motion copies each into one block, and the coefficient columns of each
 stage time are built as one block too; numpy then runs every later
-operation of the motion on contiguous operands. The stage products, the
-quadrature and the error norm stay in numpy for every kind of state: the
-products are BLAS gemv calls, whose rounding a Python sum does not repeat.
+operation of the motion on contiguous operands. A run of dimension 1, the
+paper's worked example, also gives `solve` its motion and integrands in
+Python floats (`_lifted_floats`), with which each attempt is stepped in
+floats around its weight products: on 1-element arrays numpy's per-call
+cost, not the arithmetic, sets the price, and Python floats round each
+operation in the same order as numpy does, so every bit stays. The weight
+products stay numpy's for every kind of state: they are BLAS gemv calls,
+whose rounding a Python sum does not repeat. The lanes and the runs of
+dimension d >= 2 keep their quadrature and error norm in numpy too.
 The lanes bind their columns of alpha, beta and the schedule once per live
 set (`integrator.Split`), not once per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
@@ -191,19 +192,51 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t. The schedule is checked
     against [t0, horizon] once here; rhs evaluates it unchecked. rhs is an
     `integrator.Split`: `solve` steps its motion stage by stage and evaluates
-    the schedule and the integrands once per attempt. For d = 1 the motion
-    runs in Python floats (`_lifted`).
+    the schedule and the integrands once per attempt. For d = 1 it also has
+    a ``stage`` in Python floats (`_lifted_floats`), with which `solve` steps
+    each attempt in floats around its weight products.
     """
-    lifted = _lifted(obj.dimension, obj.gradient, floats=obj.dimension == 1)
+    lifted = _lifted(obj.dimension, obj.gradient)
     alpha, beta = cfg.alpha, cfg.beta
 
     def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
         lifted(-(alpha / t), 1.0 - alpha * beta / t, e, beta, z, out)
 
-    return _field(obj, s, cfg, motion)
+    stage = _lifted_floats(obj, cfg) if obj.dimension == 1 else None
+    return _field(obj, s, cfg, motion)._replace(stage=stage)
 
 
-def _lifted(d: int, grad, floats: bool = False):
+def _lifted_floats(obj: ObjectiveSpec, cfg: DynamicsConfig):
+    """The lifted derivative of a run of dimension 1 as stage(t, e, z, h, p),
+    for `integrator.Split.stage`: x' = y - beta g, y' = -(alpha/t) y
+    - (1 - alpha beta/t) g - e x and the integrands of `_quadrature`, as a
+    tuple of Python floats, at time t, with e the schedule value there, and
+    the stage state x = z[0] + h p[0], y = z[1] + h p[1] (the integrals are
+    not read). g is the objective's one-point gradient, called on a
+    1-element buffer and read as a float64. The bits are those of
+    `vector_field`'s motion and `_quadrature` on 1-element arrays: a numpy
+    ufunc on float64 rounds each multiply, add and divide on its own, as a
+    Python float operation does, nothing is fused, the order is the same,
+    and a 1-element dot is one product. Float operations raise no numpy
+    floating-point warning; a state that overflows or turns NaN here is
+    caught by `solve`'s finiteness test after the attempt."""
+    alpha, beta, grad, xstar = cfg.alpha, cfg.beta, obj.gradient, min_norm_solution(obj).item()
+    x1 = np.empty(1)
+
+    def stage(t: float, e: float, z: list, h: float, p: list) -> tuple:
+        x1[0] = x = z[0] + h * p[0]
+        y = z[1] + h * p[1]
+        g = grad(x1).item()
+        dx = y - beta * g
+        e_t = e / t
+        r = x - xstar
+        return (dx, -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x,
+                e_t, e_t * (r * r), dx * dx / t)
+
+    return stage
+
+
+def _lifted(d: int, grad):
     """The lifted motion as motion(a, b, e, beta, z, out), which writes
     x' = y - beta g and y' = a y - b g - e x, with g = grad(x), into
     out[..., :2d]; a = -(alpha/t), b = 1 - alpha beta/t and the schedule
@@ -212,34 +245,17 @@ def _lifted(d: int, grad, floats: bool = False):
     holds the lanes' states as rows and grad maps rows of x to rows of
     gradients.
 
-    The operands depend on the state, fixed when the motion is built:
-
-    - one run of dimension 1 (``floats``): x, y and the one entry of
-      grad(z[:1]), the objective's one-point form, are read as Python
-      floats, and both results are written into out[:2] at once. The bits
-      hold: a numpy ufunc on float64 rounds each multiply and subtract on
-      its own, as a Python float operation does, nothing is fused, and the
-      order is the same. Float operations raise no numpy floating-point
-      warning; a state that overflows or turns NaN here is caught, as on
-      every path, by the finiteness test after the attempt.
-    - one run of dimension d >= 2: numpy on the views z[:d] and z[d:2d].
-    - rows of lanes: x and y are copied once into contiguous blocks, so
-      that numpy runs every later operation on contiguous operands, which
-      saves more than the copies cost.
-
-    The gradient is read as float64 on every path, as the lanes' float64
-    columns promote a float32 gradient; Python float coefficients would
-    keep it in float32.
+    One run uses numpy on the views z[:d] and z[d:2d]. The lanes copy x and
+    y once into contiguous blocks, so that numpy runs every later operation
+    on contiguous operands, which saves more than the copies cost. The
+    gradient is read as float64 on both, as the lanes' float64 columns
+    promote a float32 gradient; Python float coefficients would keep it in
+    float32.
     """
 
     xs, ys = np.s_[..., :d], np.s_[..., d : 2 * d]  # built once: cheaper than ... per call
 
     def motion(a, b, e, beta, z: np.ndarray, out: np.ndarray) -> None:
-        if floats:
-            x, y = z[:2].tolist()
-            g = grad(z[:1]).item()
-            out[0], out[1] = y - beta * g, a * y - b * g - e * x
-            return
         x, y = z[xs], z[ys]
         if z.ndim > 1:
             x, y = x.copy(), y.copy()
@@ -317,10 +333,13 @@ def _drive(
     formulation: str,
 ) -> Trajectory:
     """Step rhs from z0 over the sample grid and return its `_outcome`,
-    raising it if it is an IntegrationError."""
+    raising it if it is an IntegrationError. A state that overflows or turns
+    NaN is diagnosed by `solve`, so numpy's overflow and invalid warnings
+    are off while it steps."""
     ts = sample_times(cfg)
     try:
-        result = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
     except IntegrationError as exc:
         _outcome(obj, s, cfg, ts, exc, formulation)
         raise
@@ -337,12 +356,14 @@ def _outcome(
 ):
     """The finished Trajectory of a `solve` result (samples, stats), or the
     IntegrationError `solve` raised with the run up to its last completed
-    sample attached as ``partial``."""
-    if not isinstance(result, IntegrationError):
-        return _finish(obj, s, cfg, ts, *result, formulation)
-    if result.rows is not None:
-        result.partial = _finish(obj, s, cfg, ts[: result.rows.shape[0]], result.rows,
-                                 result.stats, formulation)
+    sample attached as ``partial``. Samples that overflowed finish as inf
+    or NaN without numpy's overflow and invalid warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not isinstance(result, IntegrationError):
+            return _finish(obj, s, cfg, ts, *result, formulation)
+        if result.rows is not None:
+            result.partial = _finish(obj, s, cfg, ts[: result.rows.shape[0]], result.rows,
+                                     result.stats, formulation)
     return result
 
 
@@ -416,7 +437,8 @@ def integrate_lanes(
     rhs = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))
     ts = sample_times(cfg)
     z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
-    results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
     return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
 
 

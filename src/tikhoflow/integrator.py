@@ -14,10 +14,13 @@ bit-identical output.
 
 For small states numpy's per-call overhead, not arithmetic, sets the cost, so
 everything invariant across attempts (stage rows, views of K, the step floor
-between accepted steps) is built once. A run of dimension 1 goes further: its
-motion reads the state in Python floats (`dynamics._lifted`), which round as
-numpy does, while the stage products, the quadrature and the error norm stay
-in numpy here, since a BLAS gemv does not round as a Python sum does.
+between accepted steps) is built once. A run of dimension 1 goes further:
+its `Split` has a ``stage`` in Python floats, and `_float_attempt` steps each
+attempt around its weight products, which stay ndarray.dot (a BLAS gemv does
+not round as a Python sum does), and one schedule call on all stage times.
+The stage states, the motion and integrands of each stage, z_new, the
+finiteness test and the error norm are Python floats, which round as numpy
+does, so the bits are `_attempt`'s.
 `dynamics` checks the schedule domain once per run before calling `solve`;
 the public `TikhonovSchedule.eps` still checks on every call.
 
@@ -55,8 +58,8 @@ work differs (`_attempt` with ndarray.dot, `_lanes_attempt` with stacked
 matmuls), so each lane's samples, counters and failure are byte-identical to
 `solve` on that lane alone. One lane runs slower through `solve_lanes` than
 through `solve`: the row gradient's fixed cost of a few numpy calls is not
-spread over other lanes, and a run of dimension 1 steps its motion in Python
-floats. So single runs keep `solve`.
+spread over other lanes, and a run of dimension 1 steps its attempts in
+Python floats. So single runs keep `solve`.
 Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations
@@ -135,11 +138,19 @@ class Split(NamedTuple):
     Called as rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, a `Split`
     evaluates the whole derivative at one time: the coefficients there, the
     motion and the quadrature columns, as the stages of an attempt do.
+
+    ``stage(t, e, z, h, p)``, if given, returns that whole derivative, with
+    the same bits, as a tuple of Python floats, at the stage state z + h p
+    of the lists of floats z and p, h a float; it need form only the
+    components of z + h p that the derivative reads. `solve` then steps
+    each attempt in floats (`_float_attempt`), which suits states of fewer
+    than 8 components, on which a left-to-right sum is numpy's.
     """
 
     coefficients: Callable
     motion: Callable
     quadrature: Callable
+    stage: Optional[Callable] = None
 
     def __call__(self, t, z: np.ndarray, *lanes) -> np.ndarray:
         if lanes:
@@ -215,19 +226,20 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     return h * factor
 
 
-def _attempt(rhs, K: np.ndarray):
+def _attempt(rhs: Split, K: np.ndarray, rel_tol: float, abs_tol: float):
     """One attempt on the stage rows K (one row per stage of the table and
     one more), K[0] holding f(t, z): returns attempt(t, z, h, t_new), which
-    fills K[1:], one row per stage, and returns z_new. The quadrature columns
-    of K[1:] are only filled after the last stage, which leaves the other
+    fills K[1:], one row per stage, and returns z_new and its error norm, or
+    (None, None) if z_new or K is not finite. The quadrature columns of
+    K[1:] are only filled after the last stage, which leaves the other
     columns of every product untouched (K starts zeroed, so no stage reads
     uninitialised memory). The weight products use ndarray.dot: the BLAS
     gemv that `@` calls, at half its overhead."""
-    coefficients, motion, quadrature = _split(rhs)
+    coefficients, motion, quadrature, _ = rhs
     S = np.empty((len(_A), K.shape[1]))  # stage states; S[-1] is z_new before its integrals
     stages = tuple((a, K[:k], S[k - 1], K[k]) for k, a in enumerate(_A, 1))
     cs = _C.tolist()
-    b, K_b, K_new = _A[-1], K[:-1], K[1:]
+    b, K_b, K_new, e = _A[-1], K[:-1], K[1:], _E
 
     def attempt(t, z, h, t_new):
         ts = [t + c * h for c in cs]
@@ -238,7 +250,51 @@ def _attempt(rhs, K: np.ndarray):
             np.add(z, h * a.dot(Kk), out=Sk)
             motion(tk, ek, Sk, Kout)
         quadrature(T, E, S, K_new)
-        return z + h * b.dot(K_b)
+        z_new = z + h * b.dot(K_b)
+        if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
+            return None, None
+        sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
+        return z_new, _rms(h * e.dot(K) / sc)
+
+    return attempt
+
+
+def _float_attempt(rhs: Split, K: np.ndarray, rel_tol: float, abs_tol: float):
+    """`_attempt` in Python floats around its weight products, for a `Split`
+    with a ``stage``. The products stay ndarray.dot, read back with
+    `tolist`, and the schedule one call on all stage times; the stage
+    states, each K row (written once, by its stage, so that the FSAL
+    stage's product is z_new's), z_new, the finiteness test and the error
+    norm are floats. Each float operation rounds as its numpy counterpart
+    does, in the same order, and the norm sums its squares left to right,
+    as `np.add.reduce` does on fewer than 8 terms, so every bit is
+    `_attempt`'s. K[0] is finite when an attempt starts (`_Lane.start`
+    checks it, and each accepted attempt its last row), so only the new
+    rows are tested."""
+    coefficients, stage = rhs.coefficients, rhs.stage
+    stages = tuple((a, K[:k], K[k]) for k, a in enumerate(_A, 1))
+    cs = _C.tolist()
+    e, m = _E, K.shape[1]
+
+    def attempt(t, z, h, t_new):
+        zs = z.tolist()
+        ts = [t + c * h for c in cs]
+        ts.append(t_new)
+        finite = True
+        for (a, Kk, Kout), tk, ek in zip(stages, ts, coefficients(np.array(ts)).tolist()):
+            p = a.dot(Kk).tolist()
+            Kout[...] = row = stage(tk, ek, zs, h, p)
+            finite = finite and all(map(math.isfinite, row))
+        # the last stage's product, over rows complete by then, is z_new's
+        z_new = [zj + h * pj for zj, pj in zip(zs, p)]
+        if not (finite and all(map(math.isfinite, z_new))):
+            return None, None
+        total = 0.0
+        for zj, nj, ej in zip(zs, z_new, e.dot(K).tolist()):
+            zj, nj = abs(zj), abs(nj)
+            v = h * ej / (abs_tol + rel_tol * (zj if zj >= nj else nj))
+            total += v * v
+        return np.array(z_new), math.sqrt(total / m)
 
     return attempt
 
@@ -359,14 +415,13 @@ def solve(
     lane.start(rhs, z, f, rel_tol, abs_tol)
     K = np.zeros((len(_A) + 1, z.shape[0]))
     K[0] = f  # FSAL: after an accepted step K[0] takes over the last stage's row
-    attempt = _attempt(rhs, K)
+    rhs = _split(rhs)
+    attempt = (_attempt if rhs.stage is None else _float_attempt)(rhs, K, rel_tol, abs_tol)
     while not lane.done:
-        h_try = lane.h_try
-        z_new = attempt(lane.t, z, h_try, lane.t_new)
-        if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
+        z_new, err = attempt(lane.t, z, lane.h_try, lane.t_new)
+        if err is None:
             raise lane.non_finite(z, Ellipsis)
-        sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        if lane.advance(_rms(h_try * _E.dot(K) / sc), z, z_new, Ellipsis):
+        if lane.advance(err, z, z_new, Ellipsis):
             z = z_new
             K[0] = K[-1]
     return out, lane.stats()
@@ -451,7 +506,7 @@ def solve_lanes(
     T = [lanes[i].t for i in live]
     T_new = [lanes[i].t_new for i in live]
     # dtype=int: np.array([]) of an empty live list is float, which cannot index
-    bind, motion, quadrature = _split(rhs, on_lanes=True)
+    bind, motion, quadrature, _ = _split(rhs, on_lanes=True)
     at = bind(np.array(live, dtype=int))
     attempt = _lanes_attempt(motion, quadrature)
     while live:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,20 @@ def test_integration_failure_exits_3_and_flushes_partial(base_config, tmp_path, 
     assert len(flushed.read_text().strip().split("\n")) == 31  # header + 30 partial rows
     assert (out / "demo" / "manifest.json").exists()
     assert not (out / "demo" / "report.json").exists()
+
+
+@pytest.mark.parametrize("center", ["1 -2 0.5", "1"])
+def test_non_finite_initial_derivative_exits_3_without_warnings(tmp_path, capsys, center):
+    # u0 = 1e200 squares to inf in the integrands of the first derivative and
+    # in the finished partial run; only the diagnosis may reach the user
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE + f"problem.name = shifted_quadratic\nproblem.c = {center}\ndynamics.u0 = 1e200\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "non-finite derivative at the initial state" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_all_diagnostics_blocks_present(tmp_path):

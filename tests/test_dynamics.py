@@ -124,15 +124,15 @@ def _same_or_both_nan(got, want):
 @pytest.mark.parametrize("schedule", [power_schedule(1.5), zero_schedule()], ids=["power", "zero"])
 @pytest.mark.parametrize("alpha,beta,t", [(3.0, 0.0, 2.0), (3.0, 1.0, 2.0), (3.0, 1.0, 3.0), (0.0, 2.5, 1e300)])
 def test_one_run_motion_in_floats_matches_numpy_on_edge_values(schedule, alpha, beta, t):
-    # a d = 1 run evaluates its motion in Python floats; numpy on 1-vectors
-    # must give the same bytes for signed zeros, subnormals, products that
-    # overflow to inf, and inf/NaN states (NaN compared by position)
+    # a d = 1 run steps its attempts with the field's float stage; numpy on
+    # 1-vectors must give the same bytes for signed zeros, subnormals,
+    # products that overflow to inf, and inf/NaN states (NaN compared by
+    # position), in the motion and in the integrands
     obj = builtin("shifted_quadratic", c=np.zeros(1))
     cfg = cfg1d(alpha=alpha, beta=beta, horizon=1e300)
     rhs = vector_field(obj, schedule, cfg)
     e = float(schedule.eps(t))
     a, b = -(alpha / t), 1.0 - alpha * beta / t
-    out = np.empty(5)
     for x0 in EDGE:
         for y0 in EDGE:
             z = _z([x0], [y0])
@@ -140,12 +140,13 @@ def test_one_run_motion_in_floats_matches_numpy_on_edge_values(schedule, alpha, 
             with np.errstate(all="ignore"):
                 g = obj.gradient(x)
                 want = np.concatenate([y - beta * g, a * y - b * g - e * x])
-                got = rhs(t, z)[:2]
-            _same_or_both_nan(got, want)
-            # the float operations raise no numpy floating-point condition
+                whole = rhs(t, z)
+            _same_or_both_nan(whole[:2], want)
+            # the float operations raise no numpy floating-point condition;
+            # -0.0 + 1.0 * z is z, signed zeros included
             with np.errstate(all="raise"):
-                rhs.motion(t, e, z, out)
-            _same_or_both_nan(out[:2], want)
+                got = np.array(rhs.stage(t, e, [-0.0] * 5, 1.0, z.tolist()))
+            _same_or_both_nan(got, whole)
 
 
 def test_vector_field_rejects_schedule_not_covering_run():
