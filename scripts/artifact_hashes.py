@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py > hashes.txt
 
-Each config, `configs/example.cfg` and eight variants of it (logarithmic,
+Each config, `configs/example.cfg` and nine variants of it (logarithmic,
 tabulated and zero schedules, linear sample spacing, psd_quadratic,
 least_squares at horizon 1e2, a shifted_quadratic run from u0 = 1e200,
-which fails, and an undamped one-center shifted_quadratic at horizon 1e3),
+which fails, an undamped one-center shifted_quadratic at horizon 1e3, and
+paper1d from u0 = 1e20, whose first step underflows),
 goes through `run`, `compare`, `sweep` and `check-schedule`.
 The calls run in a temporary directory and write to a relative ``--out``,
 because `report.json` and `manifest.json` record the output directory. The
@@ -51,6 +52,8 @@ VARIANTS = {
         "problem.name = shifted_quadratic\nproblem.c = 1\ndynamics.beta = 0\n"
         "dynamics.horizon = 1e3\n"
     ),
+    # paper1d far out, stiff at beta = 1: its first step underflows (exit 3)
+    "paper1d_u0_1e20": "dynamics.u0 = 1e20\n",
 }
 
 CALLS = {

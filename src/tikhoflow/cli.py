@@ -241,8 +241,10 @@ def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajector
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "manifest.json", exp.resolved)
         if exc.partial is not None:
-            w_partial = diag.energy_W_series(obj, exc.partial)
-            write_trajectory_csv(run_dir / "trajectory.csv", exc.partial, w_partial)
+            # a failed run's samples may have overflowed, as `_outcome` allows
+            with np.errstate(over="ignore", invalid="ignore"):
+                w_partial = diag.energy_W_series(obj, exc.partial)
+                write_trajectory_csv(run_dir / "trajectory.csv", exc.partial, w_partial)
         raise
     run_dir.mkdir(parents=True, exist_ok=True)
     w_series = diag.energy_W_series(obj, traj)

@@ -21,8 +21,9 @@ the motion copies each into one block, and the coefficient columns of each
 stage time are built as one block too; numpy then runs every later
 operation of the motion on contiguous operands. A run of dimension 1, the
 paper's worked example, also gives `solve` its motion and integrands in
-Python floats (`_lifted_floats`), with which each attempt is stepped in
-floats around its weight products: on 1-element arrays numpy's per-call
+Python floats (`_lifted_floats`, which calls the objective's float
+gradient where it has one), with which each attempt is stepped in floats
+around its weight products: on 1-element arrays numpy's per-call
 cost, not the arithmetic, sets the price, and Python floats round each
 operation in the same order as numpy does, so every bit stays. The weight
 products stay numpy's for every kind of state: they are BLAS gemv calls,
@@ -212,21 +213,22 @@ def _lifted_floats(obj: ObjectiveSpec, cfg: DynamicsConfig):
     - (1 - alpha beta/t) g - e x and the integrands of `_quadrature`, as a
     tuple of Python floats, at time t, with e the schedule value there, and
     the stage state x = z[0] + h p[0], y = z[1] + h p[1] (the integrals are
-    not read). g is the objective's one-point gradient, called on a
-    1-element buffer and read as a float64. The bits are those of
-    `vector_field`'s motion and `_quadrature` on 1-element arrays: a numpy
-    ufunc on float64 rounds each multiply, add and divide on its own, as a
-    Python float operation does, nothing is fused, the order is the same,
-    and a 1-element dot is one product. Float operations raise no numpy
+    not read). g is the objective's `gradient_float`, or, for an objective
+    without one, its one-point gradient adapted once per run to the same
+    interface (`_float_gradient`). The bits are those of `vector_field`'s
+    motion and `_quadrature` on 1-element arrays: a numpy ufunc on float64
+    rounds each multiply, add and divide on its own, as a Python float
+    operation does, nothing is fused, the order is the same, and a
+    1-element dot is one product. Float operations raise no numpy
     floating-point warning; a state that overflows or turns NaN here is
     caught by `solve`'s finiteness test after the attempt."""
-    alpha, beta, grad, xstar = cfg.alpha, cfg.beta, obj.gradient, min_norm_solution(obj).item()
-    x1 = np.empty(1)
+    alpha, beta, xstar = cfg.alpha, cfg.beta, min_norm_solution(obj).item()
+    grad = obj.gradient_float or _float_gradient(obj.gradient)
 
     def stage(t: float, e: float, z: list, h: float, p: list) -> tuple:
-        x1[0] = x = z[0] + h * p[0]
+        x = z[0] + h * p[0]
         y = z[1] + h * p[1]
-        g = grad(x1).item()
+        g = grad(x)
         dx = y - beta * g
         e_t = e / t
         r = x - xstar
@@ -234,6 +236,18 @@ def _lifted_floats(obj: ObjectiveSpec, cfg: DynamicsConfig):
                 e_t, e_t * (r * r), dx * dx / t)
 
     return stage
+
+
+def _float_gradient(gradient):
+    """The one-point gradient of dimension 1 as a function of a float: it is
+    called on a 1-element buffer, and its value read as a float64."""
+    x1 = np.empty(1)
+
+    def grad(s: float) -> float:
+        x1[0] = s
+        return gradient(x1).item()
+
+    return grad
 
 
 def _lifted(d: int, grad):

@@ -194,9 +194,13 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(v * v)) / v.shape[0])
 
 
-def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
+def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> Optional[float]:
+    """The first step size from z0 and f0 = rhs(t0, z0), or None when f0's
+    scaled norm overflows: the first guess 0.01 * d0 / d1 is then 0."""
     sc = atol + rtol * np.abs(z0)
     d0, d1 = _rms(z0 / sc), _rms(f0 / sc)
+    if d1 == math.inf:
+        return None
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = rhs(t0 + h0, z0 + h0 * f0)
@@ -339,11 +343,16 @@ class _Lane:
 
     def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
         """Check f = rhs(t0, z), pick the initial step, which calls rhs once
-        more, and propose the first attempt from z."""
+        more unless f's scaled norm overflows (a failure), and propose the
+        first attempt from z."""
         self.evals = 1
         if not np.isfinite(f).all():
             raise self.error("non-finite derivative at the initial state", z, Ellipsis)
-        self.h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
+        h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
+        if h is None:
+            raise self.error("initial step size underflow: the scaled norm of the "
+                             f"initial derivative overflows at t={self.t:.6g}", z, Ellipsis)
+        self.h = h
         self.evals += 1
         self.advance(None, z, z, Ellipsis)
 

@@ -9,17 +9,21 @@ as well as one point and give, bit for bit, what they give row by row.
 `value` has one form, which on one point x (d,) gives what it gives on the
 row x[None], and so has `gradient` for the quadratics. paper1d and least
 squares keep a one-point `gradient` beside the row form, since `run` calls
-it at every stage and it is cheaper there. The row forms repeat
-each one-point operation elementwise: paper1d powers through
-`np.float_power`, which calls libm `pow` as the scalar `**` does
+it at every stage and it is cheaper there. paper1d and the one-center
+shifted quadratic also give their gradient as a function of a Python float
+(`ObjectiveSpec.gradient_float`), which a run of dimension 1 calls at
+every stage; paper1d's one-point gradient is that function on x[0]. The
+row forms repeat each one-point operation elementwise: paper1d powers
+through `np.float_power`, which calls libm `pow` as the scalar `**` does
 (`np.square`, which an array's `** 2` calls, differs in the last bit); the
 quadratics and least squares multiply by matrices with stacked
-`np.matmul(A, X[..., None])`, one BLAS gemv per row as `A @ x` makes (`X @ A.T`
-is one gemm, which rounds differently), and dot rows with `np.vecdot`, one
-ddot per row as `np.dot` makes.
+`np.matmul(A, X[..., None])`, one BLAS gemv per row as `A @ x` or
+`A.dot(x)` makes (`X @ A.T` is one gemm, which rounds differently), and
+dot rows with `np.vecdot`, one ddot per row as `np.dot` makes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,6 +53,16 @@ class ObjectiveSpec:
     min_value: float
     min_norm_solution: Optional[Vector] = None
     rows: bool = False
+
+    @property
+    def gradient_float(self) -> Optional[Callable[[float], float]]:
+        """The gradient at d = 1 as a function of a Python float s, bit for
+        bit `gradient(np.array([s])).item()` and raising nothing, if the
+        one-point `gradient` carries one as its attribute ``float_form``; a
+        run of dimension 1 calls it at every stage. It lives on the
+        gradient, so an objective whose gradient is replaced
+        (`dataclasses.replace`) loses it with the gradient."""
+        return getattr(self.gradient, "float_form", None)
 
     def gradient_rows(self, X: np.ndarray) -> np.ndarray:
         return self.gradient(X) if self.rows else np.array([self.gradient(x) for x in X])
@@ -104,18 +118,25 @@ def _paper1d() -> ObjectiveSpec:
     def value(x: Vector) -> float:
         return np.abs(np.float_power(_beyond(x[..., 0]), _THREE))
 
+    def gradient_float(s: float) -> float:
+        try:
+            if s < -1.0:
+                return -3.0 * (s + 1.0) ** 2
+            if s > 1.0:
+                return 3.0 * (s - 1.0) ** 2
+        except OverflowError:  # Python's ** raises where numpy's gives inf
+            return math.copysign(math.inf, s)
+        return 0.0
+
     def gradient(x: Vector) -> Vector:
         if x.ndim > 1:
             u = _beyond(x)
             g = np.float_power(u, _TWO)
             g *= _THREE
             return np.copysign(g, u, out=g)
-        s = x[0]
-        if s < -1.0:
-            return np.array([-3.0 * (s + 1.0) ** 2])
-        if s > 1.0:
-            return np.array([3.0 * (s - 1.0) ** 2])
-        return np.array([0.0])
+        return np.array([gradient_float(float(x[0]))])
+
+    gradient.float_form = gradient_float
 
     def hessian_vec(x: Vector, v: Vector) -> Vector:
         s = x[0]
@@ -146,10 +167,17 @@ def _shifted_quadratic(c) -> ObjectiveSpec:
         D = x - c
         return 0.5 * np.vecdot(D, D)
 
+    def gradient(x: Vector) -> Vector:
+        return x - c
+
+    if d == 1:
+        c0 = c.item()
+        gradient.float_form = lambda s: s - c0
+
     return ObjectiveSpec(
         dimension=d,
         value=value,
-        gradient=lambda x: x - c,
+        gradient=gradient,
         hessian_vec=lambda x, v: np.array(v, dtype=float),
         min_value=0.0,
         min_norm_solution=c.copy(),
@@ -204,7 +232,7 @@ def _least_squares(A, b) -> ObjectiveSpec:
     def gradient(x: Vector) -> Vector:
         if x.ndim > 1:
             return _stacked(At, _stacked(A, x) - b)
-        return At @ (A @ x - b)
+        return At.dot(A.dot(x) - b)
 
     return ObjectiveSpec(
         dimension=d,

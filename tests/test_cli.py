@@ -414,6 +414,46 @@ def test_non_finite_initial_derivative_exits_3_without_warnings(tmp_path, capsys
     assert [str(w.message) for w in caught] == []
 
 
+def _diagnosis_only(tmp_path, capsys, text, argv):
+    # the exit code and stderr of one call, which must raise no warning
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE + text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], str(cfg), *argv[1:], "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in caught] == []
+    return code, capsys.readouterr().err
+
+
+OVERFLOWING_NORM = ("integration failed: initial step size underflow: the scaled norm of the "
+                    "initial derivative overflows at t=1\n")
+
+
+@pytest.mark.parametrize("problem", ["", "problem.name = shifted_quadratic\nproblem.c = 1\n"],
+                         ids=["paper1d", "shifted"])
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--gamma", "1.5", "2.5"]], ids=["run", "sweep"])
+def test_initial_derivative_whose_norm_overflows_exits_3(tmp_path, capsys, problem, argv):
+    # the first step-size guess divides by that norm and comes out 0
+    assert _diagnosis_only(tmp_path, capsys, problem + "dynamics.u0 = 1e100\n", argv) == (
+        3, OVERFLOWING_NORM)
+
+
+def test_compare_with_cells_whose_initial_norm_overflows_exits_3(tmp_path, capsys):
+    # the gamma cells fail at their first step-size guess; the zero cell,
+    # whose initial integrands vanish, fails first, at its first step
+    code, err = _diagnosis_only(tmp_path, capsys, "dynamics.u0 = 1e100\n",
+                                ["compare", "--gammas", "1.5", "2.5"])
+    assert code == 3 and err.startswith("integration failed: step size underflow at t=1 ")
+    assert err.count("\n") == 1
+
+
+def test_compare_failing_on_a_non_finite_derivative_prints_only_the_diagnosis(tmp_path, capsys):
+    # the zero cell's partial run holds 0 * inf in its energy
+    text = "problem.name = shifted_quadratic\nproblem.c = 1 -2 0.5\ndynamics.u0 = 1e200\n"
+    assert _diagnosis_only(tmp_path, capsys, text, ["compare", "--gammas", "1.5", "2.5"]) == (
+        3, "integration failed: non-finite derivative at the initial state\n")
+
+
 def test_all_diagnostics_blocks_present(tmp_path):
     cfg = tmp_path / "full.cfg"
     cfg.write_text(

@@ -15,8 +15,11 @@ from tikhoflow import (
     vector_field,
     zero_schedule,
 )
-from tikhoflow.dynamics import _lifted_z0
+from tikhoflow.dynamics import _lifted_z0, integrate_lanes
 from tikhoflow.integrator import Split, _split, solve
+from tikhoflow.problems import ObjectiveSpec
+
+from helpers import reference_integrate
 
 
 def cfg1d(**kw):
@@ -443,3 +446,63 @@ def test_field_is_the_split_that_solve_steps(run, monkeypatch):
     run(builtin("paper1d"), power_schedule(1.5), cfg1d(horizon=3.0, sample_count=5))
     (rhs,) = seen
     assert isinstance(rhs, Split) and _split(rhs) is rhs
+
+
+def _assert_same_run(got, want):
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.meta["stats"] == want.meta["stats"]
+
+
+def test_objective_without_float_gradient_steps_through_its_array_gradient():
+    # a hand-built d = 1 objective carries no float gradient: each stage of
+    # its float attempts reads the one-point gradient on a 1-element buffer
+    calls = []
+
+    def gradient(x):
+        calls.append(x.ndim)
+        return x**3 + x
+
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: 0.25 * x[0] ** 4 + 0.5 * x[0] ** 2,
+        gradient=gradient,
+        hessian_vec=lambda x, v: (3.0 * x**2 + 1.0) * v,
+        min_value=0.0,
+        min_norm_solution=np.array([0.0]),
+    )
+    assert obj.gradient_float is None
+    s, cfg = power_schedule(1.5), cfg1d(horizon=40.0, sample_count=60)
+    assert vector_field(obj, s, cfg).stage is not None
+    traj = integrate(obj, s, cfg)
+    # one point: the initial lift, every right-hand side evaluation and one
+    # call per sample to finish
+    assert calls == [1] * (1 + traj.meta["stats"]["rhs_evals"] + traj.n_samples)
+    (lane,) = integrate_lanes(obj, [(s, cfg)])
+    _assert_same_run(traj, lane)
+    _assert_same_run(traj, reference_integrate(obj, s, cfg))
+
+
+@pytest.mark.parametrize("obj", [builtin("paper1d"), builtin("shifted_quadratic", c=np.ones(1))],
+                         ids=["paper1d", "shifted"])
+def test_initial_derivative_whose_norm_overflows_fails_alike_in_runs_and_lanes(obj):
+    # from u0 = 1e100 the initial derivative is finite but its scaled norm
+    # overflows, so the first step-size guess is 0: a diagnosed failure of
+    # its own lane, not a ZeroDivisionError that ends every lane
+    cfg = cfg1d(u0=[1e100])
+    runs = [(zero_schedule(), cfg), (power_schedule(1.5), cfg), (power_schedule(2.5), cfg)]
+    lanes = list(integrate_lanes(obj, runs))
+    for (s, c), lane in zip(runs, lanes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as err:
+                integrate(obj, s, c)
+        run = err.value
+        assert isinstance(lane, IntegrationError)
+        assert (str(lane), lane.t, lane.stats) == (str(run), run.t, run.stats)
+        assert lane.rows.tobytes() == run.rows.tobytes()
+        assert lane.state.tobytes() == run.state.tobytes()
+    for lane in lanes[1:]:
+        assert str(lane) == ("initial step size underflow: the scaled norm of the initial "
+                             "derivative overflows at t=1")
+        assert lane.stats == {"steps": 0, "rejected": 0, "rhs_evals": 1}

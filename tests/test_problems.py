@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,58 @@ def test_least_squares_40x60_rows_match_points():
     _assert_rows_match_points(obj, _as_lane_rows(X))
     _assert_rows_match_points(obj, X[:1])
 
+
+# -- float gradients -----------------------------------------------------------
+
+FLOAT_EDGES = [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.nextafter(-1.0, -2.0),
+               np.nextafter(-1.0, 0.0), 0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+               1e154, -1e154, 1e155, -1e155, 1e200, -1e200, 1.7976931348623157e308,
+               -1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+def _float_gradient_objectives():
+    return [builtin("paper1d"), builtin("shifted_quadratic", c=np.array([1.0])),
+            builtin("shifted_quadratic", c=np.array([-0.3]))]
+
+
+def _assert_float_gradient_matches(obj, points):
+    # bit for bit the one-point and the row gradient; the float form raises
+    # nothing, also where the array forms overflow
+    g = obj.gradient_float
+    for s in points:
+        got = g(float(s))
+        assert type(got) is float
+        with np.errstate(over="ignore"):
+            point = obj.gradient(np.array([s])).item()
+            row = obj.gradient(np.array([[s]])).item()
+        want = np.float64(point).tobytes()
+        assert np.float64(got).tobytes() == want == np.float64(row).tobytes(), s
+
+
+@pytest.mark.parametrize("obj", _float_gradient_objectives(), ids=["paper1d", "c1", "c-0.3"])
+def test_float_gradient_matches_array_gradient_on_edges(obj):
+    _assert_float_gradient_matches(obj, FLOAT_EDGES)
+
+
+def test_paper1d_float_gradient_overflows_to_signed_inf():
+    # at 1e154 the product overflows, from 1e155 already the power, where
+    # Python raises OverflowError and numpy gives inf
+    g = builtin("paper1d").gradient_float
+    for s in (1e154, 1e155, 1e200):
+        assert (g(s), g(-s)) == (np.inf, -np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_float_gradient_matches_array_gradient_on_draws(s):
+    for obj in _float_gradient_objectives():
+        _assert_float_gradient_matches(obj, [s])
+
+
+def test_only_one_dimensional_builtins_with_a_float_form_carry_one():
+    assert builtin("shifted_quadratic", c=np.array([1.0, 2.0])).gradient_float is None
+    assert builtin("psd_quadratic", A=np.array([[2.0]]), b=np.array([1.0])).gradient_float is None
+    assert builtin("least_squares", A=np.array([[1.0], [2.0]]), b=np.array([1.0, 0.0])).gradient_float is None
+    # the float form lives on the gradient: replacing the gradient drops it
+    obj = builtin("paper1d")
+    assert dataclasses.replace(obj, gradient=lambda x: obj.gradient(x)).gradient_float is None
