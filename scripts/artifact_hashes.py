@@ -2,12 +2,12 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py > hashes.txt
 
-Each config, `configs/example.cfg` and nine variants of it (logarithmic,
+Each config, `configs/example.cfg` and eleven variants of it (logarithmic,
 tabulated and zero schedules, linear sample spacing, psd_quadratic,
 least_squares at horizon 1e2, a shifted_quadratic run from u0 = 1e200,
 which fails, an undamped one-center shifted_quadratic at horizon 1e3, and
-paper1d from u0 = 1e20, whose first step underflows),
-goes through `run`, `compare`, `sweep` and `check-schedule`.
+paper1d from u0 = 1e20, 1e100 and 1e200, which fail at or before their
+first step), goes through `run`, `compare`, `sweep` and `check-schedule`.
 The calls run in a temporary directory and write to a relative ``--out``,
 because `report.json` and `manifest.json` record the output directory. The
 script prints one ``exit <code>  <call>`` line per call, then one
@@ -54,6 +54,11 @@ VARIANTS = {
     ),
     # paper1d far out, stiff at beta = 1: its first step underflows (exit 3)
     "paper1d_u0_1e20": "dynamics.u0 = 1e20\n",
+    # the first derivative's scaled norm overflows (run, sweep); the zero
+    # cell of compare fails on the derivative's change over the trial step
+    "paper1d_u0_1e100": "dynamics.u0 = 1e100\n",
+    # the first derivative is not finite
+    "paper1d_u0_1e200": "dynamics.u0 = 1e200\n",
 }
 
 CALLS = {

@@ -6,11 +6,12 @@ of the manifest each run writes, so a manifest can be re-run as-is.
 
 The schema is `KEYS`: each key with the reader that checks its value and its
 default (None: no default). `PROBLEMS` and `SCHEDULES` name the keys that
-each `problem.name` and `schedule.kind` reads; every other key is read by
-every run, and the keys of other problems and schedules are ignored: their
-values are checked, then dropped. `resolve` reads exactly those keys, builds
-the runtime objects from the values it read, and keeps those values as the
-manifest.
+each `problem.name` and `schedule.kind` reads; `PROBLEMS` is derived from
+`problems.BUILTINS`, a ``problem.<parameter>`` key for each parameter of a
+builtin. Every other key is read by every run, and the keys of other
+problems and schedules are ignored: their values are checked, then dropped.
+`resolve` reads exactly those keys, builds the runtime objects from the
+values it read, and keeps those values as the manifest.
 
 A key given twice takes its last value, in both formats (a later line, or
 a later member of the JSON object), so a setting can be overridden by
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import DynamicsConfig
-from .problems import ObjectiveSpec, builtin
+from .problems import BUILTINS, ObjectiveSpec, builtin
 from .schedules import TikhonovSchedule
 
 REPORT_NAMES = ("W", "Eb", "Ebp", "rates", "ergodic", "tikhonov_curve", "hypotheses")
@@ -123,12 +124,7 @@ KEYS = {
     "diagnostics.eps_grid": (_vector, [1.0, 0.1, 0.01, 0.001]),  # Tikhonov-curve grid
 }
 
-PROBLEMS = {
-    "paper1d": (),
-    "shifted_quadratic": ("problem.c",),
-    "psd_quadratic": ("problem.A", "problem.b"),
-    "least_squares": ("problem.A", "problem.b"),
-}
+PROBLEMS = {name: tuple(f"problem.{key}" for key in keys) for name, (_, keys) in BUILTINS.items()}
 SCHEDULES = {
     "power": ("schedule.gamma", "schedule.scale"),
     "logarithmic": ("schedule.offset",),

@@ -48,15 +48,17 @@ so that each stage's state rows are one block.
 The step control is written once, in `_Lane`, and both loops drive it in
 Python floats: `solve` one lane, `solve_lanes` one per run. After each finite
 attempt one call of `_Lane.advance` concludes it and proposes the next one,
-so a lane costs one controller call per attempt; `solve_lanes` tests
-finiteness once for the whole batch, visits the lanes one by one only when
-that test fails, and collects the next attempt's step sizes and times in the
-same pass. It binds the live lanes' coefficients (`Split`) at the start
-and again only when the live set shrinks, so that the right-hand side picks
-its per-lane columns once per live set, not once per attempt. Only the array
-work differs (`_attempt` with ndarray.dot, `_lanes_attempt` with stacked
-matmuls), so each lane's samples, counters and failure are byte-identical to
-`solve` on that lane alone. One lane runs slower through `solve_lanes` than
+so a lane costs one controller call per attempt. `solve_lanes` tests
+finiteness once for the whole batch, and lane by lane only when that test
+fails. One pass over the lanes then concludes each attempt: a lane that did
+not stay finite (`_Lane.non_finite`), finished or failed leaves, and the
+others give the next attempt's step sizes and times. The lanes that left
+are dropped from the arrays at one place, which also binds the live lanes'
+coefficients (`Split`) before the live set's first attempt, so that the
+right-hand side picks its per-lane columns once per live set, not once per
+attempt. Only the array work differs (`_attempt` with ndarray.dot,
+`_lanes_attempt` with stacked matmuls), so each lane's samples, counters
+and failure are byte-identical to `solve` on that lane alone. One lane runs slower through `solve_lanes` than
 through `solve`: the row gradient's fixed cost of a few numpy calls is not
 spread over other lanes, and a run of dimension 1 steps its attempts in
 Python floats. So single runs keep `solve`.
@@ -93,6 +95,7 @@ _MAX_FACTOR = 10.0
 _BETA_PI = 0.04
 _STEP_FLOOR = 1e-14
 _MAX_STEPS = 20_000_000
+_NORM_OVERFLOWS = "the scaled norm of the initial derivative"
 
 
 class IntegrationError(RuntimeError):
@@ -132,8 +135,8 @@ class Split(NamedTuple):
     lanes, returns at(T) -> (E, P) for their times T (lanes, stages), E of
     T's shape for ``quadrature`` and P one tuple of arguments per stage, so
     that stage k calls ``motion(*P[k], Z, out)`` on rows of lanes.
-    `solve_lanes` binds at the start and again each time the live set
-    shrinks, and calls ``at`` once per attempt.
+    `solve_lanes` binds once per live set, before its first attempt, and
+    calls ``at`` once per attempt.
 
     Called as rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, a `Split`
     evaluates the whole derivative at one time: the coefficients there, the
@@ -194,17 +197,22 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(v * v)) / v.shape[0])
 
 
-def _initial_step(rhs, t0, z0, f0, rtol, atol, span) -> Optional[float]:
-    """The first step size from z0 and f0 = rhs(t0, z0), or None when f0's
-    scaled norm overflows: the first guess 0.01 * d0 / d1 is then 0."""
+def _initial_step(rhs, t0, z0, f0, rtol, atol, span):
+    """The first step size from z0 and f0 = rhs(t0, z0), or, when a guess
+    overflows to 0, what overflowed: f0's scaled norm d1 (the first guess is
+    0.01 * d0 / d1; rhs is not called again) or d2, the change of the
+    derivative over the trial step h0 (the second guess is (0.01 / d2) **
+    _ERR_EXP)."""
     sc = atol + rtol * np.abs(z0)
     d0, d1 = _rms(z0 / sc), _rms(f0 / sc)
     if d1 == math.inf:
-        return None
+        return _NORM_OVERFLOWS
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = rhs(t0 + h0, z0 + h0 * f0)
     d2 = _rms((f1 - f0) / sc) / h0
+    if d2 == math.inf:
+        return "the change of the derivative over the first trial step"
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -343,17 +351,18 @@ class _Lane:
 
     def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
         """Check f = rhs(t0, z), pick the initial step, which calls rhs once
-        more unless f's scaled norm overflows (a failure), and propose the
-        first attempt from z."""
+        more unless f's scaled norm overflows, and propose the first attempt
+        from z. An initial step that overflows to 0 is a failure."""
         self.evals = 1
         if not np.isfinite(f).all():
             raise self.error("non-finite derivative at the initial state", z, Ellipsis)
         h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
-        if h is None:
-            raise self.error("initial step size underflow: the scaled norm of the "
-                             f"initial derivative overflows at t={self.t:.6g}", z, Ellipsis)
+        if h is not _NORM_OVERFLOWS:  # rhs was called at the trial step
+            self.evals += 1
+        if isinstance(h, str):
+            raise self.error(f"initial step size underflow: {h} overflows at t={self.t:.6g}",
+                             z, Ellipsis)
         self.h = h
-        self.evals += 1
         self.advance(None, z, z, Ellipsis)
 
     def non_finite(self, Z: np.ndarray, p) -> IntegrationError:
@@ -481,8 +490,11 @@ def solve_lanes(
     arithmetic and the DP5 weight products of all active lanes at once, as
     stacked matmuls that run the same per-lane BLAS calls as `solve`. Each
     lane's step control is a `_Lane`, as in `solve`, so every lane gets
-    exactly the bits `solve` gives it alone. Lanes that finish or fail leave
-    the arrays; the others run on.
+    exactly the bits `solve` gives it alone. The error norms are computed
+    for every row, row by row, so a finite lane's norm does not depend on
+    the others; then one pass over the lanes concludes each attempt. Lanes
+    that did not stay finite, finished or failed leave the arrays at once,
+    and the others run on.
 
     Returns one entry per lane: ``(samples, stats)`` as `solve` returns them,
     or the IntegrationError `solve` raises on that lane alone. Exceptions
@@ -501,45 +513,45 @@ def solve_lanes(
         return [(ln.rows, ln.stats()) for ln in lanes]
 
     F = rhs(np.full(L, grid[0]), Z, np.arange(L))
-    live = []
+    K = np.zeros((L, len(_A) + 1, m))
+    K[:, 0] = F
+    go = []  # the rows of the lanes that go on to the next attempt
     for i, ln in enumerate(lanes):
         try:
             ln.start(_one_lane(rhs, i), Z[i], F[i], rel_tol, abs_tol)
-            live.append(i)
+            go.append(i)
         except IntegrationError as exc:
             results[i] = exc
-    Z, K = Z[live], np.zeros((len(live), len(_A) + 1, m))
-    K[:, 0] = F[live]
-    # the next attempt's step sizes, times and end times, in the order of live
-    H = [lanes[i].h_try for i in live]
-    T = [lanes[i].t for i in live]
-    T_new = [lanes[i].t_new for i in live]
-    # dtype=int: np.array([]) of an empty live list is float, which cannot index
+    # the next attempt's step sizes, times and end times, in the order of go
+    H = [lanes[i].h_try for i in go]
+    T = [lanes[i].t for i in go]
+    T_new = [lanes[i].t_new for i in go]
     bind, motion, quadrature, _ = _split(rhs, on_lanes=True)
-    at = bind(np.array(live, dtype=int))
     attempt = _lanes_attempt(motion, quadrature)
-    while live:
+    live, at = range(L), None
+    while True:
+        # lanes that finished or failed leave the arrays, and each live set
+        # is bound before its first attempt
+        if at is None or len(go) < len(live):
+            live, Z, K = [live[p] for p in go], Z[go], K[go]
+            if not live:
+                return results
+            at = bind(np.array(live))
         Hc = np.array(H)[:, None]
         Z_new = attempt(np.array(T), Hc, np.array(T_new), Z, K, at)
-        if not (np.isfinite(Z_new).all() and np.isfinite(K).all()):
-            finite = (np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))).tolist()
-            go = []
-            for p, i in enumerate(live):
-                if finite[p]:
-                    go.append(p)
-                else:
-                    results[i] = lanes[i].non_finite(Z, p)
-            live, Z, K, Z_new, Hc = [live[p] for p in go], Z[go], K[go], Z_new[go], Hc[go]
-            if not live:
-                break
-            at = bind(np.array(live, dtype=int))
+        # row by row, so a finite lane's norm is the same whatever the others hold
         sc = abs_tol + rel_tol * np.maximum(np.abs(Z), np.abs(Z_new))
         v = Hc * np.matmul(_E, K) / sc
         errs = np.sqrt(np.add.reduce(v * v, axis=1) / m).tolist()
+        if not (np.isfinite(Z_new).all() and np.isfinite(K).all()):
+            finite = np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))
+            errs = [err if ok else None for err, ok in zip(errs, finite.tolist())]
         accepted, go, H, T, T_new = [], [], [], [], []
         for p, (i, err) in enumerate(zip(live, errs)):
             ln = lanes[i]
             try:
+                if err is None:
+                    raise ln.non_finite(Z, p)
                 if ln.advance(err, Z, Z_new, p):
                     accepted.append(p)
                     if ln.done:
@@ -558,7 +570,3 @@ def solve_lanes(
         else:
             Z[accepted] = Z_new[accepted]
             K[accepted, 0] = K[accepted, -1]
-        if len(go) < len(live):
-            live, Z, K = [live[p] for p in go], Z[go], K[go]
-            at = bind(np.array(live, dtype=int))
-    return results

@@ -8,11 +8,13 @@ Every builtin also maps rows: its `gradient` and `value` take rows X (n, d)
 as well as one point and give, bit for bit, what they give row by row.
 `value` has one form, which on one point x (d,) gives what it gives on the
 row x[None], and so has `gradient` for the quadratics. paper1d and least
-squares keep a one-point `gradient` beside the row form, since `run` calls
-it at every stage and it is cheaper there. paper1d and the one-center
-shifted quadratic also give their gradient as a function of a Python float
-(`ObjectiveSpec.gradient_float`), which a run of dimension 1 calls at
-every stage; paper1d's one-point gradient is that function on x[0]. The
+squares keep a one-point `gradient` beside the row form, which is cheaper
+on one point: `run` calls least squares' at every stage. paper1d and the
+one-center shifted quadratic also give their gradient as a function of a
+Python float (`ObjectiveSpec.gradient_float`), which a run of dimension 1
+calls at every stage instead; paper1d's one-point gradient is that
+function on x[0], about 7x cheaper than the row form on one point, and
+every run calls it for its first derivative and initial step. The
 row forms repeat each one-point operation elementwise: paper1d powers
 through `np.float_power`, which calls libm `pow` as the scalar `**` does
 (`np.square`, which an array's `** 2` calls, differs in the last bit); the
@@ -245,29 +247,22 @@ def _least_squares(A, b) -> ObjectiveSpec:
     )
 
 
-_BUILTIN_NAMES = ("paper1d", "shifted_quadratic", "psd_quadratic", "least_squares")
+# each builtin's constructor and parameter names, in the order it takes them
+BUILTINS = {
+    "paper1d": (_paper1d, ()),
+    "shifted_quadratic": (_shifted_quadratic, ("c",)),
+    "psd_quadratic": (_psd_quadratic, ("A", "b")),
+    "least_squares": (_least_squares, ("A", "b")),
+}
 
 
 def builtin(name: str, **params) -> ObjectiveSpec:
-    """Construct a builtin objective by name.
-
-    Known names: ``paper1d`` (no parameters), ``shifted_quadratic`` (``c``),
-    ``psd_quadratic`` (``A``, ``b``), ``least_squares`` (``A``, ``b``).
-    """
-    if name == "paper1d":
-        if params:
-            raise ValueError("paper1d takes no parameters")
-        return _paper1d()
-    if name == "shifted_quadratic":
-        if set(params) != {"c"}:
-            raise ValueError("shifted_quadratic requires exactly the parameter c")
-        return _shifted_quadratic(params["c"])
-    if name == "psd_quadratic":
-        if set(params) != {"A", "b"}:
-            raise ValueError("psd_quadratic requires exactly the parameters A and b")
-        return _psd_quadratic(params["A"], params["b"])
-    if name == "least_squares":
-        if set(params) != {"A", "b"}:
-            raise ValueError("least_squares requires exactly the parameters A and b")
-        return _least_squares(params["A"], params["b"])
-    raise ValueError(f"unknown problem name {name!r}; known: {', '.join(_BUILTIN_NAMES)}")
+    """Construct the builtin objective `name` from exactly the parameters
+    that `BUILTINS` lists for it."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown problem name {name!r}; known: {', '.join(BUILTINS)}")
+    make, names = BUILTINS[name]
+    if set(params) != set(names):
+        raise ValueError(f"{name} takes exactly the parameters ({', '.join(names)}), "
+                         f"got ({', '.join(params)})")
+    return make(*(params[key] for key in names))

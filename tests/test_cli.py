@@ -400,18 +400,17 @@ def test_integration_failure_exits_3_and_flushes_partial(base_config, tmp_path, 
     assert not (out / "demo" / "report.json").exists()
 
 
-@pytest.mark.parametrize("center", ["1 -2 0.5", "1"])
-def test_non_finite_initial_derivative_exits_3_without_warnings(tmp_path, capsys, center):
+@pytest.mark.parametrize("problem", [
+    "problem.name = shifted_quadratic\nproblem.c = 1 -2 0.5\n",
+    "problem.name = shifted_quadratic\nproblem.c = 1\n",
+    "",  # paper1d, whose float gradient overflows to inf
+], ids=["1 -2 0.5", "1", "paper1d"])
+def test_non_finite_initial_derivative_exits_3_without_warnings(tmp_path, capsys, problem):
     # u0 = 1e200 squares to inf in the integrands of the first derivative and
     # in the finished partial run; only the diagnosis may reach the user
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(BASE + f"problem.name = shifted_quadratic\nproblem.c = {center}\ndynamics.u0 = 1e200\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert "non-finite derivative at the initial state" in capsys.readouterr().err
-    assert [str(w.message) for w in caught] == []
+    for argv in (["run"], ["sweep", "--gamma", "1.5", "2.5"]):
+        assert _diagnosis_only(tmp_path, capsys, problem + "dynamics.u0 = 1e200\n", argv) == (
+            3, "integration failed: non-finite derivative at the initial state\n")
 
 
 def _diagnosis_only(tmp_path, capsys, text, argv):
@@ -438,13 +437,28 @@ def test_initial_derivative_whose_norm_overflows_exits_3(tmp_path, capsys, probl
         3, OVERFLOWING_NORM)
 
 
+OVERFLOWING_CHANGE = ("integration failed: initial step size underflow: the change of the "
+                      "derivative over the first trial step overflows at t=1\n")
+
+
 def test_compare_with_cells_whose_initial_norm_overflows_exits_3(tmp_path, capsys):
     # the gamma cells fail at their first step-size guess; the zero cell,
-    # whose initial integrands vanish, fails first, at its first step
-    code, err = _diagnosis_only(tmp_path, capsys, "dynamics.u0 = 1e100\n",
-                                ["compare", "--gammas", "1.5", "2.5"])
-    assert code == 3 and err.startswith("integration failed: step size underflow at t=1 ")
-    assert err.count("\n") == 1
+    # whose initial integrands vanish, fails first, at its second guess:
+    # |x'|^2/t overflows at the trial step
+    assert _diagnosis_only(tmp_path, capsys, "dynamics.u0 = 1e100\n",
+                           ["compare", "--gammas", "1.5", "2.5"]) == (3, OVERFLOWING_CHANGE)
+
+
+# a sweep's cells are power schedules; at scale 1e-300 their initial
+# integrands stay finite, as the zero schedule's vanish
+@pytest.mark.parametrize("text, argv", [
+    ("schedule.kind = zero\n", ["run"]),
+    ("schedule.scale = 1e-300\n", ["sweep", "--gamma", "1.5", "2.5"]),
+], ids=["run", "sweep"])
+def test_initial_derivative_whose_change_overflows_exits_3(tmp_path, capsys, text, argv):
+    # the second step-size guess divides by that change and comes out 0
+    assert _diagnosis_only(tmp_path, capsys, text + "dynamics.u0 = 1e100\n", argv) == (
+        3, OVERFLOWING_CHANGE)
 
 
 def test_compare_failing_on_a_non_finite_derivative_prints_only_the_diagnosis(tmp_path, capsys):

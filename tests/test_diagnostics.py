@@ -427,6 +427,26 @@ def test_drift_bound_requires_certified_hypotheses():
         eb_drift_bound_check(traj, s, cfg, params, a=2.0, case="b")
 
 
+@pytest.mark.parametrize("center, gamma, alpha, b, a, case, t2, l, n", [
+    # alpha = 3: the scaled functional, its drift integrated by Simpson
+    (None, 1.5, 3.0, 2.0, 1.0, "b", 4.0, 1.5, 319),  # max(t1, 4*beta)
+    (None, 1.5, 3.0, 2.0, 2.0, "a", 2.000000000002, 1.0, 359),  # clear of the pole
+    # alpha > 3: l = b + a*beta, t2 = max(t1, 4*beta, beta*(alpha-2)/(b-2))
+    (None, 1.5, 4.0, 2.5, 1.0, "b", 4.0, 3.5, 319),
+    (1.0, 2.5, 4.0, 2.5, 1.0, "b", 4.0, 3.5, 319),
+], ids=["alpha3-b", "alpha3-a", "alpha4-b", "alpha4-b-shifted"])
+def test_drift_bound_with_hessian_damping(center, gamma, alpha, b, a, case, t2, l, n):
+    obj = builtin("paper1d") if center is None else builtin("shifted_quadratic", c=np.array([center]))
+    xstar = np.array([0.0 if center is None else center])
+    s = power_schedule(gamma)
+    cfg = DynamicsConfig(alpha=alpha, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=1e3)
+    traj = integrate(obj, s, cfg)
+    res = eb_drift_bound_check(traj, s, cfg, EnergyParams(b=b, xstar=xstar), a=a, case=case)
+    assert res.passed
+    assert (res.t2, res.drift_coefficient, res.samples_checked) == (t2, l, n)
+    assert res.scaled is (alpha == 3.0)
+
+
 @pytest.mark.parametrize("alpha, b, case", [(4.0, 2.5, "a"), (3.0, 2.0, "b")])
 def test_drift_bound_rejects_run_ending_before_t2(alpha, b, case):
     # t2 = 4 in both branches; a run to t = 3 has no sample beyond it

@@ -506,3 +506,19 @@ def test_initial_derivative_whose_norm_overflows_fails_alike_in_runs_and_lanes(o
         assert str(lane) == ("initial step size underflow: the scaled norm of the initial "
                              "derivative overflows at t=1")
         assert lane.stats == {"steps": 0, "rejected": 0, "rhs_evals": 1}
+
+
+def test_initial_derivative_whose_change_overflows_fails_alike_in_runs_and_lanes():
+    # from u0 = 1e100 under the zero schedule the initial derivative and its
+    # scaled norm are finite, but |x'|^2/t overflows at the trial step, so
+    # the second step-size guess is 0: a failure after two evaluations
+    obj, cfg = builtin("paper1d"), cfg1d(u0=[1e100])
+    lane, _ = integrate_lanes(obj, [(zero_schedule(), cfg), (power_schedule(1.5), cfg)])
+    with pytest.raises(IntegrationError) as err:
+        integrate(obj, zero_schedule(), cfg)
+    run = err.value
+    assert str(run) == ("initial step size underflow: the change of the derivative over "
+                        "the first trial step overflows at t=1")
+    assert run.stats == {"steps": 0, "rejected": 0, "rhs_evals": 2}
+    # the test above compares the rest of the two failures
+    assert (str(lane), lane.t, lane.stats) == (str(run), run.t, run.stats)

@@ -105,6 +105,17 @@ def test_builtin_psd_quadratic():
     assert np.linalg.norm(grad) <= 1e-12
 
 
+@pytest.mark.parametrize("name, params", [
+    ("paper1d", {"c": 1.0}),
+    ("shifted_quadratic", {}),
+    ("psd_quadratic", {"A": np.eye(2)}),
+    ("least_squares", {"A": np.eye(2), "b": np.ones(2), "c": 1.0}),
+])
+def test_builtin_rejects_a_wrong_parameter_set(name, params):
+    with pytest.raises(ValueError, match=f"^{name} takes exactly the parameters "):
+        builtin(name, **params)
+
+
 def test_builtin_rejects_unknown_and_indefinite():
     with pytest.raises(ValueError, match="unknown problem"):
         builtin("nosuch")

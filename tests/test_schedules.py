@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,51 @@ def test_certified_decay_condition_implies_integrable_eps_over_t():
         v = check_condition_a(s, beta=1.0, a=2.0)
         if v.holds:
             assert classify_integrals(s).int_eps_over_t == "finite", s.kind
+
+
+# -- integral of t*eps by Simpson --------------------------------------------
+
+
+@pytest.mark.parametrize("hi", [10.0, 1e4])
+def test_integral_t_eps_logarithmic_matches_quadrature(hi):
+    decades = [10**k for k in range(round(math.log10(hi)) + 1)]  # 1, 10, ..., hi
+    ref = float(mpmath.quad(lambda u: u / mpmath.log(2 + u), decades))
+    assert logarithmic_schedule(offset=2.0).integral_t_eps(1.0, hi) == pytest.approx(ref, rel=1e-11)
+
+
+def _piecewise_t_eps(times, values, lo, hi):
+    """The exact integral of t*eps(t) over [lo, hi] for piecewise-linear eps."""
+    total = 0.0
+    for t0, t1, e0, e1 in zip(times, times[1:], values, values[1:]):
+        a, b = max(lo, t0), min(hi, t1)
+        if a < b:
+            k = (e1 - e0) / (t1 - t0)
+            total += (e0 - k * t0) * (b * b - a * a) / 2 + k * (b**3 - a**3) / 3
+    return total
+
+
+def test_integral_t_eps_tabulated_against_its_exact_integral():
+    times, values = [1.0, 4.0, 12.0, 40.0], [1.0, 0.5, 0.2, 0.0]
+    s = tabulated_schedule(times, values)
+    # within one piece t*eps is a quadratic, which Simpson integrates exactly
+    for lo, hi in [(1.0, 4.0), (4.0, 12.0), (12.0, 40.0), (5.0, 11.0)]:
+        assert s.integral_t_eps(lo, hi) == pytest.approx(_piecewise_t_eps(times, values, lo, hi), rel=1e-14)
+    # across the kinks at 4 and 12, which the geometric nodes miss, the
+    # error is 1.8e-6 relative
+    exact = _piecewise_t_eps(times, values, 1.0, 40.0)
+    assert 1.7e-6 < abs(s.integral_t_eps(1.0, 40.0) - exact) / exact < 1.9e-6
+
+
+@pytest.mark.parametrize("s, status, t1, note", [
+    (logarithmic_schedule(), "holds", 4.0, "grid-certified"),
+    (tabulated_schedule([1.0, 10.0, 100.0], [1.0, 0.1, 0.01]), "unknown", None, "cannot be certified"),
+    (tabulated_schedule([1.0, 10.0, 100.0], [1.0, 0.01, 1e-5]), "unknown", None, "below the threshold"),
+], ids=["logarithmic", "tabulated-above", "tabulated-below"])
+def test_t2eps_growth_above_alpha3_off_the_power_law(s, status, t1, note):
+    # the threshold at alpha 4, beta 1 is 32/9; t^2*eps ends at 100 and 0.1
+    v = check_t2eps_growth(s, alpha=4.0, beta=1.0)
+    assert (v.status, v.t1) == (status, t1)
+    assert note in v.note
 
 
 # -- strong-convergence hypothesis reports ------------------------------------
