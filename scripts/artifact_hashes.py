@@ -2,12 +2,14 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py > hashes.txt
 
-Each config, `configs/example.cfg` and eleven variants of it (logarithmic,
+Each config, `configs/example.cfg` and twelve variants of it (logarithmic,
 tabulated and zero schedules, linear sample spacing, psd_quadratic,
 least_squares at horizon 1e2, a shifted_quadratic run from u0 = 1e200,
-which fails, an undamped one-center shifted_quadratic at horizon 1e3, and
+which fails, an undamped one-center shifted_quadratic at horizon 1e3,
 paper1d from u0 = 1e20, 1e100 and 1e200, which fail at or before their
-first step), goes through `run`, `compare`, `sweep` and `check-schedule`.
+first step, and alpha 4 with gamma 1.999, whose t^2*eps verdict holds from
+a time t1 past the float range, written as Infinity), goes through `run`,
+`compare`, `sweep` and `check-schedule`.
 The calls run in a temporary directory and write to a relative ``--out``,
 because `report.json` and `manifest.json` record the output directory. The
 script prints one ``exit <code>  <call>`` line per call, then one
@@ -59,6 +61,8 @@ VARIANTS = {
     "paper1d_u0_1e100": "dynamics.u0 = 1e100\n",
     # the first derivative is not finite
     "paper1d_u0_1e200": "dynamics.u0 = 1e200\n",
+    # (32/9)^(1/0.001) overflows: t^2*eps holds from t1 = inf
+    "near_critical": "dynamics.alpha = 4\nschedule.gamma = 1.999\n",
 }
 
 CALLS = {

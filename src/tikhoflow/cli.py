@@ -9,16 +9,17 @@ loop (`dynamics.integrate_lanes`); each cell's artifacts are byte-identical to
 the samples of all cells, plus samples x (d+3) floats for each of the at most
 two finished cells in hand.
 
-Each run writes three artifacts into <out>/<label>/: ``trajectory.csv`` with
-the fixed column schema, ``report.json`` with the requested diagnostics, and
-``manifest.json`` holding the fully resolved flat config (re-running a
-manifest reproduces the CSV byte for byte). A report holds the result
-objects themselves, and one rule, `_json_default`, writes them: a dataclass
-as its fields, an array as its list. `_json_chunks` streams the bytes
-``json.dump(indent=2, sort_keys=True)`` would write, with the numbers of
-each array and flat list formatted by the C encoder, 1,024 per call. Exit
-status: 0 on success, 2 for configuration errors, 3 for integrator failures
-(partial trajectory flushed).
+Each run writes three artifacts into <out>/<label>/, in this order and all
+through `run_experiment`: ``manifest.json`` holding the fully resolved flat
+config (re-running a manifest reproduces the CSV byte for byte),
+``trajectory.csv`` with the fixed column schema, and ``report.json`` with
+the requested diagnostics, which a failed run does not write. A report
+holds the result objects themselves, and one rule, `_json_default`, writes
+them: a dataclass as its fields, an array as its list. `_json_chunks`
+streams the bytes ``json.dump(indent=2, sort_keys=True)`` would write, with
+the numbers of each array and flat list formatted by the C encoder, 1,024
+per call. Exit status: 0 on success, 2 for configuration errors, 3 for
+integrator failures (partial trajectory flushed).
 
 No randomness is used anywhere; --seedless is accepted as a bare flag for
 interface compatibility and rejected if given a value.
@@ -225,30 +226,31 @@ def _summary_block(traj: Trajectory) -> dict:
 
 
 def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajectory]:
-    """Integrate and write trajectory.csv, report.json and manifest.json.
+    """Write a run's files from its outcome: the Trajectory or the
+    IntegrationError it was integrated to as a lane of `integrate_lanes`,
+    or, with ``outcome`` None, what `integrate` returns or raises.
 
-    ``outcome`` is the run's result when it was already integrated as a lane
-    of `integrate_lanes`: its Trajectory, or its IntegrationError, which is
-    raised here after the partial run is flushed, as for ``run``.
+    The run directory gets ``manifest.json`` first, then ``trajectory.csv``
+    from the trajectory or from the failure's ``partial``; a failed run
+    raises its IntegrationError then, a complete one writes ``report.json``.
     """
+    obj = exp.objective
+    if outcome is None:
+        try:
+            outcome = integrate(obj, exp.schedule, exp.dynamics)
+        except IntegrationError as exc:
+            outcome = exc
     run_dir = exp.out_dir / exp.label
-    obj, s, dyn = exp.objective, exp.schedule, exp.dynamics
-    try:
-        traj = integrate(obj, s, dyn) if outcome is None else outcome
-        if isinstance(traj, IntegrationError):
-            raise traj
-    except IntegrationError as exc:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(run_dir / "manifest.json", exp.resolved)
-        if exc.partial is not None:
-            # a failed run's samples may have overflowed, as `_outcome` allows
-            with np.errstate(over="ignore", invalid="ignore"):
-                w_partial = diag.energy_W_series(obj, exc.partial)
-                write_trajectory_csv(run_dir / "trajectory.csv", exc.partial, w_partial)
-        raise
     run_dir.mkdir(parents=True, exist_ok=True)
-    w_series = diag.energy_W_series(obj, traj)
-    write_trajectory_csv(run_dir / "trajectory.csv", traj, w_series)
+    _write_json(run_dir / "manifest.json", exp.resolved)
+    failed = isinstance(outcome, IntegrationError)
+    traj = outcome.partial if failed else outcome
+    # a failed run's samples may have overflowed, as `_outcome` allows
+    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if failed else {})):
+        w_series = diag.energy_W_series(obj, traj)
+        write_trajectory_csv(run_dir / "trajectory.csv", traj, w_series)
+    if failed:
+        raise outcome
     report = {
         "label": exp.label,
         "config": exp.resolved,
@@ -263,7 +265,6 @@ def run_experiment(exp: ExperimentConfig, outcome=None) -> tuple[Path, Trajector
         "diagnostics": _diagnostics_block(exp, traj, w_series),
     }
     _write_json(run_dir / "report.json", report)
-    _write_json(run_dir / "manifest.json", exp.resolved)
     return run_dir, traj
 
 
@@ -282,14 +283,16 @@ def _variant(exp: ExperimentConfig, label: str, overrides: dict) -> ExperimentCo
     return resolve(data)
 
 
-def _run_cells(
-    exp: ExperimentConfig, variants: Sequence[tuple[str, dict]]
-) -> Iterator[tuple[ExperimentConfig, Trajectory]]:
+def _write_cells(
+    exp: ExperimentConfig, variants: Sequence[tuple[str, dict]], name: str, header: list, row
+) -> Path:
     """Resolve the cells of ``compare``/``sweep``, integrate them as lanes of
-    one loop and write them in order, yielding (cell, trajectory) as each is
-    written. The artifacts and the order of failure are those of running the
-    cells one after another: a config or integration error at a cell leaves
-    every earlier cell complete and no later one started."""
+    one loop and write each in order through `run_experiment`; then write
+    the summary file <out>/<exp label>/<name>, with the row
+    ``row(cell, _summary_block(trajectory))`` for each cell.
+    The artifacts and the order of failure are those of running the cells
+    one after another: a config or integration error at a cell leaves every
+    earlier cell complete, no later one started and no summary written."""
     cells, error = [], None
     try:
         for label, overrides in variants:
@@ -300,12 +303,16 @@ def _run_cells(
             cells.append(_variant(exp, label, overrides))
     except ConfigError as exc:
         error = exc
+    rows = []
     if cells:
         outcomes = integrate_lanes(cells[0].objective, [(c.schedule, c.dynamics) for c in cells])
         for cell, outcome in zip(cells, outcomes):
-            yield cell, run_experiment(cell, outcome)[1]
+            rows.append(row(cell, _summary_block(run_experiment(cell, outcome)[1])))
     if error is not None:
         raise error
+    top = exp.out_dir / exp.label
+    _write_csv(top / name, header, rows)
+    return top
 
 
 def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
@@ -321,19 +328,14 @@ def compare_experiment(exp: ExperimentConfig, gammas: Sequence[float]) -> Path:
                 {"schedule.kind": "power", "schedule.gamma": float(g), "schedule.scale": base_scale},
             )
         )
-    rows = []
-    for sub, traj in _run_cells(exp, variants):
-        summary = _summary_block(traj)
-        gamma_val = sub.resolved.get("schedule.gamma", float("nan"))
-        rows.append(
-            [sub.label, gamma_val, summary["final_gap"], summary["min_x_norm"]]
-            + summary["final_x"].tolist()
-        )
+
+    def row(cell: ExperimentConfig, summary: dict) -> list:
+        gamma = cell.resolved.get("schedule.gamma", float("nan"))
+        return [cell.label, gamma, summary["final_gap"], summary["min_x_norm"], *summary["final_x"].tolist()]
+
     d = exp.objective.dimension
     header = ["run", "gamma", "final_gap", "min_x_norm"] + [f"final_x_{i}" for i in range(d)]
-    top = exp.out_dir / exp.label
-    _write_csv(top / "comparison.csv", header, rows)
-    return top
+    return _write_cells(exp, variants, "comparison.csv", header, row)
 
 
 def _crossing_time(exp: ExperimentConfig, bound: float) -> Optional[float]:
@@ -390,28 +392,24 @@ def sweep_experiment(
         for beta in betas
         for gamma in gammas
     ]
-    rows = []
-    for sub, traj in _run_cells(exp, variants):
-        summary = _summary_block(traj)
-        alpha, beta = sub.dynamics.alpha, sub.dynamics.beta
+
+    def row(cell: ExperimentConfig, summary: dict) -> list:
+        alpha, beta = cell.dynamics.alpha, cell.dynamics.beta
         bound = t2eps_threshold(alpha, beta, exp.resolved["diagnostics.c"])
-        t_cross = _crossing_time(sub, bound)
-        rows.append(
-            [
-                alpha,
-                beta,
-                sub.schedule.gamma,
-                bound,
-                float("nan") if t_cross is None else t_cross,
-                bool(t_cross is not None and t_cross <= sub.dynamics.horizon),
-                summary["final_gap"],
-                summary["min_x_norm"],
-            ]
-        )
+        t_cross = _crossing_time(cell, bound)
+        return [
+            alpha,
+            beta,
+            cell.schedule.gamma,
+            bound,
+            float("nan") if t_cross is None else t_cross,
+            bool(t_cross is not None and t_cross <= cell.dynamics.horizon),
+            summary["final_gap"],
+            summary["min_x_norm"],
+        ]
+
     header = ["alpha", "beta", "gamma", "threshold", "t_cross", "within_horizon", "final_gap", "min_x_norm"]
-    top = exp.out_dir / exp.label
-    _write_csv(top / "sweep_summary.csv", header, rows)
-    return top
+    return _write_cells(exp, variants, "sweep_summary.csv", header, row)
 
 
 def check_schedule_experiment(exp: ExperimentConfig) -> Path:

@@ -11,7 +11,9 @@ Verdict conventions: "holds" carries the smallest grid-certified threshold t1,
 "fails" carries a witness time, and tabulated schedules are never certified
 beyond their grid ("unknown"). Certification means the inequality was checked
 on a geometric grid {t1 * 1.05^k} up to T_CHECK together with the closed-form
-tail argument available for the analytic kinds.
+tail argument available for the analytic kinds. A power law's threshold or
+witness is its closed form, ratio^(1/exponent); where that exceeds the float
+range it is inf, and the verdict keeps the status the closed form gives.
 """
 from __future__ import annotations
 
@@ -51,6 +53,15 @@ def _fails(witness: float, note: str = "") -> Verdict:
 
 def _unknown(note: str = "") -> Verdict:
     return Verdict("unknown", note=note)
+
+
+def _root(ratio: float, exponent: float) -> float:
+    """ratio ** (1 / exponent), the closed form of a power law's threshold
+    or witness, or inf past the float range, where ** raises."""
+    try:
+        return ratio ** (1.0 / exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _power_eps(t, scale, gamma):
@@ -195,7 +206,10 @@ class TikhonovSchedule:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def integral_t_eps(self, lo: float, hi: float) -> float:
-        """Integral of s*eps(s) over [lo, hi]; closed form where available."""
+        """Integral of s*eps(s) over [lo, hi]: closed form for the power and
+        zero kinds, Simpson on the grid pieces for a tabulated schedule (exact,
+        as t*eps is quadratic on each), Simpson on log-spaced nodes for the
+        logarithmic kind."""
         if hi < lo:
             raise ValueError("empty integration interval")
         if self.kind == "zero":
@@ -205,6 +219,11 @@ class TikhonovSchedule:
             if abs(e) < 1e-14:
                 return self.scale * math.log(hi / lo)
             return self.scale * (hi**e - lo**e) / e
+        if self.kind == "tabulated":
+            # t*eps is quadratic on each grid piece, where Simpson is exact;
+            # eps at lo and hi checks the domain
+            inner = self.grid_t[(lo < self.grid_t) & (self.grid_t < hi)]
+            return _simpson(lambda s: s * self.eps(s), np.union1d([lo, hi], inner))
         # Simpson on a log-spaced grid of 200 points per decade, at least 16 pieces
         n = 2 * max(8, int(200 * max(math.log10(hi / lo), 1e-9) / 2))
         return _simpson(lambda s: s * self.eps(s), np.geomspace(lo, hi, n + 1))
@@ -274,7 +293,7 @@ def check_condition_a(s: TikhonovSchedule, beta: float, a: float) -> Verdict:
         # need gamma * t^(gamma-1) >= (a*beta/2) * scale
         target = rhs_coeff * s.scale
         if s.gamma > 1.0:
-            t1 = max(s.t0, (target / s.gamma) ** (1.0 / (s.gamma - 1.0)))
+            t1 = max(s.t0, _root(target / s.gamma, s.gamma - 1.0))
             return _certify(pred, t1, "grid check contradicts closed form")
         if s.gamma == 1.0:
             if s.gamma >= target:
@@ -283,7 +302,7 @@ def check_condition_a(s: TikhonovSchedule, beta: float, a: float) -> Verdict:
         # gamma < 1: left side decays, eventually fails
         if s.gamma * s.t0 ** (s.gamma - 1.0) < target:
             return _fails(s.t0)
-        witness = 2.0 * (s.gamma / target) ** (1.0 / (1.0 - s.gamma))
+        witness = 2.0 * _root(s.gamma / target, 1.0 - s.gamma)
         return _fails(max(witness, s.t0), note="t^(gamma-1) decays below the required level")
     if s.kind == "logarithmic":
         # reduces to offset + t <= 2/(a*beta): fails for large t
@@ -311,13 +330,13 @@ def check_condition_b(s: TikhonovSchedule, a: float) -> Verdict:
     if s.kind == "power":
         # scale * t^(1-gamma) <= a
         if s.gamma > 1.0:
-            t1 = max(s.t0, (s.scale / a) ** (1.0 / (s.gamma - 1.0)))
+            t1 = max(s.t0, _root(s.scale / a, s.gamma - 1.0))
             return _certify(pred, t1, "grid check contradicts closed form")
         if s.gamma == 1.0:
             if s.scale <= a:
                 return _holds(s.t0, note="t*eps is constant at scale <= a")
             return _fails(s.t0, note="t*eps is constant at scale > a")
-        witness = max(s.t0, 2.0 * (a / s.scale) ** (1.0 / (1.0 - s.gamma)))
+        witness = max(s.t0, 2.0 * _root(a / s.scale, 1.0 - s.gamma))
         return _fails(witness, note="t*eps grows like t^(1-gamma)")
     if s.kind == "logarithmic":
         # need t <= a*log(offset+t): fails once t outgrows the logarithm
@@ -384,13 +403,13 @@ def check_t2eps_growth(s: TikhonovSchedule, alpha: float, beta: float, c: float 
 
     if s.kind == "power":
         if s.gamma < 2.0:
-            t1 = max(s.t0, (bound / s.scale) ** (1.0 / (2.0 - s.gamma)))
+            t1 = max(s.t0, _root(bound / s.scale, 2.0 - s.gamma))
             return _certify(pred, t1, "grid check contradicts closed form")
         if s.gamma == 2.0:
             if s.scale >= bound:
                 return _holds(s.t0, note="t^2*eps is constant above the threshold")
             return _fails(s.t0, note=f"t^2*eps is constant at {s.scale:g} < {bound:g}")
-        return _fails(max(s.t0, (s.scale / bound) ** (1.0 / (s.gamma - 2.0))) * 2.0,
+        return _fails(max(s.t0, _root(s.scale / bound, s.gamma - 2.0)) * 2.0,
                       note="t^2*eps decays below any positive threshold")
     if s.kind == "logarithmic":
         t1 = max(s.t0, 1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -193,6 +194,65 @@ def test_malformed_value_exits_2_naming_its_key_once(tmp_path, capsys, name, tex
     assert not out.exists()
 
 
+_PSD = "problem.name = psd_quadratic\nproblem.A = "
+_TABULATED = "schedule.kind = tabulated\nschedule.times = "
+_INPUT_CHECKS = [
+    # the config file and its keys
+    ("bad.cfg", BASE + "label = a/b\n", "run", "label: must be nonempty and filesystem-safe"),
+    ("bad.cfg", BASE + "diagnostics.eps_grid = 1 0 0.1\n", "run",
+     "diagnostics.eps_grid: entries must be positive"),
+    ("bad.cfg", BASE + "schedule.kind = cubic\n", "run", "schedule.kind: unknown schedule 'cubic'"),
+    ("bad.cfg", BASE + "problem.name = shifted_quadratic\nproblem.c = 1 2\ndynamics.u0 = 1 2 3\n",
+     "run", "dynamics.u0: dimension 3 does not match problem dimension 2"),
+    ("bad.cfg", BASE + "problem.name = shifted_quadratic\n", "run",
+     "problem.c: required for problem.name = shifted_quadratic"),
+    ("bad.cfg", BASE + "diagnostics.reports = W rates bogus\n", "run",
+     "diagnostics.reports: unknown report 'bogus'"),
+    ("missing.cfg", None, "run", "config file not found: "),
+    ("bad.cfg", BASE + "dynamics.alpha 3\n", "run", "expected 'key = value', got 'dynamics.alpha 3'"),
+    ("bad.json", "[1, 2]", "run", "JSON config must be an object of dotted keys"),
+    ("bad.json", '{"label": 3}', "run", "label: expected text, got 3"),
+    ("bad.json", '{"dynamics.alpha": 1%s}' % ("0" * 400), "run",
+     "dynamics.alpha: expected a finite number, got 1000"),
+    # the objects `resolve` builds
+    ("bad.cfg", BASE + "dynamics.alpha = -1\n", "run", "dynamics: alpha must be nonnegative"),
+    ("bad.cfg", BASE + "dynamics.beta = -0.5\n", "run", "dynamics: beta must be nonnegative"),
+    ("bad.cfg", BASE + "dynamics.sample_count = 0\n", "run", "dynamics: sample_count must be positive"),
+    ("bad.cfg", BASE + "dynamics.sample_count = 1\n", "run",
+     "dynamics: sample_count must be >= 2 for a nonempty time span"),
+    ("bad.cfg", BASE + "schedule.scale = 0\n", "run", "power schedule needs scale > 0"),
+    ("bad.cfg", BASE + "schedule.kind = logarithmic\nschedule.offset = -5\n", "run",
+     "logarithmic schedule needs offset + t0 > 1"),
+    ("bad.cfg", BASE + _TABULATED + "1 10 200\nschedule.values = 1 0.5\n", "run",
+     "tabulated schedule needs matching 1-d grids of length >= 2"),
+    ("bad.cfg", BASE + _TABULATED + "1 100 10 200\nschedule.values = 1 0.5 0.2 0.1\n", "run",
+     "tabulated times must be strictly increasing"),
+    ("bad.cfg", BASE + _TABULATED + "1 10 200\nschedule.values = 1 0.5 -0.1\n", "run",
+     "tabulated values must be nonnegative"),
+    ("bad.cfg", BASE + _PSD + "1 1 1; 1 1 1\nproblem.b = 1 1\n", "run", "A must be a square matrix"),
+    ("bad.cfg", BASE + _PSD + "1 2; 0 1\nproblem.b = 1 1\n", "run", "A must be symmetric"),
+    ("bad.cfg", BASE + _PSD + "1 0; 0 1\nproblem.b = 1 1 1\n", "run",
+     "b does not match the dimension of A"),
+    ("bad.cfg", BASE + "problem.name = least_squares\nproblem.A = 1 0; 0 1; 1 1\nproblem.b = 1 1\n",
+     "run", "row count of A does not match length of b"),
+    # a logarithmic schedule has no gamma to sweep by default
+    ("bad.cfg", BASE + "schedule.kind = logarithmic\n", "sweep",
+     "sweep needs nonempty alpha, beta and gamma grids"),
+]
+
+
+@pytest.mark.parametrize("name, text, verb, message", _INPUT_CHECKS, ids=[c[3] for c in _INPUT_CHECKS])
+def test_input_check_exits_2_with_its_own_message(tmp_path, capsys, name, text, verb, message):
+    cfg = tmp_path / name
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([verb, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(BASE.encode() + b"label = \xff\n")
@@ -330,6 +390,41 @@ def test_sweep_cell_whose_t2eps_does_not_increase_is_decided_on_the_sample_grid(
     row = dict(zip(rows[0].split(","), rows[1].split(",")))
     assert len(calls) == 1
     assert row["t_cross"] == "nan" and row["within_horizon"] == "0"
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+
+
+@pytest.mark.parametrize("keys, verb, written", [
+    ("dynamics.alpha = 4\nschedule.gamma = 1.999\ndynamics.horizon = 100\n", "run",
+     ("trajectory.csv", "report.json", "manifest.json")),
+    ("dynamics.alpha = 200\nschedule.gamma = 1.99\n", "check-schedule", ("report.json",)),
+], ids=["run", "check-schedule"])
+def test_verdict_whose_threshold_overflows_is_written_as_infinity(tmp_path, keys, verb, written):
+    # (32/9)^(1/0.001) and (8888.9)^(1/0.01) exceed the float range: t^2*eps
+    # holds its bound from t1 = inf
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXAMPLE.read_text() + keys)
+    out = tmp_path / "out"
+    assert main([verb, str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "example").iterdir()) == sorted(written)
+    report = json.loads((out / "example" / "report.json").read_text())
+    hypotheses = report["diagnostics"]["hypotheses"] if verb == "run" else report["hypotheses"]
+    assert hypotheses["t2eps_growth"]["status"] == "holds"
+    assert hypotheses["t2eps_growth"]["t1"] == math.inf
+    assert '"t1": Infinity' in (out / "example" / "report.json").read_text()
+
+
+def test_sweep_cell_whose_threshold_overflows_never_crosses(tmp_path):
+    out = tmp_path / "out"
+    argv = ["sweep", str(EXAMPLE), "--alpha", "200", "--beta", "1", "--gamma", "1.9", "1.99"]
+    assert main(argv + ["--out", str(out)]) == 0
+    for gamma in ("1.9", "1.99"):
+        cell = out / "example" / f"alpha_200__beta_1__gamma_{gamma}"
+        assert sorted(p.name for p in cell.iterdir()) == ["manifest.json", "report.json", "trajectory.csv"]
+    rows = (out / "example" / "sweep_summary.csv").read_text().strip().split("\n")
+    row = dict(zip(rows[0].split(","), rows[2].split(",")))
+    assert (row["gamma"], row["t_cross"], row["within_horizon"]) == ("1.99", "nan", "0")
 
 
 @pytest.mark.parametrize(
@@ -488,6 +583,26 @@ def test_all_diagnostics_blocks_present(tmp_path):
     assert [p["eps"] for p in points] == [1.0, 0.1, 0.01, 0.001]
     assert all(p["residual"] <= 1e-10 for p in points)
     assert diag["tikhonov_curve"]["xstar_norm"] == 0.0
+
+
+def test_tikhonov_point_that_fails_is_recorded_with_its_residual(tmp_path, monkeypatch):
+    from tikhoflow import diagnostics
+
+    solve = diagnostics.tikhonov_point
+
+    def fails_below_one(obj, e):
+        if e < 1.0:
+            raise diagnostics.SolverError("conjugate gradients stagnated", residual=0.25)
+        return solve(obj, e)
+
+    monkeypatch.setattr(diagnostics, "tikhonov_point", fails_below_one)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE + "diagnostics.reports = tikhonov_curve\ndiagnostics.eps_grid = 1 0.1\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    points = json.loads((out / "demo" / "report.json").read_text())["diagnostics"]["tikhonov_curve"]["points"]
+    assert points[0]["x"] == [0.0]
+    assert points[1] == {"eps": 0.1, "error": "conjugate gradients stagnated", "residual": 0.25}
 
 
 def test_ergodic_refusal_recorded_for_zero_schedule(tmp_path):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from tikhoflow import (
     DynamicsConfig,
     EnergyParams,
+    ObjectiveSpec,
     SolverError,
     Trajectory,
     averaged_t_eps,
@@ -347,6 +350,22 @@ def test_tikhonov_point_paper1d_is_origin():
 def test_tikhonov_point_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         tikhonov_point(builtin("paper1d"), 0.0)
+
+
+def test_tikhonov_point_on_a_concave_objective_reports_its_curvature():
+    # g(x) = x - x^2/2: the Newton operator g'' + eps = -0.5 is negative, so
+    # the first CG direction has non-positive curvature; the residual is
+    # |g'(0)| = 1
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: float(x[0] - 0.5 * x[0] ** 2),
+        gradient=lambda x: 1.0 - x,
+        hessian_vec=lambda x, v: -v,
+        min_value=-math.inf,
+    )
+    with pytest.raises(SolverError, match="non-positive curvature direction") as exc:
+        tikhonov_point(obj, 0.5)
+    assert exc.value.residual == 1.0
 
 
 def test_tikhonov_curve_approaches_min_norm_solution():

@@ -288,10 +288,13 @@ def test_integral_t_eps_tabulated_against_its_exact_integral():
     # within one piece t*eps is a quadratic, which Simpson integrates exactly
     for lo, hi in [(1.0, 4.0), (4.0, 12.0), (12.0, 40.0), (5.0, 11.0)]:
         assert s.integral_t_eps(lo, hi) == pytest.approx(_piecewise_t_eps(times, values, lo, hi), rel=1e-14)
-    # across the kinks at 4 and 12, which the geometric nodes miss, the
-    # error is 1.8e-6 relative
+    # across the kinks at 4 and 12 Simpson runs piece by piece, as exact
     exact = _piecewise_t_eps(times, values, 1.0, 40.0)
-    assert 1.7e-6 < abs(s.integral_t_eps(1.0, 40.0) - exact) / exact < 1.9e-6
+    assert s.integral_t_eps(1.0, 40.0) == pytest.approx(exact, rel=1e-14)
+    # an interval that leaves the grid is refused
+    for lo, hi in [(1.0, 41.0), (0.5, 10.0)]:
+        with pytest.raises(ValueError, match="beyond grid end|below t0"):
+            s.integral_t_eps(lo, hi)
 
 
 @pytest.mark.parametrize("s, status, t1, note", [
@@ -304,6 +307,22 @@ def test_t2eps_growth_above_alpha3_off_the_power_law(s, status, t1, note):
     v = check_t2eps_growth(s, alpha=4.0, beta=1.0)
     assert (v.status, v.t1) == (status, t1)
     assert note in v.note
+
+
+# a threshold or witness (ratio)^(1/exponent) past the float range is inf,
+# and the verdict keeps the status of the closed form
+@pytest.mark.parametrize("check, status", [
+    (lambda: check_condition_a(power_schedule(1.001), beta=10, a=2), "holds"),
+    (lambda: check_condition_a(power_schedule(0.999), beta=0.001, a=2), "fails"),
+    (lambda: check_condition_b(power_schedule(1.001, scale=10), a=1), "holds"),
+    (lambda: check_condition_b(power_schedule(0.999, scale=0.1), a=1), "fails"),
+    (lambda: check_t2eps_growth(power_schedule(1.999), 4, 1), "holds"),
+    (lambda: check_t2eps_growth(power_schedule(2.001, scale=10), 4, 1), "fails"),
+], ids=["a-threshold", "a-witness", "b-threshold", "b-witness", "t2eps-threshold", "t2eps-witness"])
+def test_closed_form_past_the_float_range_is_inf(check, status):
+    v = check()
+    assert v.status == status
+    assert (v.t1 if status == "holds" else v.witness) == math.inf
 
 
 # -- strong-convergence hypothesis reports ------------------------------------
