@@ -2,18 +2,21 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py > hashes.txt
 
-Each config, `configs/example.cfg` and twelve variants of it (logarithmic,
-tabulated and zero schedules, linear sample spacing, psd_quadratic,
-least_squares at horizon 1e2, a shifted_quadratic run from u0 = 1e200,
-which fails, an undamped one-center shifted_quadratic at horizon 1e3,
-paper1d from u0 = 1e20, 1e100 and 1e200, which fail at or before their
-first step, and alpha 4 with gamma 1.999, whose t^2*eps verdict holds from
-a time t1 past the float range, written as Infinity), goes through `run`,
-`compare`, `sweep` and `check-schedule`.
+Each config, `configs/example.cfg` and fourteen variants of it
+(logarithmic, tabulated and zero schedules, linear sample spacing,
+psd_quadratic, least_squares at horizon 1e2, a shifted_quadratic run from
+u0 = 1e200, which fails, an undamped one-center shifted_quadratic at horizon
+1e3, paper1d from u0 = 1e20, 1e100 and 1e200, which fail at or before their
+first step, alpha 4 with gamma 1.999, whose t^2*eps verdict holds from a
+time t1 past the float range, written as Infinity, alpha 200, and every
+report block), goes through `run`, `compare`, `sweep` and `check-schedule`.
+The alpha-200 sweep keeps the config's alpha and beta, so its cells cross
+the t^2*eps threshold past the horizon (near 7.9e7 and 3.1e39), and its
+t^2*eps verdicts hold from t1 >= 1e6, where no grid point is checked.
 The calls run in a temporary directory and write to a relative ``--out``,
 because `report.json` and `manifest.json` record the output directory. The
 script prints one ``exit <code>  <call>`` line per call, then one
-``<sha256>  <path>`` line per artifact, sorted by path. It takes about 45 s
+``<sha256>  <path>`` line per artifact, sorted by path. It takes about 40 s
 on one core of a 2-CPU x86-64 host.
 
 It imports whichever `tikhoflow` comes first on the path, so running it
@@ -63,6 +66,8 @@ VARIANTS = {
     "paper1d_u0_1e200": "dynamics.u0 = 1e200\n",
     # (32/9)^(1/0.001) overflows: t^2*eps holds from t1 = inf
     "near_critical": "dynamics.alpha = 4\nschedule.gamma = 1.999\n",
+    "alpha200": "dynamics.alpha = 200\n",
+    "all_reports": "diagnostics.reports = W,Eb,Ebp,rates,ergodic,tikhonov_curve,hypotheses\n",
 }
 
 CALLS = {
@@ -71,6 +76,10 @@ CALLS = {
     "sweep": ["sweep", "--alpha", "3", "4", "--beta", "0", "1", "--gamma", "1.5", "2.5"],
     "check-schedule": ["check-schedule"],
 }
+
+# calls that replace CALLS' for one variant; this sweep's grid takes its
+# alpha and beta from the config
+OWN_CALLS = {"alpha200": {"sweep": ["sweep", "--gamma", "1.5", "1.9"]}}
 
 
 def _call(argv: list) -> int:
@@ -88,7 +97,7 @@ def print_hashes() -> None:
             for name, keys in VARIANTS.items():
                 cfg = f"{name}.cfg"
                 (root / cfg).write_text(EXAMPLE.read_text() + keys)
-                for verb, args in CALLS.items():
+                for verb, args in {**CALLS, **OWN_CALLS.get(name, {})}.items():
                     out = f"out/{name}/{verb}"
                     print(f"exit {_call([args[0], cfg, *args[1:], '--out', out])}  {name} {verb}")
         finally:

@@ -12,7 +12,8 @@ its module starts an instruction on it.
 The output is one ``path:line: text`` line per executable line that never
 ran, then the count per module and in total. The pytest arguments default
 to the Tier-1 suite, ``tests``, which takes about 1.5 minutes under the
-tracer on one core of a 2-CPU x86-64 host. The exit status is pytest's.
+tracer on one core of a 2-CPU x86-64 host. The exit status is pytest's, or
+1 with a message naming PYTHONPATH=src when the package is not on the path.
 """
 from __future__ import annotations
 
@@ -34,7 +35,10 @@ def _executable(code) -> set:
 
 
 def main(args: list) -> int:
-    package = Path(importlib.util.find_spec("tikhoflow").submodule_search_locations[0])
+    spec = importlib.util.find_spec("tikhoflow")
+    if spec is None:
+        sys.exit("unexecuted.py: tikhoflow is not on the path; run it with PYTHONPATH=src")
+    package = Path(spec.submodule_search_locations[0])
     prefix = str(package) + os.sep
     executed = defaultdict(set)
 

@@ -27,6 +27,7 @@ interface compatibility and rejected if given a value.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import json
 import sys
@@ -41,8 +42,6 @@ from .dynamics import IntegrationError, Trajectory, integrate, integrate_lanes, 
 from .schedules import check_strong_convergence_hypotheses, crossing_time_on_grid, t2eps_threshold
 
 _FMT = "%.17g"
-# points of the extended sample grid a crossing search holds at once
-_BLOCK = 1 << 16
 # entries of an array or list formatted per call of the C JSON encoder, which
 # bounds the text held at once: a whole 8,000-float series per call raised
 # the peak RSS of a run by 0.3 MB
@@ -342,30 +341,26 @@ def _crossing_time(exp: ExperimentConfig, bound: float) -> Optional[float]:
     """First time on the sample grid, extended past the horizon with the same
     spacing (geometrically up to 1e45), at which t^2*eps(t) >= bound, or None,
     for a power-law cell. For gamma >= 2, t^2*eps = scale*t^(2-gamma) does not
-    increase, so only the sample grid is searched. The extension is searched
-    in blocks of at most _BLOCK points, so memory stays bounded however fine
-    the grid; each block holds the same points, bit for bit, as one array of
-    the whole extension would."""
+    increase, so only the sample grid is searched. Below 2 it increases along
+    the extension, so the extension is bisected, each point formed as the
+    one-point array of the whole extension would hold it."""
     dyn, s = exp.dynamics, exp.schedule
     ts = sample_times(dyn)
     t_cross = crossing_time_on_grid(s, bound, ts)
     if t_cross is not None or ts.shape[0] < 2 or s.gamma >= 2.0:
         return t_cross
-    geometric = dyn.sample_spacing == "logarithmic"
-    if geometric:
+    if dyn.sample_spacing == "logarithmic":
         ratio = (dyn.horizon / dyn.t0) ** (1.0 / (dyn.sample_count - 1))
         ratio = max(ratio, 1.0 + 1e-6)
         n_ext = int(np.log(1e45 / dyn.horizon) / np.log(ratio)) + 1
+        point = lambda k: dyn.horizon * ratio ** np.array([k])
     else:
         step = ts[-1] - ts[-2]
         n_ext = 200_000
-    for k0 in range(1, n_ext + 1, _BLOCK):
-        k = np.arange(k0, min(k0 + _BLOCK, n_ext + 1))
-        ext = dyn.horizon * ratio ** k if geometric else dyn.horizon + step * k
-        t_cross = crossing_time_on_grid(s, bound, ext)
-        if t_cross is not None:
-            return t_cross
-    return None
+        point = lambda k: dyn.horizon + step * np.array([k])
+    i = bisect.bisect_left(range(1, n_ext + 1), True,
+                           key=lambda k: crossing_time_on_grid(s, bound, point(k)) is not None)
+    return float(point(i + 1)[0]) if i < n_ext else None
 
 
 def sweep_experiment(

@@ -375,9 +375,8 @@ def _outcome(
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(result, IntegrationError):
             return _finish(obj, s, cfg, ts, *result, formulation)
-        if result.rows is not None:
-            result.partial = _finish(obj, s, cfg, ts[: result.rows.shape[0]], result.rows,
-                                     result.stats, formulation)
+        result.partial = _finish(obj, s, cfg, ts[: result.rows.shape[0]], result.rows,
+                                 result.stats, formulation)
     return result
 
 

@@ -107,14 +107,14 @@ class IntegrationError(RuntimeError):
         *,
         t: float,
         state: np.ndarray,
-        rows: Optional[np.ndarray] = None,
-        stats: Optional[dict] = None,
+        rows: np.ndarray,
+        stats: dict,
     ):
         super().__init__(message)
         self.t = t
         self.state = state
         self.rows = rows  # completed sample rows, shape (filled, m)
-        self.stats = stats or {}
+        self.stats = stats
         self.partial = None  # higher layers may attach a partial Trajectory
 
 

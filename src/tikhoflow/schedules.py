@@ -11,9 +11,11 @@ Verdict conventions: "holds" carries the smallest grid-certified threshold t1,
 "fails" carries a witness time, and tabulated schedules are never certified
 beyond their grid ("unknown"). Certification means the inequality was checked
 on a geometric grid {t1 * 1.05^k} up to T_CHECK together with the closed-form
-tail argument available for the analytic kinds. A power law's threshold or
-witness is its closed form, ratio^(1/exponent); where that exceeds the float
-range it is inf, and the verdict keeps the status the closed form gives.
+tail argument available for the analytic kinds. From t1 >= T_CHECK that grid
+is empty: "holds" then rests on the closed form alone, and its note says that
+no grid point was checked. A power law's threshold or witness is its closed
+form, ratio^(1/exponent); where that exceeds the float range it is inf, and
+the verdict keeps the status the closed form gives.
 """
 from __future__ import annotations
 
@@ -257,19 +259,22 @@ def _simpson(f, grid: np.ndarray) -> float:
 
 
 _CERT_NOTE = "grid-certified on {t1*1.05^k} up to 1e6 with analytic tail"
+_CLOSED_FORM_NOTE = "from the closed form alone: t1 >= 1e6, so no grid point was checked"
 
 
 def _certify(pred, t1: float, fail_note: str = "") -> Verdict:
     """The one certification rule: "holds" from t1 when pred holds on the
     grid {t1 * 1.05^k} up to T_CHECK, else "fails" at the first grid time
-    violating it, with fail_note."""
-    if t1 < T_CHECK:
-        n = int(math.log(T_CHECK / t1) / math.log(_GRID_RATIO)) + 1
-        grid = t1 * _GRID_RATIO ** np.arange(n + 1)
-        grid = grid[grid <= T_CHECK * (1.0 + 1e-12)]
-        bad = np.nonzero(~pred(grid))[0]
-        if bad.size:
-            return _fails(grid[bad[0]], note=fail_note)
+    violating it, with fail_note. From t1 >= T_CHECK, inf included, that
+    grid is empty and "holds" rests on the closed form alone."""
+    if t1 >= T_CHECK:
+        return _holds(t1, note=_CLOSED_FORM_NOTE)
+    n = int(math.log(T_CHECK / t1) / math.log(_GRID_RATIO)) + 1
+    grid = t1 * _GRID_RATIO ** np.arange(n + 1)
+    grid = grid[grid <= T_CHECK * (1.0 + 1e-12)]
+    bad = np.nonzero(~pred(grid))[0]
+    if bad.size:
+        return _fails(grid[bad[0]], note=fail_note)
     return _holds(t1, note=_CERT_NOTE)
 
 

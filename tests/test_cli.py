@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tikhoflow import cli
+from tikhoflow import DynamicsConfig, cli, power_schedule
 from tikhoflow.cli import main
 from tikhoflow.config import ConfigError, load_config, resolve
 from tikhoflow.dynamics import IntegrationError
+from tikhoflow.schedules import t2eps_threshold
 
 
 BASE = """
@@ -352,11 +355,7 @@ def test_sweep_crossing_search_memory_is_bounded(tmp_path):
 
 
 @pytest.mark.parametrize("spacing", ["logarithmic", "linear"])
-def test_sweep_crossing_past_the_horizon_is_the_first_extended_grid_point(
-    tmp_path, monkeypatch, spacing
-):
-    # small blocks, so the crossing is found several blocks in
-    monkeypatch.setattr(cli, "_BLOCK", 100)
+def test_sweep_crossing_past_the_horizon_is_the_first_extended_grid_point(tmp_path, spacing):
     row = _sweep_one_cell(tmp_path, 2, spacing)
     cell = tmp_path / "out" / "demo" / "alpha_3__beta_1__gamma_1.5"
     exp = resolve(load_config(cell / "manifest.json"))
@@ -373,11 +372,64 @@ def test_sweep_crossing_past_the_horizon_is_the_first_extended_grid_point(
     assert float(row["t_cross"]) == first
 
 
+def _extension_ratio(dyn) -> float:
+    return max((dyn.horizon / dyn.t0) ** (1.0 / (dyn.sample_count - 1)), 1.0 + 1e-6)
+
+
+def _extension_size(dyn) -> int:
+    if dyn.sample_spacing == "linear":
+        return 200_000
+    return int(np.log(1e45 / dyn.horizon) / np.log(_extension_ratio(dyn))) + 1
+
+
+def _scanned_crossing(dyn, s, bound):
+    # the oracle: the sample grid and the whole extension in one array, scanned
+    ts = cli.sample_times(dyn)
+    k = np.arange(1, _extension_size(dyn) + 1)
+    if dyn.sample_spacing == "logarithmic":
+        ext = dyn.horizon * _extension_ratio(dyn) ** k
+    else:
+        ext = dyn.horizon + (ts[-1] - ts[-2]) * k
+    grid = np.concatenate([ts, ext])
+    hit = np.nonzero(grid * grid * s.eps(grid) >= bound * (1.0 - 1e-15))[0]
+    return float(grid[hit[0]]) if hit.size else None
+
+
+def test_crossing_search_equals_a_full_scan_of_the_extension():
+    # threshold 2 at alpha 3, beta 1: crossings on the sample grid, past the
+    # horizon (up to 1.3e30 at gamma 1.99) and, on linear grids, none at all
+    kinds = {"none": 0, "within": 0, "past": 0}
+    for spacing, gamma, horizon, n in itertools.product(
+        ("logarithmic", "linear"), (1.1, 1.5, 1.9, 1.99), (1.01, 2.0, 1e2, 1e4), (2, 60, 400, 8000)
+    ):
+        dyn = DynamicsConfig(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=horizon,
+                             sample_count=n, sample_spacing=spacing)
+        if _extension_size(dyn) > 2e6:
+            continue
+        s = power_schedule(gamma)
+        want = _scanned_crossing(dyn, s, 2.0)
+        got = cli._crossing_time(cli.ExperimentConfig(None, s, dyn, {}), 2.0)
+        assert got == want, (spacing, gamma, horizon, n)
+        kinds["none" if want is None else "within" if want <= horizon else "past"] += 1
+    assert kinds == {"none": 23, "within": 40, "past": 57}
+
+
+def test_crossing_search_on_a_fine_grid_is_fast():
+    # horizon 1.0001 with 400 samples: the ratio is clamped at 1 + 1e-6, and
+    # the crossing near 3.08e39 lies about 9e7 extension points in
+    dyn = DynamicsConfig(alpha=200.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=1.0001)
+    bound = t2eps_threshold(200.0, 1.0, 1.0)
+    start = time.perf_counter()
+    t_cross = cli._crossing_time(cli.ExperimentConfig(None, power_schedule(1.9), dyn, {}), bound)
+    assert time.perf_counter() - start < 0.1
+    assert t_cross == pytest.approx(3.08e39, rel=1e-3)
+
+
 def test_sweep_cell_whose_t2eps_does_not_increase_is_decided_on_the_sample_grid(
     tmp_path, monkeypatch
 ):
-    # gamma = 2.5: t^2*eps = t^-0.5 never reaches the threshold 2, and the
-    # extension past this horizon up to 1e45 would take 1,583 blocks
+    # gamma = 2.5: t^2*eps = t^-0.5 never reaches the threshold 2, so the
+    # 1.04e8-point extension past this horizon up to 1e45 is not searched
     calls = []
     on_grid = cli.crossing_time_on_grid
     monkeypatch.setattr(cli, "crossing_time_on_grid", lambda *a: calls.append(a) or on_grid(*a))
@@ -481,7 +533,8 @@ def test_integration_failure_exits_3_and_flushes_partial(base_config, tmp_path, 
     partial = integrate(obj, s, cfg)
 
     def fake_integrate(*args, **kwargs):
-        err = IntegrationError("forced failure", t=50.0, state=np.zeros(2))
+        err = IntegrationError("forced failure", t=50.0, state=np.zeros(2),
+                               rows=np.zeros((30, 2)), stats={})
         err.partial = partial
         raise err
 

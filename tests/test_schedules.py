@@ -18,7 +18,9 @@ from tikhoflow import (
     tabulated_schedule,
     zero_schedule,
 )
-from tikhoflow.schedules import IntegralClassification, check_limit_condition, check_t2eps_growth
+from tikhoflow.schedules import (
+    _CERT_NOTE, _CLOSED_FORM_NOTE, IntegralClassification, check_limit_condition, check_t2eps_growth,
+)
 
 GAMMAS = (0.5, 1.0, 1.1, 1.5, 1.9, 2.0, 2.5, 3.0)
 
@@ -323,6 +325,24 @@ def test_closed_form_past_the_float_range_is_inf(check, status):
     v = check()
     assert v.status == status
     assert (v.t1 if status == "holds" else v.witness) == math.inf
+
+
+@pytest.mark.parametrize("gamma, alpha, t1", [(1.999, 4, math.inf), (1.9, 200, 3.08e39)],
+                         ids=["inf", "3.08e39"])
+def test_threshold_past_the_check_grid_rests_on_the_closed_form(gamma, alpha, t1):
+    # from t1 >= 1e6 the grid {t1*1.05^k} up to 1e6 is empty
+    v = check_t2eps_growth(power_schedule(gamma), alpha, 1)
+    assert v.status == "holds"
+    assert v.t1 == pytest.approx(t1, rel=1e-3)
+    assert v.note == _CLOSED_FORM_NOTE
+    assert "no grid point was checked" in v.note
+
+
+def test_threshold_below_the_check_grid_end_is_grid_certified():
+    # t1 = (32/9)^2 = 12.6
+    v = check_t2eps_growth(power_schedule(1.5), 4, 1)
+    assert v.status == "holds" and v.t1 < 1e6
+    assert v.note == _CERT_NOTE
 
 
 # -- strong-convergence hypothesis reports ------------------------------------
