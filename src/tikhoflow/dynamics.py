@@ -22,21 +22,20 @@ stage time are built as one block too; numpy then runs every later
 operation of the motion on contiguous operands. A run of dimension 1, the
 paper's worked example, also gives `solve` its motion and integrands in
 Python floats (`_lifted_floats`, which calls the objective's float
-gradient where it has one), with which each attempt is stepped in floats
-around its weight products: on 1-element arrays numpy's per-call
-cost, not the arithmetic, sets the price, and Python floats round each
-operation in the same order as numpy does, so every bit stays. The weight
-products stay numpy's for every kind of state: they are BLAS gemv calls,
-whose rounding a Python sum does not repeat. The lanes and the runs of
-dimension d >= 2 keep their quadrature and error norm in numpy too.
-The lanes bind their columns of alpha, beta and the schedule once per live
-set (`integrator.Split`), not once per attempt.
+gradient where it has one), and `solve` steps each of its attempts in
+straight-line float code: on 1-element arrays numpy's per-call cost, not
+the arithmetic, sets the price. Its weight products are left-to-right
+float sums, not BLAS gemv calls, so a run of dimension 1 does not depend
+on the BLAS kernel. The lanes serve runs of dimension 2 or more: a run of
+dimension 1 that `integrate_lanes` is given is stepped on its own, as
+`integrate` steps it. The lanes bind their columns of alpha, beta and the
+schedule once per live set (`integrator.Split`), not once per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
-exactly it; `integrate_lanes` integrates several runs of it that differ only
-in alpha, beta and the schedule as lanes of one loop, each byte-identical to
-`integrate`; `integrate_direct` integrates the original second-order system
-in (x, x') via Hessian-vector products and serves as a cross-validation
-oracle. Both formulations are stepped by `_drive`, and every run, alone or
+exactly it; `integrate_lanes` integrates several runs of it that differ
+only in alpha, beta and the schedule, as lanes of one loop from d = 2, each
+byte-identical to `integrate`; `integrate_direct` integrates the original
+second-order system in (x, x') via Hessian-vector products and serves as a
+cross-validation oracle. Both formulations are stepped by `_drive`, and every run, alone or
 as a lane, is finished by `_outcome`, which reads the gradient and the
 objective value of all samples as float64 through `gradient_rows` and
 `value_rows` (one call each when the objective maps rows). Running
@@ -194,8 +193,8 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     against [t0, horizon] once here; rhs evaluates it unchecked. rhs is an
     `integrator.Split`: `solve` steps its motion stage by stage and evaluates
     the schedule and the integrands once per attempt. For d = 1 it also has
-    a ``stage`` in Python floats (`_lifted_floats`), with which `solve` steps
-    each attempt in floats around its weight products.
+    a ``stage`` in Python floats (`_lifted_floats`), which `solve`'s
+    straight-line float attempt calls.
     """
     lifted = _lifted(obj.dimension, obj.gradient)
     alpha, beta = cfg.alpha, cfg.beta
@@ -225,7 +224,7 @@ def _lifted_floats(obj: ObjectiveSpec, cfg: DynamicsConfig):
     alpha, beta, xstar = cfg.alpha, cfg.beta, min_norm_solution(obj).item()
     grad = obj.gradient_float or _float_gradient(obj.gradient)
 
-    def stage(t: float, e: float, z: list, h: float, p: list) -> tuple:
+    def stage(t: float, e: float, z: tuple, h: float, p: tuple) -> tuple:
         x = z[0] + h * p[0]
         y = z[1] + h * p[1]
         g = grad(x)
@@ -347,17 +346,23 @@ def _drive(
     formulation: str,
 ) -> Trajectory:
     """Step rhs from z0 over the sample grid and return its `_outcome`,
-    raising it if it is an IntegrationError. A state that overflows or turns
-    NaN is diagnosed by `solve`, so numpy's overflow and invalid warnings
-    are off while it steps."""
+    raising it if it is an IntegrationError."""
     ts = sample_times(cfg)
+    outcome = _outcome(obj, s, cfg, ts, _solved(rhs, z0, ts, cfg), formulation)
+    if isinstance(outcome, IntegrationError):
+        raise outcome
+    return outcome
+
+
+def _solved(rhs, z0: np.ndarray, ts: np.ndarray, cfg: DynamicsConfig):
+    """What `solve` returns for rhs from z0 over ts, or the IntegrationError
+    it raises. A state that overflows or turns NaN is diagnosed by `solve`,
+    so numpy's overflow and invalid warnings are off while it steps."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            result = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+            return solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
     except IntegrationError as exc:
-        _outcome(obj, s, cfg, ts, exc, formulation)
-        raise
-    return _outcome(obj, s, cfg, ts, result, formulation)
+        return exc
 
 
 def _outcome(
@@ -410,8 +415,9 @@ def integrate_lanes(
     """`integrate` for several runs, stepped together as lanes of `solve_lanes`.
 
     The runs share the objective and every DynamicsConfig field but alpha
-    and beta; each has its own schedule. All runs are integrated before this
-    returns; the result then yields, for each run in order, what `integrate`
+    and beta; each has its own schedule. Runs of dimension 1 are stepped one
+    by one through `solve`, whose float attempt costs less than a lane's
+    array work. All runs are integrated before this returns; the result then yields, for each run in order, what `integrate`
     gives that run alone, byte for byte: its Trajectory, or the
     IntegrationError it raises, with ``partial`` attached. A failed run does
     not stop the others. Memory: the samples of all runs, lanes x samples x
@@ -424,7 +430,11 @@ def integrate_lanes(
     shared = [f.name for f in fields(DynamicsConfig) if f.name not in ("alpha", "beta")]
     if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
-    d = obj.dimension
+    d, ts = obj.dimension, sample_times(cfg)
+    if d == 1:
+        # a run of dimension 1 steps in floats (`integrator.solve`), one by one
+        results = [_solved(vector_field(obj, s, c), _lifted_z0(obj, c), ts, c) for s, c in runs]
+        return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
     bind_eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
@@ -448,7 +458,6 @@ def integrate_lanes(
         return at
 
     rhs = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))
-    ts = sample_times(cfg)
     z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
     with np.errstate(over="ignore", invalid="ignore"):
         results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)

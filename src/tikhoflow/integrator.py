@@ -14,13 +14,17 @@ bit-identical output.
 
 For small states numpy's per-call overhead, not arithmetic, sets the cost, so
 everything invariant across attempts (stage rows, views of K, the step floor
-between accepted steps) is built once. A run of dimension 1 goes further:
-its `Split` has a ``stage`` in Python floats, and `_float_attempt` steps each
-attempt around its weight products, which stay ndarray.dot (a BLAS gemv does
-not round as a Python sum does), and one schedule call on all stage times.
-The stage states, the motion and integrands of each stage, z_new, the
-finiteness test and the error norm are Python floats, which round as numpy
-does, so the bits are `_attempt`'s.
+between accepted steps) is built once. A state of 5 components, that of a
+one-dimensional run, goes further: `_generated_attempt` steps each attempt
+in straight-line Python floats, generated from the table at its first use
+and compiled once per table. Its weight products, z_new and the error
+estimate are left-to-right float sums over the table's nonzero weights, so
+such a run calls no BLAS and its bits do not depend on the BLAS kernel. The
+schedule stays one call on all stage times. A `Split` with a float
+``stage`` is called with floats; any other right-hand side, a plain
+callable or a `Split` without a stage, is called on a buffer that holds the
+stage state, with the same bits. Every other state steps with numpy
+(`_attempt`), its weight products BLAS gemv calls (ndarray.dot).
 `dynamics` checks the schedule domain once per run before calling `solve`;
 the public `TikhonovSchedule.eps` still checks on every call.
 
@@ -39,11 +43,12 @@ plain callable goes through the same attempt as a `Split` without
 quadratures (`_split`), called once per stage.
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
-grid, as `compare` and `sweep` use it: each attempt does its elementwise work
-and weight products for all active lanes at once, and its `Split` gathers
-the per-lane coefficients of all stages in one call, so that each stage
-makes one motion call for all lanes. The stage states are stored stage-major,
-so that each stage's state rows are one block.
+grid, as `compare` and `sweep` use it for runs of dimension 2 or more: each
+attempt does its elementwise work and weight products for all active lanes
+at once, and its `Split` gathers the per-lane coefficients of all stages in
+one call, so that each stage makes one motion call for all lanes. The stage
+states are stored stage-major, so that each stage's state rows are one
+block.
 
 The step control is written once, in `_Lane`, and both loops drive it in
 Python floats: `solve` one lane, `solve_lanes` one per run. After each finite
@@ -58,14 +63,13 @@ coefficients (`Split`) before the live set's first attempt, so that the
 right-hand side picks its per-lane columns once per live set, not once per
 attempt. Only the array work differs (`_attempt` with ndarray.dot,
 `_lanes_attempt` with stacked matmuls), so each lane's samples, counters
-and failure are byte-identical to `solve` on that lane alone. One lane runs slower through `solve_lanes` than
-through `solve`: the row gradient's fixed cost of a few numpy calls is not
-spread over other lanes, and a run of dimension 1 steps its attempts in
-Python floats. So single runs keep `solve`.
+and failure are byte-identical to `solve` on that lane alone, for every
+state size but the 5 components that `solve` steps in floats.
 Memory: lanes x samples x m floats for the samples.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -96,6 +100,9 @@ _BETA_PI = 0.04
 _STEP_FLOOR = 1e-14
 _MAX_STEPS = 20_000_000
 _NORM_OVERFLOWS = "the scaled norm of the initial derivative"
+# the states that `solve` steps in floats: those of a one-dimensional run
+_FLOAT_SIZE = 5
+_WHOLE = slice(None)  # the index of `solve`'s whole state for `_Lane`
 
 
 class IntegrationError(RuntimeError):
@@ -143,11 +150,10 @@ class Split(NamedTuple):
     motion and the quadrature columns, as the stages of an attempt do.
 
     ``stage(t, e, z, h, p)``, if given, returns that whole derivative, with
-    the same bits, as a tuple of Python floats, at the stage state z + h p
-    of the lists of floats z and p, h a float; it need form only the
-    components of z + h p that the derivative reads. `solve` then steps
-    each attempt in floats (`_float_attempt`), which suits states of fewer
-    than 8 components, on which a left-to-right sum is numpy's.
+    the same bits, as a sequence of Python floats, at the stage state
+    z + h p of the tuples of floats z and p, h a float; it need form only
+    the components of z + h p that the derivative reads. `solve` calls it
+    on states of 5 components (`_generated_attempt`).
     """
 
     coefficients: Callable
@@ -238,22 +244,25 @@ def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
     return h * factor
 
 
-def _attempt(rhs: Split, K: np.ndarray, rel_tol: float, abs_tol: float):
-    """One attempt on the stage rows K (one row per stage of the table and
-    one more), K[0] holding f(t, z): returns attempt(t, z, h, t_new), which
-    fills K[1:], one row per stage, and returns z_new and its error norm, or
-    (None, None) if z_new or K is not finite. The quadrature columns of
-    K[1:] are only filled after the last stage, which leaves the other
-    columns of every product untouched (K starts zeroed, so no stage reads
-    uninitialised memory). The weight products use ndarray.dot: the BLAS
-    gemv that `@` calls, at half its overhead."""
-    coefficients, motion, quadrature, _ = rhs
-    S = np.empty((len(_A), K.shape[1]))  # stage states; S[-1] is z_new before its integrals
+def _attempt(rhs, m: int, rel_tol: float, abs_tol: float):
+    """One attempt on states of m components: returns attempt(t, z, f, h,
+    t_new), f = rhs(t, z), which returns z_new, its error norm and the
+    FSAL row rhs(t_new, z_new), or None if z_new or a stage row is not
+    finite. The stage rows are K, one row per stage of the table and one
+    more; the quadrature columns of K[1:] are only filled after the last
+    stage, which leaves the other columns of every product untouched (K
+    starts zeroed, so no stage reads uninitialised memory). The weight
+    products use ndarray.dot: the BLAS gemv that `@` calls, at half its
+    overhead."""
+    coefficients, motion, quadrature, _ = _split(rhs)
+    K = np.zeros((len(_A) + 1, m))
+    S = np.empty((len(_A), m))  # stage states; S[-1] is z_new before its integrals
     stages = tuple((a, K[:k], S[k - 1], K[k]) for k, a in enumerate(_A, 1))
     cs = _C.tolist()
     b, K_b, K_new, e = _A[-1], K[:-1], K[1:], _E
 
-    def attempt(t, z, h, t_new):
+    def attempt(t, z, f, h, t_new):
+        K[0] = f
         ts = [t + c * h for c in cs]
         ts.append(t_new)
         T = np.array(ts)
@@ -264,51 +273,97 @@ def _attempt(rhs: Split, K: np.ndarray, rel_tol: float, abs_tol: float):
         quadrature(T, E, S, K_new)
         z_new = z + h * b.dot(K_b)
         if not (np.isfinite(z_new).all() and np.isfinite(K).all()):
-            return None, None
+            return None
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        return z_new, _rms(h * e.dot(K) / sc)
+        return z_new, _rms(h * e.dot(K) / sc), K[-1].copy()
 
     return attempt
 
 
-def _float_attempt(rhs: Split, K: np.ndarray, rel_tol: float, abs_tol: float):
-    """`_attempt` in Python floats around its weight products, for a `Split`
-    with a ``stage``. The products stay ndarray.dot, read back with
-    `tolist`, and the schedule one call on all stage times; the stage
-    states, each K row (written once, by its stage, so that the FSAL
-    stage's product is z_new's), z_new, the finiteness test and the error
-    norm are floats. Each float operation rounds as its numpy counterpart
-    does, in the same order, and the norm sums its squares left to right,
-    as `np.add.reduce` does on fewer than 8 terms, so every bit is
-    `_attempt`'s. K[0] is finite when an attempt starts (`_Lane.start`
-    checks it, and each accepted attempt its last row), so only the new
-    rows are tested."""
-    coefficients, stage = rhs.coefficients, rhs.stage
-    stages = tuple((a, K[:k], K[k]) for k, a in enumerate(_A, 1))
-    cs = _C.tolist()
-    e, m = _E, K.shape[1]
+def _float_source(C: tuple, A: tuple, E: tuple, m: int) -> str:
+    """The source of make(coefficients, stage, rel_tol, abs_tol), which
+    returns the attempt of the table C, A, E on states of m components in
+    straight-line Python floats (`_generated_attempt`). T holds the stage
+    times, stage row k the floats k{k}_0 .. k{k}_{m-1}, and each weight
+    product p is a left-to-right sum over the table's nonzero weights. The
+    finiteness test is one sum: the error norm is finite only if z_new and
+    every row that E weights are, so z_new and the rows that E drops join
+    it, and the new rows and z_new are tested one by one only when that sum
+    is not finite. K[0] is finite when an attempt starts (`_Lane.start`
+    tests it, and each accepted attempt its last row)."""
+    def dot(w, j):
+        return " + ".join(f"{a!r} * k{i}_{j}" for i, a in enumerate(w) if a) or "0.0"
 
-    def attempt(t, z, h, t_new):
-        zs = z.tolist()
-        ts = [t + c * h for c in cs]
-        ts.append(t_new)
-        finite = True
-        for (a, Kk, Kout), tk, ek in zip(stages, ts, coefficients(np.array(ts)).tolist()):
-            p = a.dot(Kk).tolist()
-            Kout[...] = row = stage(tk, ek, zs, h, p)
-            finite = finite and all(map(math.isfinite, row))
-        # the last stage's product, over rows complete by then, is z_new's
-        z_new = [zj + h * pj for zj, pj in zip(zs, p)]
-        if not (finite and all(map(math.isfinite, z_new))):
-            return None, None
-        total = 0.0
-        for zj, nj, ej in zip(zs, z_new, e.dot(K).tolist()):
-            zj, nj = abs(zj), abs(nj)
-            v = h * ej / (abs_tol + rel_tol * (zj if zj >= nj else nj))
-            total += v * v
-        return np.array(z_new), math.sqrt(total / m)
+    def tup(names: list) -> str:
+        return f"({', '.join(names)},)"
 
-    return attempt
+    n, cols = len(A), range(m)
+    K = [[f"k{k}_{j}" for j in cols] for k in range(n + 1)]
+    z, z_new, p = ([f"{v}{j}" for j in cols] for v in "znp")
+    dropped = [v for k in range(1, n + 1) if not E[k] for v in K[k]]
+    lines = ["def make(coefficients, stage, rel_tol, abs_tol):",
+             "    def attempt(t, z, f, h, t_new):",
+             f"        {tup(z)} = z",
+             f"        {tup(K[0])} = f",
+             f"        T = ({''.join(f't + {c!r} * h, ' for c in C)}t_new)",
+             f"        {tup([f'e{k}' for k in range(n)])} = coefficients(array(T)).tolist()"]
+    for k, a in enumerate(A):
+        # the last row is z_new's weights: the last stage evaluates at z_new (FSAL)
+        lines += [f"        p{j} = {dot(a, j)}" for j in cols]
+        lines.append(f"        {tup(K[k + 1])} = stage(T[{k}], e{k}, z, h, {tup(p)})")
+    lines += [f"        n{j} = z{j} + h * p{j}" for j in cols] + ["        try:"]
+    for j in cols:
+        lines += [f"            a, b = abs(z{j}), abs(n{j})",
+                  f"            v{j} = h * ({dot(E, j)}) / (abs_tol + rel_tol * (a if a >= b else b))"]
+    # a zero scale (abs_tol 0): numpy's inf or NaN, either of which rejects
+    lines += [f"            total = {' + '.join(f'v{j} * v{j}' for j in cols)}",
+              "        except ZeroDivisionError:",
+              "            total = nan",
+              f"        if not isfinite({' + '.join(['total', *z_new, *dropped])}):",
+              f"            if not all(map(isfinite, {tup(sum(K[1:], []) + z_new)})):",
+              "                return None",
+              f"        return {tup(z_new)}, sqrt(total / {m}), {tup(K[n])}",
+              "    return attempt"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _compiled(C: tuple, A: tuple, E: tuple, m: int):
+    """The make function of `_float_source`, compiled once per table and m."""
+    namespace = {"array": np.array, "isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
+    exec(compile(_float_source(C, A, E, m), "<float attempt>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _generated_attempt(rhs, m: int, rel_tol: float, abs_tol: float):
+    """`_attempt` in Python floats, generated from the table at its first
+    use (`_float_source`), for states of m components given as tuples of
+    floats: attempt(t, z, f, h, t_new) returns z_new and the FSAL row as
+    tuples. The schedule is one call on all stage times. A `Split` with a
+    ``stage`` is called with the stage state's parts as floats; any other
+    rhs is called on a buffer that holds the stage state, once per stage
+    (`_float_stage`)."""
+    make = _compiled(tuple(_C.tolist()), tuple(tuple(a.tolist()) for a in _A),
+                     tuple(_E.tolist()), m)
+    return make(*_float_stage(rhs, m), rel_tol, abs_tol)
+
+
+def _float_stage(rhs, m: int):
+    """The coefficients and ``stage`` of rhs as a `Split` (`_split`). A
+    `Split` without a stage gets one that writes the stage state z + h p
+    into a buffer of m floats, calls the motion and the quadrature on it
+    and reads the derivative back as floats."""
+    coefficients, motion, quadrature, stage = _split(rhs)
+    if stage is None:
+        z1, out = np.empty(m), np.empty(m)
+
+        def stage(t, e, z, h, p):
+            z1[:] = [zj + h * pj for zj, pj in zip(z, p)]
+            motion(t, e, z1, out)
+            quadrature(t, e, z1, out)
+            return out.tolist()
+
+    return coefficients, stage
 
 
 class _Lane:
@@ -324,8 +379,9 @@ class _Lane:
     buffer.
 
     A state is given as an array Z and an index p: Z[p] is a row of the
-    lanes' states, or `solve`'s state with p = Ellipsis. The row is taken
-    only to store a sample or a failure, so the lanes pay no indexing."""
+    lanes' states, or `solve`'s state, an array or a tuple of floats, with
+    p = `_WHOLE`. The row is taken only to store a sample or a failure, so
+    the lanes pay no indexing."""
 
     __slots__ = ("grid", "rows", "t", "h", "h_try", "t_new", "clamped", "floor",
                  "err_prev", "just_rejected", "next_i", "steps", "rejected", "evals")
@@ -346,7 +402,7 @@ class _Lane:
         return {"steps": self.steps, "rejected": self.rejected, "rhs_evals": self.evals}
 
     def error(self, message: str, Z: np.ndarray, p) -> IntegrationError:
-        return IntegrationError(message, t=self.t, state=Z[p].copy(),
+        return IntegrationError(message, t=self.t, state=np.array(Z[p]),
                                 rows=self.rows[: self.next_i].copy(), stats=self.stats())
 
     def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
@@ -355,15 +411,15 @@ class _Lane:
         from z. An initial step that overflows to 0 is a failure."""
         self.evals = 1
         if not np.isfinite(f).all():
-            raise self.error("non-finite derivative at the initial state", z, Ellipsis)
+            raise self.error("non-finite derivative at the initial state", z, _WHOLE)
         h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
         if h is not _NORM_OVERFLOWS:  # rhs was called at the trial step
             self.evals += 1
         if isinstance(h, str):
             raise self.error(f"initial step size underflow: {h} overflows at t={self.t:.6g}",
-                             z, Ellipsis)
+                             z, _WHOLE)
         self.h = h
-        self.advance(None, z, z, Ellipsis)
+        self.advance(None, z, z, _WHOLE)
 
     def non_finite(self, Z: np.ndarray, p) -> IntegrationError:
         """Count the attempt from Z[p], which did not stay finite, and return its error."""
@@ -431,17 +487,19 @@ def solve(
         return out, lane.stats()
     f = rhs(lane.t, z)
     lane.start(rhs, z, f, rel_tol, abs_tol)
-    K = np.zeros((len(_A) + 1, z.shape[0]))
-    K[0] = f  # FSAL: after an accepted step K[0] takes over the last stage's row
-    rhs = _split(rhs)
-    attempt = (_attempt if rhs.stage is None else _float_attempt)(rhs, K, rel_tol, abs_tol)
+    m = z.shape[0]
+    if m == _FLOAT_SIZE:
+        attempt = _generated_attempt(rhs, m, rel_tol, abs_tol)
+        z, f = tuple(z.tolist()), tuple(np.asarray(f, dtype=float).tolist())
+    else:
+        attempt = _attempt(rhs, m, rel_tol, abs_tol)
     while not lane.done:
-        z_new, err = attempt(lane.t, z, lane.h_try, lane.t_new)
-        if err is None:
-            raise lane.non_finite(z, Ellipsis)
-        if lane.advance(err, z, z_new, Ellipsis):
-            z = z_new
-            K[0] = K[-1]
+        step = attempt(lane.t, z, f, lane.h_try, lane.t_new)
+        if step is None:
+            raise lane.non_finite(z, _WHOLE)
+        z_new, err, f_new = step
+        if lane.advance(err, z, z_new, _WHOLE):
+            z, f = z_new, f_new  # FSAL: the last stage's row is the next f
     return out, lane.stats()
 
 
@@ -490,11 +548,12 @@ def solve_lanes(
     arithmetic and the DP5 weight products of all active lanes at once, as
     stacked matmuls that run the same per-lane BLAS calls as `solve`. Each
     lane's step control is a `_Lane`, as in `solve`, so every lane gets
-    exactly the bits `solve` gives it alone. The error norms are computed
-    for every row, row by row, so a finite lane's norm does not depend on
-    the others; then one pass over the lanes concludes each attempt. Lanes
-    that did not stay finite, finished or failed leave the arrays at once,
-    and the others run on.
+    exactly the bits `solve` gives it alone, unless m is 5: `solve` steps
+    such states in floats, and `dynamics` does not make lanes of them. The
+    error norms are computed for every row, row by row, so a finite lane's
+    norm does not depend on the others; then one pass over the lanes
+    concludes each attempt. Lanes that did not stay finite, finished or
+    failed leave the arrays at once, and the others run on.
 
     Returns one entry per lane: ``(samples, stats)`` as `solve` returns them,
     or the IntegrationError `solve` raises on that lane alone. Exceptions

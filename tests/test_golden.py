@@ -16,16 +16,32 @@ forms of every builtin gradient and value are pinned.
 ``python tests/test_golden.py`` prints the digests of every case for the
 current tree, in the shape of `GOLDEN`.
 
-The hashes were made with Python 3.11.7 and numpy 2.4.6 on x86-64. Another
-numpy or BLAS may round the DP5 weight products differently; a failure here
-on another platform says the bytes moved, not that a result is wrong.
+The hashes were made with Python 3.11.7 and numpy 2.4.6 on x86-64. A run
+of dimension 1 makes no BLAS call: its weight products are left-to-right
+float sums, and `test_one_dimensional_artifacts_do_not_depend_on_the_blas_kernel`
+reruns the ``example`` case under other OpenBLAS kernels. Another numpy,
+BLAS or libm may round the runs of dimension 2 or more, the schedules and
+paper1d's gradient differently; a failure here on another platform says the
+bytes moved, not that a result is wrong.
+
+The bit policy: a hash here may change only in a change that regenerates
+it, says why the bytes moved, and states the largest deviation of the new
+artifacts against the parent commit's (``scripts/artifact_hashes.py`` with
+PYTHONPATH at each tree's ``src``) and against the closed-form solutions of
+`tests/exact.py`. Those bounds (`tests/test_exact.py`) are multiples of
+rel_tol and are not regenerated with the hashes, so a regenerated golden
+must still be as accurate.
 """
 import hashlib
+import json
 import os
 import pprint
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tikhoflow.cli import main
@@ -74,25 +90,25 @@ GOLDEN = {
     },
     "compare": {
         "example/comparison.csv":
-            "123753e1a3ee0d6a8a0482483a2d402e9456f3808af1d16ab32240e6b0542704",
+            "188e6dd633f42bd2cfb98a5f4fa0dfd8c17718f16c779803bf9d687d6e1bedf8",
         "example/gamma_1.5/manifest.json":
             "00bf7924fce492323d427add7f891e5e37b93939eeb1eccc9a4e3406823bfd13",
         "example/gamma_1.5/report.json":
-            "36d6e458842a04ef827d0f16d119394ce68e3b9275c941a0bc82e8b3df6ac689",
+            "a6b5c69cbd56d8d212fde9b53d74687d1eaadd89436a23c8f8063d8704b8c73d",
         "example/gamma_1.5/trajectory.csv":
-            "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+            "34e5d106871ac81d8801cd02e4460a0f604305effb1e1b93e4922ec6e12c4e80",
         "example/gamma_2.5/manifest.json":
             "3d4fb4982602d5f2b6b15294c05c033ffe02beaaaf388b81b58890fb4fd37c68",
         "example/gamma_2.5/report.json":
-            "0011b7318d212dd9f7e19784e8b9e922a6df4332c9c6d8494bc3eaa7ac3b08b8",
+            "48ab646d826bb1067e3aec05f25de76504a553e54d7da724fbc836ef0792c840",
         "example/gamma_2.5/trajectory.csv":
-            "7d2ee4defa8ae7736282d2e3af0ae117e46236bf57de657549a4da5aba16d958",
+            "b2d31b6eebd2d54985cbda7016494ffcd2e682907c2c495fee3e3b986d196b6a",
         "example/zero/manifest.json":
             "c991e27281649c61661c592607bb043c3a27e79998ffd7bfe58669da7bbd6335",
         "example/zero/report.json":
-            "a69a418a0643d461bc8de7c528b9d8bad9831d570d606091838fedbfefd3ddb9",
+            "1539d461ae84bf9f3b446b0cb2f31d618f88bb9fd3b843b1ccbdbea66c2f3e3f",
         "example/zero/trajectory.csv":
-            "8985fac7e58e4a5c778427ac9521f3027a0ff74c8310f630a343ea26547cc9b6",
+            "f1b38e717f82e50696e1c57d79941af929219b00480d51a415fa7cf2d31949f0",
     },
     "compare_least_squares": {
         "example/comparison.csv":
@@ -164,9 +180,9 @@ GOLDEN = {
         "example/manifest.json":
             "0d14f6b3516668550817f26bbdbab0b2ffbcea2e7ce8ecbdae5d0b7ff9d4a357",
         "example/report.json":
-            "cf46ed22df83218145b12375709981f226d4b177e81331928db93005b00fa684",
+            "2426aaa4359d288addd137880aa52bc0fdc42bb3b176f56b6ab41398e25390de",
         "example/trajectory.csv":
-            "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+            "34e5d106871ac81d8801cd02e4460a0f604305effb1e1b93e4922ec6e12c4e80",
     },
     "least_squares": {
         "example/manifest.json":
@@ -180,25 +196,25 @@ GOLDEN = {
         "example/manifest.json":
             "b425b6122e998567a35491055767044761f445e7d363e16b0de4f85317198bd6",
         "example/report.json":
-            "1d2906b08a272a60e77319ee823072be9c3b7e730398227b895fe2d9645d2e08",
+            "9b5e03f81969dfb331ec52e39e4157ee002068fafa367f8bf36e0b9af1c6eedf",
         "example/trajectory.csv":
-            "ed7f5e5f534546e5cf5210088ccdff7935d188c217b08d9b15f62a31b5e2fe19",
+            "15f03076611f7073e2b465fe11aee4105e589941243e56c2ef962f67b277ba11",
     },
     "reports": {
         "example/manifest.json":
             "b235ab019bc80c89a233995fda024d858b9758cd4a335cc3f5257e5fce9f6ee5",
         "example/report.json":
-            "0dd7347ac63ac650841f95a293a4014d2029427da795704532c14e783d88f0cb",
+            "29e8605d51618921a26c63f08d69ac5ad7bc3f5e7fe8f4e8168fc1d81691e90c",
         "example/trajectory.csv":
-            "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+            "34e5d106871ac81d8801cd02e4460a0f604305effb1e1b93e4922ec6e12c4e80",
     },
     "reports_alpha2": {
         "example/manifest.json":
             "71fcade4feb6c71080f2cbc46bdf3e544c9a9906584945b729a746cec4ee8122",
         "example/report.json":
-            "870c0a76c3731f36164380372b599049f2c61689a14d65f0a51d68f4b45cc286",
+            "09a846420927a51b0b23556a6f9263ad9161566514e06bf42af1b86e46e7ae0b",
         "example/trajectory.csv":
-            "e0f0b3fbca5192f75aed4984a64db11095cd166556a8eb7dcc534ab84afb5415",
+            "0982a6f8263a7b6ea6dfd818cce44e640bdd0493b58e8e9b4f6057b153c11dd3",
     },
     "reports_horizon1": {
         "example/manifest.json":
@@ -212,77 +228,77 @@ GOLDEN = {
         "example/manifest.json":
             "b17cc9ae2cf29d7d873a5151f21a7d03bedb3e91205bbe3dc318537a9b09c18f",
         "example/report.json":
-            "32b20876d196e5ed9c16a72ed9b0ad9c7229929e1f6fe02c3cdaec3591b8c9d3",
+            "a4bb019440bafe6ff7e034c9049cb0713d4b18ac1b8c739df41bf80f48cbfd58",
         "example/trajectory.csv":
-            "8985fac7e58e4a5c778427ac9521f3027a0ff74c8310f630a343ea26547cc9b6",
+            "f1b38e717f82e50696e1c57d79941af929219b00480d51a415fa7cf2d31949f0",
     },
     "sweep": {
         "example/alpha_3__beta_0.5__gamma_1.5/manifest.json":
             "f91c61e358fd7d403a71ab43249f5c9455d571ca88e14d247032c45df8a10d2b",
         "example/alpha_3__beta_0.5__gamma_1.5/report.json":
-            "88bc49510bafdfdb230b66286390d66843dfc97ef8e416790b0ebd66a971ca1e",
+            "19b49500ac78fe03294861a0e65cd4bdb6210201dd15033c85765e91b7998bcb",
         "example/alpha_3__beta_0.5__gamma_1.5/trajectory.csv":
-            "9f859bd491213b6ed5a50a268eb397c2dd888222a84b2a4af5de500280bb166f",
+            "cf4b6bd24e0c6da63ddbc677021bd1b9beb9ed4591d843dd021b697db01c4379",
         "example/alpha_3__beta_0.5__gamma_2.5/manifest.json":
             "cdf1e60fb9bf21b9bcf1d7dfbd841b2ac6e4c93726c138826473fabcc45a4c19",
         "example/alpha_3__beta_0.5__gamma_2.5/report.json":
-            "697ba958e93b3dc5f8950b563eefd476496b71c55d27c49c9ea3bdb7af28be26",
+            "7ed0101d4661e201e760798c231cc13ebb6a594fe2fc58308ae77a8b055c108f",
         "example/alpha_3__beta_0.5__gamma_2.5/trajectory.csv":
-            "f8b24b2ed08d125023b3a4c19bcd946c8811dedd70a4876b26088bfface395b5",
+            "cb67edbb41c0df7a64382445203f82f1f8012983f32ce4c8e2a2a9dc711fa8fd",
         "example/alpha_3__beta_1__gamma_1.5/manifest.json":
             "8ad3c729855bd2b488e4383a4f40c6c828ea8ee94b71c4e41112682774ac6b04",
         "example/alpha_3__beta_1__gamma_1.5/report.json":
-            "483111409fad9f420e73d0b4950023acb7ad7f81be967a479e20ece08c6b6b37",
+            "b3a0c52a61f521bc999a9a25dbbe3b89f69ce192d634c93bc091e4c677e69ef9",
         "example/alpha_3__beta_1__gamma_1.5/trajectory.csv":
-            "6f585294b87343867f5ba6ad639759c20bfadeb81883069b8806defce2460bcc",
+            "34e5d106871ac81d8801cd02e4460a0f604305effb1e1b93e4922ec6e12c4e80",
         "example/alpha_3__beta_1__gamma_2.5/manifest.json":
             "535a01886938fe1c225ff73cf7d6b4b2d06205b31586f0d946b7cf71e9e683eb",
         "example/alpha_3__beta_1__gamma_2.5/report.json":
-            "079af870dc76fffe8dc30742d61a3756df3d8f4b511c1a3d1a226a7776674339",
+            "56694a4aa3cc4b0c5028e655906c0b5b277c1887b50853c7afb46ddf47962abe",
         "example/alpha_3__beta_1__gamma_2.5/trajectory.csv":
-            "7d2ee4defa8ae7736282d2e3af0ae117e46236bf57de657549a4da5aba16d958",
+            "b2d31b6eebd2d54985cbda7016494ffcd2e682907c2c495fee3e3b986d196b6a",
         "example/alpha_4__beta_0.5__gamma_1.5/manifest.json":
             "800b798560d3452196faa84518fff31476bce2b04e7f57ae11406bc401b4d229",
         "example/alpha_4__beta_0.5__gamma_1.5/report.json":
-            "fb18fc22ab6000d1ab607dd7d7b7946fe21e01b1be401493e95211a6a67a0b55",
+            "2cfb6919ce34b8b691c873cb1867e08915d5700fc1928ff5946633b7d447c474",
         "example/alpha_4__beta_0.5__gamma_1.5/trajectory.csv":
-            "9d42f01103ca26d6d2910c2e54e2c53ce5b27c92a8f4c89b6cbaf4859b90b54d",
+            "2cdf9a00e62610794fdc73b719dbc63a179cb38c852f385649ba532681cee801",
         "example/alpha_4__beta_0.5__gamma_2.5/manifest.json":
             "1c4c8d6193aec8228de47318c2203d41a2bfaa373a15f72f9f098ade6ebe8eb0",
         "example/alpha_4__beta_0.5__gamma_2.5/report.json":
-            "7d5760283c852eaff77da9626f618d2f0adb4588758f093717bbb32e87d59ad1",
+            "13cfa735422befd464e24b7a4b11d02b31885ce1e406ad71015ead18dd560ba9",
         "example/alpha_4__beta_0.5__gamma_2.5/trajectory.csv":
-            "1b361d1cff13a3eb31fa945ca7d208583a1778169285ac0bec867c76abaa6e98",
+            "15abafe5e443076111633a38d9b10baabece4480ee728ffa6d8aef2b232c1f2f",
         "example/alpha_4__beta_1__gamma_1.5/manifest.json":
             "49ce5a963ce5b9c8656fa794b5bbfcad6a246a19997b81ca5bedc5aa5c4d602f",
         "example/alpha_4__beta_1__gamma_1.5/report.json":
-            "7a5b17edd6bde72bf84312140a73b4e69b4588a11f737f96e019bdf7e75deab8",
+            "aaba2fc6f9f1e3a2438dd58d5d12d3fc8ae165930fd793c510274ecabd845aa5",
         "example/alpha_4__beta_1__gamma_1.5/trajectory.csv":
-            "6a6b8eb5724f9068ec389e9fcb02a99b0534e265b4f700c38c4a8699548c7ae6",
+            "68166def476b36f125fcdb654742e267457ccd8ffd849f98e20608624bf6d441",
         "example/alpha_4__beta_1__gamma_2.5/manifest.json":
             "1d56d797b81905826e687b2a2ca81da5f2dbef851ad25422881c44ed2a954fd7",
         "example/alpha_4__beta_1__gamma_2.5/report.json":
-            "8dd1393cef3072f196b8bf0a4c93ecca495390c9039297bef59c466d06ee8210",
+            "056f8cad0ed0e910d231bae6b2c5ff9a92e0a3f5cbfe3379b3f6f0fb8043bcac",
         "example/alpha_4__beta_1__gamma_2.5/trajectory.csv":
-            "9a4025bedcc3dcd87ded19749af63123e9b0ceac53ad1312eb72ac268159f9d7",
+            "0ec7654da60f18484ec82e765b39253b2b8262ecc87046911d8f4750bb2f4ce8",
         "example/sweep_summary.csv":
-            "be3144ad86491df5c7556e62cf1692bbafa76d94c70be6f7bf9d1b9bbfc19747",
+            "02af6a7fa1d52ca609c29936e003032eff444b4277d2ed5ca59bdca4b8f6dacf",
     },
     "tabulated": {
         "example/manifest.json":
             "23b5315274825aa4a6977f2937f5bde6dbe47495e634ee69a8d02503b28d62a5",
         "example/report.json":
-            "a4dcbc3efd90a3b5198adf0f18265fed7a1cddfbcc753373d1663c5474ee7364",
+            "88d7a3b7a5fb2b429e811f565034851f2af35dc13089800409b325b7b16a5fc7",
         "example/trajectory.csv":
-            "96eeacf46c36b66e99a489542144252bc5d1137d2d896513eadef77041f6701a",
+            "ac3b06f1823e8d2e138c7d0276ef47ab13a79a30f89aff4d4a71902ec67e8918",
     },
     "zero": {
         "example/manifest.json":
             "60ddab79911fa5553a29c967fa74d06b19a102da0eff5628db48b01fc4bffb18",
         "example/report.json":
-            "50bef91b136436694bbd8d7e45039e9383c8bc9e18e0d573d066e7531a2f6c5d",
+            "ffddf2b579a79ce3627b4c4263922551d2ee6670a2ca9d2a838507c2a9370efb",
         "example/trajectory.csv":
-            "8985fac7e58e4a5c778427ac9521f3027a0ff74c8310f630a343ea26547cc9b6",
+            "f1b38e717f82e50696e1c57d79941af929219b00480d51a415fa7cf2d31949f0",
     },
 }
 
@@ -310,13 +326,37 @@ def test_artifacts_match_golden_hashes(case, tmp_path, monkeypatch):
     assert _run(case, tmp_path) == GOLDEN[case]
 
 
+def _case_digests(case: str) -> dict:
+    """`_run` in a temporary working directory."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            return _run(case, Path(tmp))
+        finally:
+            os.chdir(home)
+
+
+def _numpy_blas() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name", "")
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas().lower(),
+                    reason="numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE selects nothing")
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_one_dimensional_artifacts_do_not_depend_on_the_blas_kernel(kernel, tmp_path):
+    # OPENBLAS_CORETYPE picks the BLAS kernel of one process; a d = 1 run
+    # makes no BLAS call, so its trajectory keeps the pinned bytes
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import json, test_golden; print(json.dumps(test_golden._case_digests('example')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    digests = json.loads(done.stdout)
+    name = "example/trajectory.csv"
+    assert digests[name] == GOLDEN["example"][name]
+
+
 if __name__ == "__main__":
-    digests, home = {}, os.getcwd()
-    for case in sorted(CASES):
-        with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)
-            try:
-                digests[case] = _run(case, Path(tmp))
-            finally:
-                os.chdir(home)
-    pprint.pprint(digests, width=100)
+    pprint.pprint({case: _case_digests(case) for case in sorted(CASES)}, width=100)

@@ -1,10 +1,12 @@
 """The lane-batched stepper against the one-run stepper it must reproduce.
 
 `solve_lanes` steps many runs in one loop; every lane must get exactly the
-bits, counters and failures that `solve` gives the same run alone. The CLI
-tests check that `compare` and `sweep`, which integrate their cells as lanes,
-still write what `run` writes for each cell and fail as a sequential loop of
-cells does.
+bits, counters and failures that `solve` gives the same run alone. Runs of
+dimension 1 do not take the lanes (`integrate_lanes` steps them one by one
+in floats), so the lane mechanics are tested on d = 2 objectives; the d = 1
+cases check that route. The CLI tests check that `compare` and `sweep`
+still write what `run` writes for each cell and fail as a sequential loop
+of cells does.
 """
 import dataclasses
 import json
@@ -32,15 +34,23 @@ from helpers import reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
 BASE = dict(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0, sample_count=40)
-# sinh overflows at u0 = 800: the non-finite failure of test_reference
-COSH = ObjectiveSpec(
-    dimension=1,
-    value=lambda x: float(np.cosh(x[0])),
-    gradient=lambda x: np.sinh(x),
-    hessian_vec=lambda x, v: np.cosh(x) * v,
-    min_value=1.0,
-    min_norm_solution=np.array([0.0]),
-)
+BASE2 = {**BASE, "u0": [2.0, 0.5], "v0": [0.0, 0.0]}  # the lanes' d = 2 runs
+SHIFTED2 = builtin("shifted_quadratic", c=np.array([1.0, -2.0]))
+
+
+def _cosh(d):
+    # sinh overflows at u0 = 800: the non-finite failure of test_reference
+    return ObjectiveSpec(
+        dimension=d,
+        value=lambda x: float(np.cosh(x).sum()),
+        gradient=lambda x: np.sinh(x),
+        hessian_vec=lambda x, v: np.cosh(x) * v,
+        min_value=float(d),
+        min_norm_solution=np.zeros(d),
+    )
+
+
+COSH = _cosh(1)
 
 
 def _outcome(fn, *args):
@@ -137,16 +147,16 @@ def test_paper1d_grid_lanes_match_integrate():
 def test_mixed_schedule_kinds_lanes_match_integrate():
     # one evaluator per lane; the lanes finish after different numbers of
     # attempts, so the evaluators are rebound each time the live set shrinks
-    cfg = DynamicsConfig(**BASE)
+    cfg = DynamicsConfig(**BASE2)
     grid = np.geomspace(1.0, 30.0, 12)
     runs = [
-        (logarithmic_schedule(), DynamicsConfig(**{**BASE, "alpha": 200.0})),
+        (logarithmic_schedule(), DynamicsConfig(**{**BASE2, "alpha": 200.0})),
         (tabulated_schedule(grid, grid**-1.5), cfg),
         (zero_schedule(), cfg),
         (power_schedule(1.5), cfg),
         (power_schedule(2.5, scale=2.0), cfg),
     ]
-    lanes = _assert_lanes_match_integrate(builtin("paper1d"), runs)
+    lanes = _assert_lanes_match_integrate(SHIFTED2, runs)
     attempts = [traj.meta["stats"]["steps"] + traj.meta["stats"]["rejected"] for traj in lanes]
     assert len(set(attempts)) == len(runs)
 
@@ -165,9 +175,9 @@ def test_least_squares_d60_lanes_match_integrate():
 
 
 def test_cosh_non_finite_lanes_match_integrate():
-    cfg = DynamicsConfig(alpha=3.0, beta=0.0, t0=1.0, u0=[800.0], v0=[0.0], horizon=10.0)
+    cfg = DynamicsConfig(alpha=3.0, beta=0.0, t0=1.0, u0=[800.0, 0.0], v0=[0.0, 0.0], horizon=10.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        lanes = _assert_lanes_match_integrate(COSH, [(zero_schedule(), cfg), (power_schedule(1.5), cfg)])
+        lanes = _assert_lanes_match_integrate(_cosh(2), [(zero_schedule(), cfg), (power_schedule(1.5), cfg)])
     assert all(isinstance(exc, IntegrationError) for exc in lanes)
 
 
@@ -176,18 +186,18 @@ def test_objective_without_rows_goes_through_lanes_row_by_row():
     # only (on rows it returns one entry): the lanes and the finishing must
     # call it once per row and still give what `integrate` gives
     obj = ObjectiveSpec(
-        dimension=1,
-        value=lambda x: float(np.cosh(x[0])),
-        gradient=lambda x: np.array([np.sinh(x[0])]),
+        dimension=2,
+        value=lambda x: float(np.cosh(x[0]) + np.cosh(x[1])),
+        gradient=lambda x: np.array([np.sinh(x[0]), np.sinh(x[1])]),
         hessian_vec=lambda x, v: np.cosh(x) * v,
-        min_value=1.0,
-        min_norm_solution=np.array([0.0]),
+        min_value=2.0,
+        min_norm_solution=np.zeros(2),
     )
     runs = [
-        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        (power_schedule(g), DynamicsConfig(**{**BASE2, "alpha": a, "beta": b}))
         for a, b, g in ((3.0, 0.0, 1.5), (5.0, 1.0, 2.5), (10.0, 0.5, 1.1))
     ]
-    _assert_lanes_match_integrate(obj, runs + [(zero_schedule(), DynamicsConfig(**BASE))])
+    _assert_lanes_match_integrate(obj, runs + [(zero_schedule(), DynamicsConfig(**BASE2))])
 
 
 def test_empty_run_list_is_refused():
@@ -214,12 +224,12 @@ def _counting(obj):
 
 def test_lanes_call_the_gradient_once_per_stage_for_all_lanes():
     runs = [
-        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        (power_schedule(g), DynamicsConfig(**{**BASE2, "alpha": a, "beta": b}))
         for a in (3.0, 10.0, 200.0)
         for b in (0.0, 0.5, 1.0)
         for g in (1.1, 1.5, 1.9)
     ]
-    obj, calls = _counting(builtin("paper1d"))
+    obj, calls = _counting(SHIFTED2)
     lanes = list(integrate_lanes(obj, runs))
     # every lane attempts in each batched attempt until it is done
     attempts = max(traj.meta["stats"]["steps"] + traj.meta["stats"]["rejected"] for traj in lanes)
@@ -440,12 +450,12 @@ def test_sweep_config_error_keeps_earlier_cells(cell_config, tmp_path):
 # that swings past -1 fails mid-run with a non-finite state while damped
 # lanes go on, all through the real lane field.
 GUARDED = ObjectiveSpec(
-    dimension=1,
-    value=lambda x: 0.5 * (x[..., 0] * x[..., 0]),
+    dimension=2,
+    value=lambda x: 0.5 * (x * x).sum(axis=-1),
     gradient=lambda x: np.where(x < -1.0, np.nan, x),
     hessian_vec=lambda x, v: v,
     min_value=0.0,
-    min_norm_solution=np.array([0.0]),
+    min_norm_solution=np.zeros(2),
     rows=True,
 )
 
@@ -456,11 +466,11 @@ def test_live_set_changes_midway_and_each_lane_matches_integrate():
     # set shrinks by a failure and by finishing lanes, and every lane must
     # still get its own columns of alpha, beta and the schedule
     runs = [
-        (power_schedule(1.5), DynamicsConfig(**{**BASE, "alpha": 3.0, "beta": 1.0})),
-        (zero_schedule(), DynamicsConfig(**{**BASE, "alpha": 0.0, "beta": 0.0})),
-        (power_schedule(1.1), DynamicsConfig(**{**BASE, "alpha": 10.0, "beta": 1.0})),
-        (power_schedule(1.9), DynamicsConfig(**{**BASE, "alpha": 200.0, "beta": 0.5})),
-        (power_schedule(2.5, scale=2.0), DynamicsConfig(**{**BASE, "alpha": 3.0, "beta": 2.0})),
+        (power_schedule(1.5), DynamicsConfig(**{**BASE2, "alpha": 3.0, "beta": 1.0})),
+        (zero_schedule(), DynamicsConfig(**{**BASE2, "alpha": 0.0, "beta": 0.0})),
+        (power_schedule(1.1), DynamicsConfig(**{**BASE2, "alpha": 10.0, "beta": 1.0})),
+        (power_schedule(1.9), DynamicsConfig(**{**BASE2, "alpha": 200.0, "beta": 0.5})),
+        (power_schedule(2.5, scale=2.0), DynamicsConfig(**{**BASE2, "alpha": 3.0, "beta": 2.0})),
     ]
     with np.errstate(invalid="ignore"):
         lanes = _assert_lanes_match_integrate(GUARDED, runs)
@@ -474,10 +484,10 @@ def test_live_set_changes_midway_and_each_lane_matches_integrate():
 
 def test_step_budget_fails_the_costly_lanes_only(monkeypatch):
     runs = [
-        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        (power_schedule(g), DynamicsConfig(**{**BASE2, "alpha": a, "beta": b}))
         for a, b, g in ((3.0, 1.0, 1.5), (200.0, 0.0, 1.1), (10.0, 0.5, 1.9), (3.0, 0.0, 1.1))
     ]
-    obj = builtin("paper1d")
+    obj = SHIFTED2
     stats = [integrate(obj, *run).meta["stats"] for run in runs]
     costs = [st["steps"] + st["rejected"] for st in stats]
     # a run fails when it would start attempt budget + 2; a lane with this
