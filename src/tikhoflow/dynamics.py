@@ -28,8 +28,9 @@ the arithmetic, sets the price. Its weight products are left-to-right
 float sums, not BLAS gemv calls, so a run of dimension 1 does not depend
 on the BLAS kernel. The lanes serve runs of dimension 2 or more: a run of
 dimension 1 that `integrate_lanes` is given is stepped on its own, as
-`integrate` steps it. The lanes bind their columns of alpha, beta and the
-schedule once per live set (`integrator.Split`), not once per attempt.
+`integrate` steps it. The lanes bind their columns of alpha and beta and
+their schedule evaluators once per live set (`integrator.Split`), not once
+per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ
 only in alpha, beta and the schedule, as lanes of one loop from d = 2, each
@@ -56,7 +57,7 @@ import numpy as np
 
 from .integrator import IntegrationError, Split, solve, solve_lanes
 from .problems import ObjectiveSpec, _as_vector, min_norm_solution
-from .schedules import TikhonovSchedule, _lanes_eps
+from .schedules import TikhonovSchedule
 
 __all__ = [
     "DynamicsConfig",
@@ -435,7 +436,7 @@ def integrate_lanes(
         # a run of dimension 1 steps in floats (`integrator.solve`), one by one
         results = [_solved(vector_field(obj, s, c), _lifted_z0(obj, c), ts, c) for s, c in runs]
         return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
-    bind_eps = _lanes_eps([s for s, _ in runs], cfg.t0, cfg.horizon)
+    evals = [s._span_eps(cfg.t0, cfg.horizon) for s, _ in runs]
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
 
@@ -443,13 +444,13 @@ def integrate_lanes(
         """at(T) for the lanes: the schedule E at their times T (lanes, k)
         and, for each of the k times, the motion's coefficient columns
         (a, b, e, beta)."""
-        eps = bind_eps(lanes)
+        chosen = [evals[i] for i in lanes.tolist()]
         # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
         alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
         alpha_beta = alpha * beta
 
         def at(T: np.ndarray):
-            E = eps(T)
+            E = np.array([ev(row) for ev, row in zip(chosen, T)])
             # (k, lanes, 1) copies: each time's columns come out as one block
             Tc = T.T.copy()[..., None]
             columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T.copy()[..., None])

@@ -66,36 +66,6 @@ def _root(ratio: float, exponent: float) -> float:
         return math.inf
 
 
-def _power_eps(t, scale, gamma):
-    # np.power, not Python's **: the two round differently
-    return scale * np.power(t, -gamma)
-
-
-def _lanes_eps(schedules, lo: float, hi: float):
-    """Check [lo, hi] against each schedule's domain once; return
-    bind(lanes) -> eps, an unchecked evaluator of schedules[lanes[j]] at the
-    times in row T[j], for T of shape (len(lanes), k), bit-equal per lane to
-    `_span_eps`: one `np.power` call when every schedule is a power law, one
-    evaluation per lane otherwise. bind picks the lanes' columns of scale
-    and gamma, or their evaluators."""
-    evals = [s._span_eps(lo, hi) for s in schedules]
-    if all(s.kind == "power" for s in schedules):
-        scale = np.array([[s.scale] for s in schedules])
-        gamma = np.array([[s.gamma] for s in schedules])
-
-        def bind(lanes: np.ndarray):
-            sc, g = scale[lanes], gamma[lanes]
-            return lambda T: _power_eps(T, sc, g)
-
-        return bind
-
-    def bind(lanes: np.ndarray):
-        chosen = [evals[i] for i in lanes.tolist()]
-        return lambda T: np.array([ev(row) for ev, row in zip(chosen, T)])
-
-    return bind
-
-
 @dataclass(frozen=True, eq=False)
 class TikhonovSchedule:
     """A nonincreasing C^1 regularization weight on [t0, infinity).
@@ -158,7 +128,8 @@ class TikhonovSchedule:
     def _eval(self, t):
         """eps at a float or a float array, without the domain check."""
         if self.kind == "power":
-            return _power_eps(t, self.scale, self.gamma)
+            # np.power, not Python's **: the two round differently
+            return self.scale * np.power(t, -self.gamma)
         if self.kind == "logarithmic":
             return 1.0 / np.log(self.offset + t)
         if self.kind == "zero":

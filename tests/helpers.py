@@ -143,12 +143,12 @@ _A = (
 )
 _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+DP5 = (_C, _A, _B, _E, 0.2)  # C, A, B, E and the step laws' exponent 1/(q+1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA_PI = 0.04
-_ALPHA_PI = 0.2 - 0.75 * _BETA_PI
 _STEP_FLOOR = 1e-14
 _MAX_STEPS = 20_000_000
 
@@ -170,7 +170,7 @@ def _ref_weighted(w: np.ndarray, K: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ref_initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
+def _ref_initial_step(rhs, t0, z0, f0, rtol, atol, span, err_exp) -> float:
     sc = atol + rtol * np.abs(z0)
     d0, d1 = _ref_rms(z0 / sc), _ref_rms(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -180,7 +180,7 @@ def _ref_initial_step(rhs, t0, z0, f0, rtol, atol, span) -> float:
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** err_exp
     return min(100 * h0, h1, span)
 
 
@@ -190,12 +190,17 @@ def reference_solve(
     t_samples: np.ndarray,
     rel_tol: float,
     abs_tol: float,
+    table: tuple = DP5,
 ) -> tuple[np.ndarray, dict]:
     """Integrate from t_samples[0] to t_samples[-1], returning states at all samples.
 
     Raises IntegrationError on step underflow, non-finite state, or step-budget
-    exhaustion; the exception carries the rows filled so far.
+    exhaustion; the exception carries the rows filled so far. ``table`` is
+    (C, A, B, E, err_exp) in the layout of `DP5`, an FSAL pair whose last
+    stage evaluates at z_new.
     """
+    C, A, B, E, err_exp = table
+    stages = B.shape[0]
     t_samples = np.asarray(t_samples, dtype=float)
     n = t_samples.shape[0]
     z = np.array(z0, dtype=float)
@@ -212,10 +217,10 @@ def reference_solve(
     if not np.all(np.isfinite(f)):
         raise IntegrationError("non-finite derivative at the initial state",
                                t=t, state=z, rows=out[:1].copy(), stats=stats)
-    h = _ref_initial_step(rhs, t, z, f, rel_tol, abs_tol, float(t_samples[-1]) - t)
+    h = _ref_initial_step(rhs, t, z, f, rel_tol, abs_tol, float(t_samples[-1]) - t, err_exp)
     stats["rhs_evals"] += 1
 
-    K = np.empty((7, m))
+    K = np.empty((stages + 1, m))
     err_prev = 1e-4
     just_rejected = False
     next_i = 1
@@ -233,23 +238,23 @@ def reference_solve(
                 t=t, state=z, rows=out[:next_i].copy(), stats=stats,
             )
         K[0] = f
-        for i in range(1, 6):
-            K[i] = rhs(t + _C[i] * h_try, z + h_try * _ref_weighted(_A[i][:i], K[:i]))
-        z_new = z + h_try * _ref_weighted(_B, K[:6])
+        for i in range(1, stages):
+            K[i] = rhs(t + C[i] * h_try, z + h_try * _ref_weighted(A[i][:i], K[:i]))
+        z_new = z + h_try * _ref_weighted(B, K[:stages])
         t_new = target if clamped else t + h_try
-        K[6] = rhs(t_new, z_new)  # FSAL stage
-        stats["rhs_evals"] += 6
+        K[stages] = rhs(t_new, z_new)  # FSAL stage
+        stats["rhs_evals"] += stages
         if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(K))):
             raise IntegrationError(
                 f"non-finite state encountered near t={t_new:.6g}",
                 t=t, state=z, rows=out[:next_i].copy(), stats=stats,
             )
         sc = abs_tol + rel_tol * np.maximum(np.abs(z), np.abs(z_new))
-        err = _ref_rms(h_try * _ref_weighted(_E, K) / sc)
+        err = _ref_rms(h_try * _ref_weighted(E, K) / sc)
         if err <= 1.0:
             stats["steps"] += 1
             t, z = t_new, z_new
-            f = K[6].copy()
+            f = K[stages].copy()
             if clamped:
                 out[next_i] = z
                 next_i += 1
@@ -257,7 +262,7 @@ def reference_solve(
                 if err == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = _SAFETY * err ** (-_ALPHA_PI) * err_prev ** _BETA_PI
+                    factor = _SAFETY * err ** -(err_exp - 0.75 * _BETA_PI) * err_prev ** _BETA_PI
                     factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 if just_rejected:
                     factor = min(1.0, factor)
@@ -267,7 +272,7 @@ def reference_solve(
         else:
             stats["rejected"] += 1
             just_rejected = True
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -err_exp)
             if h < _STEP_FLOOR * max(abs(t), 1.0):
                 raise IntegrationError(
                     f"step size underflow at t={t:.6g} (h={h:.3g})",
@@ -276,7 +281,7 @@ def reference_solve(
     return out, stats
 
 
-def reference_integrate(obj, s, cfg, formulation="lifted"):
+def reference_integrate(obj, s, cfg, formulation="lifted", table=DP5):
     """The reference counterpart of `integrate` / `integrate_direct`."""
     d = obj.dimension
     xstar = min_norm_solution(obj)
@@ -319,5 +324,5 @@ def reference_integrate(obj, s, cfg, formulation="lifted"):
             return out
 
     ts = sample_times(cfg)
-    Z, stats = reference_solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+    Z, stats = reference_solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol, table)
     return _finish(obj, s, cfg, ts, Z, stats, formulation)

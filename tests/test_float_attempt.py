@@ -5,8 +5,6 @@ without one and a plain callable must give the same bytes, and those of the
 frozen reference, whose weight products at d = 1 are left-to-right sums,
 failures included. Every other run and each lane step with numpy.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,11 +179,11 @@ def _float_attempts(monkeypatch):
 def test_table_is_the_whole_method_on_the_float_path(monkeypatch):
     # Bogacki-Shampine 3(2), as in test_table_is_the_whole_method: the float
     # attempt is generated from the table when `solve` first needs it, so a
-    # swapped table gets its own source, with its three stages
+    # swapped table gets its own source, with its three stages, and steps
+    # as the reference stepper steps the same table
     obj, s = builtin("paper1d"), power_schedule(1.5)
     cfg = DynamicsConfig(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0,
                          sample_count=40, rel_tol=1e-6, abs_tol=1e-9)
-    tight = integrate(obj, s, dataclasses.replace(cfg, rel_tol=1e-12, abs_tol=1e-15))
     monkeypatch.setattr(integrator, "_C", np.array([1 / 2, 3 / 4]))
     monkeypatch.setattr(integrator, "_A", (
         np.array([1 / 2]),
@@ -202,7 +200,9 @@ def test_table_is_the_whole_method_on_the_float_path(monkeypatch):
     assert len(built) == 1
     stats = traj.meta["stats"]
     assert stats["rhs_evals"] == 3 * (stats["steps"] + stats["rejected"]) + 2
-    assert np.abs(traj.x - tight.x).max() <= 100 * cfg.rel_tol
+    bs23 = (np.array([0.0, 1 / 2, 3 / 4]), (np.array([0.0]), np.array([1 / 2]), np.array([0.0, 3 / 4])),
+            np.array([2 / 9, 1 / 3, 4 / 9]), np.array([-5 / 72, 1 / 12, 1 / 9, -1 / 8]), 1 / 3)
+    _assert_same_run(traj, reference_integrate(obj, s, cfg, table=bs23))
 
     # a plain callable steps through the same generated attempt, stage by stage
     def plain_solve(rhs, *args):
