@@ -9,7 +9,8 @@ u0 = 1e200, which fails, an undamped one-center shifted_quadratic at horizon
 1e3, paper1d from u0 = 1e20, 1e100 and 1e200, which fail at or before their
 first step, alpha 4 with gamma 1.999, whose t^2*eps verdict holds from a
 time t1 past the float range, written as Infinity, alpha 200, and every
-report block), goes through `run`, `compare`, `sweep` and `check-schedule`.
+report block), goes through `run`, `compare`, `sweep` and `check-schedule`;
+least_squares also goes through a `sweep` of one cell.
 The alpha-200 sweep keeps the config's alpha and beta, so its cells cross
 the t^2*eps threshold past the horizon (near 7.9e7 and 3.1e39), and its
 t^2*eps verdicts hold from t1 >= 1e6, where no grid point is checked.
@@ -77,9 +78,13 @@ CALLS = {
     "check-schedule": ["check-schedule"],
 }
 
-# calls that replace CALLS' for one variant; this sweep's grid takes its
-# alpha and beta from the config
-OWN_CALLS = {"alpha200": {"sweep": ["sweep", "--gamma", "1.5", "1.9"]}}
+# calls that replace or join CALLS' for one variant: the alpha-200 sweep's
+# grid takes its alpha and beta from the config, and a sweep without grid
+# flags is one cell, here of dimension 2, which steps alone, not as a lane
+OWN_CALLS = {
+    "alpha200": {"sweep": ["sweep", "--gamma", "1.5", "1.9"]},
+    "least_squares": {"sweep_one_cell": ["sweep"]},
+}
 
 
 def _call(argv: list) -> int:

@@ -26,14 +26,14 @@ gradient where it has one), and `solve` steps each of its attempts in
 straight-line float code: on 1-element arrays numpy's per-call cost, not
 the arithmetic, sets the price. Its weight products are left-to-right
 float sums, not BLAS gemv calls, so a run of dimension 1 does not depend
-on the BLAS kernel. The lanes serve runs of dimension 2 or more: a run of
-dimension 1 that `integrate_lanes` is given is stepped on its own, as
-`integrate` steps it. The lanes bind their columns of alpha and beta and
+on the BLAS kernel. The lanes serve two or more runs of dimension 2 or
+more: `integrate_lanes` steps any other run on its own, as `integrate`
+steps it. The lanes bind their columns of alpha and beta and
 their schedule evaluators once per live set (`integrator.Split`), not once
 per attempt.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ
-only in alpha, beta and the schedule, as lanes of one loop from d = 2, each
+only in alpha, beta and the schedule, as lanes of one loop, each
 byte-identical to `integrate`; `integrate_direct` integrates the original
 second-order system in (x, x') via Hessian-vector products and serves as a
 cross-validation oracle. Both formulations are stepped by `_drive`, and every run, alone or
@@ -416,9 +416,12 @@ def integrate_lanes(
     """`integrate` for several runs, stepped together as lanes of `solve_lanes`.
 
     The runs share the objective and every DynamicsConfig field but alpha
-    and beta; each has its own schedule. Runs of dimension 1 are stepped one
-    by one through `solve`, whose float attempt costs less than a lane's
-    array work. All runs are integrated before this returns; the result then yields, for each run in order, what `integrate`
+    and beta; each has its own schedule. They step as lanes only when there
+    are two or more of dimension 2 or more. Otherwise each steps alone
+    through `solve`: a run of dimension 1 in its float attempt, which costs
+    less than a lane's array work, and a lone run because lanes of one share
+    nothing. All runs are integrated before this returns; the result then
+    yields, for each run in order, what `integrate`
     gives that run alone, byte for byte: its Trajectory, or the
     IntegrationError it raises, with ``partial`` attached. A failed run does
     not stop the others. Memory: the samples of all runs, lanes x samples x
@@ -432,8 +435,9 @@ def integrate_lanes(
     if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d, ts = obj.dimension, sample_times(cfg)
-    if d == 1:
-        # a run of dimension 1 steps in floats (`integrator.solve`), one by one
+    if d == 1 or len(runs) == 1:
+        # a run of dimension 1 steps in floats (`integrator.solve`), and a
+        # lone run shares no array work: each steps alone, as `integrate`
         results = [_solved(vector_field(obj, s, c), _lifted_z0(obj, c), ts, c) for s, c in runs]
         return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
     evals = [s._span_eps(cfg.t0, cfg.horizon) for s, _ in runs]

@@ -22,8 +22,8 @@ estimate are left-to-right float sums over the table's nonzero weights, so
 such a run calls no BLAS and its bits do not depend on the BLAS kernel. The
 schedule stays one call on all stage times. A `Split` with a float
 ``stage`` is called with floats; any other right-hand side, a plain
-callable or a `Split` without a stage, is called on a buffer that holds the
-stage state, with the same bits. Every other state steps with numpy
+callable or a `Split` without a stage, is called whole on a buffer that
+holds the stage state, with the same bits. Every other state steps with numpy
 (`_attempt`), its weight products BLAS gemv calls (ndarray.dot).
 `dynamics` checks the schedule domain once per run before calling `solve`;
 the public `TikhonovSchedule.eps` still checks on every call.
@@ -43,7 +43,8 @@ plain callable goes through the same attempt as a `Split` without
 quadratures (`_split`), called once per stage.
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
-grid, as `compare` and `sweep` use it for runs of dimension 2 or more: each
+grid, as `compare` and `sweep` use it for two or more runs of dimension 2
+or more (`dynamics.integrate_lanes` steps any other run through `solve`): each
 attempt does its elementwise work and weight products for all active lanes
 at once, and its `Split` gathers the per-lane coefficients of all stages in
 one call, so that each stage makes one motion call for all lanes. The stage
@@ -57,7 +58,8 @@ so a lane costs one controller call per attempt. `solve_lanes` tests
 finiteness once for the whole batch, and lane by lane only when that test
 fails. One pass over the lanes then concludes each attempt: a lane that did
 not stay finite (`_Lane.non_finite`), finished or failed leaves, and the
-others give the next attempt's step sizes and times. The lanes that left
+next attempt reads the others' step sizes and times from their `_Lane`s,
+the one copy of each lane's step state. The lanes that left
 are dropped from the arrays at one place, which also binds the live lanes'
 coefficients (`Split`) before the live set's first attempt, so that the
 right-hand side picks its per-lane columns once per live set, not once per
@@ -341,29 +343,19 @@ def _generated_attempt(rhs, m: int, rel_tol: float, abs_tol: float):
     floats: attempt(t, z, f, h, t_new) returns z_new and the FSAL row as
     tuples. The schedule is one call on all stage times. A `Split` with a
     ``stage`` is called with the stage state's parts as floats; any other
-    rhs is called on a buffer that holds the stage state, once per stage
-    (`_float_stage`)."""
+    rhs is called whole, rhs(t, z1), on a buffer z1 that holds the stage
+    state, once per stage, and its derivative read back as floats."""
     make = _compiled(tuple(_C.tolist()), tuple(tuple(a.tolist()) for a in _A),
                      tuple(_E.tolist()), m)
-    return make(*_float_stage(rhs, m), rel_tol, abs_tol)
-
-
-def _float_stage(rhs, m: int):
-    """The coefficients and ``stage`` of rhs as a `Split` (`_split`). A
-    `Split` without a stage gets one that writes the stage state z + h p
-    into a buffer of m floats, calls the motion and the quadrature on it
-    and reads the derivative back as floats."""
-    coefficients, motion, quadrature, stage = _split(rhs)
+    coefficients, _, _, stage = _split(rhs)
     if stage is None:
-        z1, out = np.empty(m), np.empty(m)
+        z1 = np.empty(m)
 
         def stage(t, e, z, h, p):
             z1[:] = [zj + h * pj for zj, pj in zip(z, p)]
-            motion(t, e, z1, out)
-            quadrature(t, e, z1, out)
-            return out.tolist()
+            return np.asarray(rhs(t, z1), dtype=float).tolist()
 
-    return coefficients, stage
+    return make(coefficients, stage, rel_tol, abs_tol)
 
 
 class _Lane:
@@ -581,10 +573,6 @@ def solve_lanes(
             go.append(i)
         except IntegrationError as exc:
             results[i] = exc
-    # the next attempt's step sizes, times and end times, in the order of go
-    H = [lanes[i].h_try for i in go]
-    T = [lanes[i].t for i in go]
-    T_new = [lanes[i].t_new for i in go]
     bind, motion, quadrature, _ = _split(rhs, on_lanes=True)
     attempt = _lanes_attempt(motion, quadrature)
     live, at = range(L), None
@@ -596,8 +584,10 @@ def solve_lanes(
             if not live:
                 return results
             at = bind(np.array(live))
-        Hc = np.array(H)[:, None]
-        Z_new = attempt(np.array(T), Hc, np.array(T_new), Z, K, at)
+            running = [lanes[i] for i in live]
+        Hc = np.array([ln.h_try for ln in running])[:, None]
+        Z_new = attempt(np.array([ln.t for ln in running]), Hc,
+                        np.array([ln.t_new for ln in running]), Z, K, at)
         # row by row, so a finite lane's norm is the same whatever the others hold
         sc = abs_tol + rel_tol * np.maximum(np.abs(Z), np.abs(Z_new))
         v = Hc * np.matmul(_E, K) / sc
@@ -605,9 +595,8 @@ def solve_lanes(
         if not (np.isfinite(Z_new).all() and np.isfinite(K).all()):
             finite = np.isfinite(Z_new).all(axis=1) & np.isfinite(K).all(axis=(1, 2))
             errs = [err if ok else None for err, ok in zip(errs, finite.tolist())]
-        accepted, go, H, T, T_new = [], [], [], [], []
-        for p, (i, err) in enumerate(zip(live, errs)):
-            ln = lanes[i]
+        accepted, go = [], []
+        for p, (i, ln, err) in enumerate(zip(live, running, errs)):
             try:
                 if err is None:
                     raise ln.non_finite(Z, p)
@@ -620,9 +609,6 @@ def solve_lanes(
                 results[i] = exc
                 continue
             go.append(p)
-            H.append(ln.h_try)
-            T.append(ln.t)
-            T_new.append(ln.t_new)
         if len(accepted) == len(live):
             Z = Z_new
             K[:, 0] = K[:, -1]

@@ -99,17 +99,11 @@ def _stacked(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(A, X[..., None])[..., 0]
 
 
-# 0-d float64 constants for the row forms: numpy 2 takes a Python float
-# operand through its weak-scalar promotion, about 0.3 us more per call at
-# the lanes' row counts; the float64 operation, and so every bit, is the same
-_ZERO, _ONE, _TWO, _THREE = (np.array(c) for c in (0.0, 1.0, 2.0, 3.0))
-
-
 def _beyond(X: np.ndarray) -> np.ndarray:
     """s + 1 where s < -1, s - 1 where s > 1 and +0.0 elsewhere (NaN too), for
     each entry s of X: fmin/fmax drop NaN, and u + 0.0 is u for u != 0."""
-    u = np.fmin(X + _ONE, _ZERO)
-    u += np.fmax(X - _ONE, _ZERO)
+    u = np.fmin(X + 1.0, 0.0)
+    u += np.fmax(X - 1.0, 0.0)
     return u
 
 
@@ -118,7 +112,7 @@ def _paper1d() -> ObjectiveSpec:
     # On rows, with u = _beyond(x): -(u^3) = |u^3| for u < 0, and -3 u^2 is
     # 3 u^2 with u's sign, as IEEE rounding is symmetric in the sign.
     def value(x: Vector) -> float:
-        return np.abs(np.float_power(_beyond(x[..., 0]), _THREE))
+        return np.abs(np.float_power(_beyond(x[..., 0]), 3.0))
 
     def gradient_float(s: float) -> float:
         try:
@@ -133,8 +127,8 @@ def _paper1d() -> ObjectiveSpec:
     def gradient(x: Vector) -> Vector:
         if x.ndim > 1:
             u = _beyond(x)
-            g = np.float_power(u, _TWO)
-            g *= _THREE
+            g = np.float_power(u, 2.0)
+            g *= 3.0
             return np.copysign(g, u, out=g)
         return np.array([gradient_float(float(x[0]))])
 

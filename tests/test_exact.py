@@ -46,10 +46,12 @@ def test_one_dimensional_run_follows_the_bessel_solution(rel_tol):
 
 @pytest.mark.parametrize("rel_tol", sorted(BOUNDS_3D))
 def test_three_dimensional_lane_follows_the_bessel_modes(rel_tol):
-    # each component is its own mode around c; the run steps as a lane
+    # each component is its own mode around c; the run steps as a lane,
+    # twice, since a lone run does not take the lanes
     c = [1.0, -2.0, 0.5]
     cfg = _config(rel_tol, [2.0, 2.0, -1.0], [0.0, 1.0, 0.5])
-    (traj,) = integrate_lanes(builtin("shifted_quadratic", c=np.array(c)), [(zero_schedule(), cfg)])
-    err_x, err_v = _errors(traj, c, cfg)
+    lanes = integrate_lanes(builtin("shifted_quadratic", c=np.array(c)), [(zero_schedule(), cfg)] * 2)
     bound_x, bound_v = BOUNDS_3D[rel_tol]
-    assert err_x <= bound_x * rel_tol and err_v <= bound_v * rel_tol, (err_x, err_v)
+    for traj in lanes:
+        err_x, err_v = _errors(traj, c, cfg)
+        assert err_x <= bound_x * rel_tol and err_v <= bound_v * rel_tol, (err_x, err_v)

@@ -1,12 +1,13 @@
 """The lane-batched stepper against the one-run stepper it must reproduce.
 
 `solve_lanes` steps many runs in one loop; every lane must get exactly the
-bits, counters and failures that `solve` gives the same run alone. Runs of
-dimension 1 do not take the lanes (`integrate_lanes` steps them one by one
-in floats), so the lane mechanics are tested on d = 2 objectives; the d = 1
-cases check that route. The CLI tests check that `compare` and `sweep`
-still write what `run` writes for each cell and fail as a sequential loop
-of cells does.
+bits, counters and failures that `solve` gives the same run alone. Only two
+or more runs of dimension 2 or more take the lanes: `integrate_lanes` steps
+a run of dimension 1 (in floats) or a lone run on its own, so the lane
+mechanics are tested on two or more runs of d = 2 objectives; the d = 1
+cases check the run-by-run route. The CLI tests check that `compare` and
+`sweep` still write what `run` writes for each cell and fail as a
+sequential loop of cells does.
 """
 import dataclasses
 import json
@@ -104,7 +105,8 @@ def test_float32_gradient_run_matches_its_lanes(d):
         min_norm_solution=np.ones(d),
     )
     cfg = DynamicsConfig(**{**BASE, "u0": np.full(d, 2.0), "v0": np.zeros(d), "horizon": 100.0})
-    _assert_lanes_match_integrate(obj, [(power_schedule(1.5), cfg)])
+    # two runs: a lone run does not take the lanes
+    _assert_lanes_match_integrate(obj, [(power_schedule(1.5), cfg)] * 2)
 
 
 def test_float32_objective_finishes_in_float64():
@@ -121,12 +123,31 @@ def test_float32_objective_finishes_in_float64():
     )
     cfg = DynamicsConfig(**{**BASE, "beta": beta, "u0": [2.0, 2.0], "v0": [0.0, 0.0], "horizon": 100.0})
     s = power_schedule(1.5)
-    for traj in (integrate(obj, s, cfg), *_assert_lanes_match_integrate(obj, [(s, cfg)])):
+    # two runs: a lone run does not take the lanes
+    for traj in (integrate(obj, s, cfg), *_assert_lanes_match_integrate(obj, [(s, cfg)] * 2)):
         for name in ("x", "v", "y", "gap", "grad_norm"):
             assert getattr(traj, name).dtype == np.float64, name
         G = obj.gradient_rows(traj.x).astype(np.float64)
         assert traj.grad_norm.tobytes() == np.linalg.norm(G, axis=1).tobytes()
         assert traj.v.tobytes() == (traj.y - beta * G).tobytes()
+
+
+def test_only_two_or_more_runs_of_dimension_two_or_more_take_the_lanes(monkeypatch):
+    # a lone run of dimension 2 and runs of dimension 1 step alone through
+    # `solve`, with `integrate`'s bytes; two runs of dimension 2 are lanes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lanes(*args)
+
+    monkeypatch.setattr("tikhoflow.dynamics.solve_lanes", counted)
+    cfg, cfg2 = DynamicsConfig(**BASE), DynamicsConfig(**BASE2)
+    _assert_lanes_match_integrate(SHIFTED2, [(power_schedule(1.5), cfg2)])
+    _assert_lanes_match_integrate(builtin("paper1d"), [(power_schedule(1.5), cfg), (zero_schedule(), cfg)])
+    assert calls == []
+    _assert_lanes_match_integrate(SHIFTED2, [(power_schedule(1.5), cfg2), (zero_schedule(), cfg2)])
+    assert len(calls) == 1
 
 
 def test_paper1d_grid_lanes_match_integrate():

@@ -166,6 +166,13 @@ def test_condition_b_fails_for_slow_power():
     assert s.eps(v.witness) > 1.0 / v.witness
 
 
+def test_condition_b_at_gamma_one_compares_the_scale_with_a():
+    # t * eps is the scale at gamma = 1: the condition holds from t0 or fails there
+    assert check_condition_b(power_schedule(1.0, scale=0.5), a=1.0).holds
+    v = check_condition_b(power_schedule(1.0, scale=2.0), a=1.0)
+    assert v.status == "fails" and v.witness == 1.0
+
+
 def test_condition_b_fails_for_logarithmic():
     v = check_condition_b(logarithmic_schedule(), a=1.0)
     assert v.status == "fails"
