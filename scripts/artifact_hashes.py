@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python scripts/artifact_hashes.py > hashes.txt
 
-Each config, `configs/example.cfg` and fourteen variants of it
+Each config, `configs/example.cfg` and fifteen variants of it
 (logarithmic, tabulated and zero schedules, linear sample spacing,
-psd_quadratic, least_squares at horizon 1e2, a shifted_quadratic run from
-u0 = 1e200, which fails, an undamped one-center shifted_quadratic at horizon
+psd_quadratic, least_squares at horizon 1e2, a three-center
+shifted_quadratic run from u0 = 1e200 and from u0 = 1e100, which fail at
+their first derivative or initial step, the latter as lanes in `compare`
+and `sweep`, an undamped one-center shifted_quadratic at horizon
 1e3, paper1d from u0 = 1e20, 1e100 and 1e200, which fail at or before their
 first step, alpha 4 with gamma 1.999, whose t^2*eps verdict holds from a
 time t1 past the float range, written as Infinity, alpha 200, and every
@@ -53,6 +55,9 @@ VARIANTS = {
         "dynamics.horizon = 1e2\n"
     ),
     "u0_1e200": "problem.name = shifted_quadratic\nproblem.c = 1 -2 0.5\ndynamics.u0 = 1e200\n",
+    # the first derivative's scaled norm overflows (power cells), or its
+    # change over the trial step (zero cell); compare's cells are lanes
+    "u0_1e100_3d": "problem.name = shifted_quadratic\nproblem.c = 1 -2 0.5\ndynamics.u0 = 1e100\n",
     # one center, undamped: the quadratic half of the d = 1 float attempt
     "undamped_1d": (
         "problem.name = shifted_quadratic\nproblem.c = 1\ndynamics.beta = 0\n"

@@ -30,7 +30,9 @@ on the BLAS kernel. The lanes serve two or more runs of dimension 2 or
 more: `integrate_lanes` steps any other run on its own, as `integrate`
 steps it. The lanes bind their columns of alpha and beta and
 their schedule evaluators once per live set (`integrator.Split`), not once
-per attempt.
+per attempt. Each lane starts, its first derivative and initial step, with
+its run's own `vector_field`, as `integrate` starts that run; that field's
+schedule evaluator also serves the lane's stages.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ
 only in alpha, beta and the schedule, as lanes of one loop, each
@@ -420,9 +422,10 @@ def integrate_lanes(
     are two or more of dimension 2 or more. Otherwise each steps alone
     through `solve`: a run of dimension 1 in its float attempt, which costs
     less than a lane's array work, and a lone run because lanes of one share
-    nothing. All runs are integrated before this returns; the result then
-    yields, for each run in order, what `integrate`
-    gives that run alone, byte for byte: its Trajectory, or the
+    nothing. Each lane starts with its run's `vector_field`, the right-hand
+    side `integrate` steps. All runs are integrated before this returns; the
+    result then yields, for each run in order, what `integrate` gives that
+    run alone, byte for byte: its Trajectory, or the
     IntegrationError it raises, with ``partial`` attached. A failed run does
     not stop the others. Memory: the samples of all runs, lanes x samples x
     (2d+3) floats, are held at once; each Trajectory is finished only when
@@ -435,12 +438,14 @@ def integrate_lanes(
     if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d, ts = obj.dimension, sample_times(cfg)
+    run_fields = [vector_field(obj, s, c) for s, c in runs]
     if d == 1 or len(runs) == 1:
         # a run of dimension 1 steps in floats (`integrator.solve`), and a
         # lone run shares no array work: each steps alone, as `integrate`
-        results = [_solved(vector_field(obj, s, c), _lifted_z0(obj, c), ts, c) for s, c in runs]
+        results = [_solved(f, _lifted_z0(obj, c), ts, c) for f, (_, c) in zip(run_fields, runs)]
         return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
-    evals = [s._span_eps(cfg.t0, cfg.horizon) for s, _ in runs]
+    # the lanes start each run with its right-hand side, and step its
+    # stages with that side's schedule evaluator
     alphas = np.array([c.alpha for _, c in runs])
     betas = np.array([c.beta for _, c in runs])
 
@@ -448,7 +453,7 @@ def integrate_lanes(
         """at(T) for the lanes: the schedule E at their times T (lanes, k)
         and, for each of the k times, the motion's coefficient columns
         (a, b, e, beta)."""
-        chosen = [evals[i] for i in lanes.tolist()]
+        chosen = [run_fields[i].coefficients for i in lanes.tolist()]
         # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
         alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
         alpha_beta = alpha * beta
@@ -465,7 +470,7 @@ def integrate_lanes(
     rhs = Split(coefficients, _lifted(d, obj.gradient_rows), _quadrature(d, min_norm_solution(obj)))
     z0 = np.array([_lifted_z0(obj, c) for _, c in runs])
     with np.errstate(over="ignore", invalid="ignore"):
-        results = solve_lanes(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+        results = solve_lanes(rhs, run_fields, z0, ts, cfg.rel_tol, cfg.abs_tol)
     return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
 
 

@@ -19,11 +19,12 @@ one-dimensional run, goes further: `_generated_attempt` steps each attempt
 in straight-line Python floats, generated from the table at its first use
 and compiled once per table. Its weight products, z_new and the error
 estimate are left-to-right float sums over the table's nonzero weights, so
-such a run calls no BLAS and its bits do not depend on the BLAS kernel. The
-schedule stays one call on all stage times. A `Split` with a float
-``stage`` is called with floats; any other right-hand side, a plain
-callable or a `Split` without a stage, is called whole on a buffer that
-holds the stage state, with the same bits. Every other state steps with numpy
+such a run calls no BLAS and its bits do not depend on the BLAS kernel. A
+`Split` with a float ``stage`` is called with floats, its schedule once on
+all stage times; any other right-hand side, a plain callable or a `Split`
+without a stage, is called whole on a buffer that holds the stage state,
+with the same bits, and evaluates its schedule itself, once per stage.
+Every other state steps with numpy
 (`_attempt`), its weight products BLAS gemv calls (ndarray.dot).
 `dynamics` checks the schedule domain once per run before calling `solve`;
 the public `TikhonovSchedule.eps` still checks on every call.
@@ -52,7 +53,11 @@ states are stored stage-major, so that each stage's state rows are one
 block.
 
 The step control is written once, in `_Lane`, and both loops drive it in
-Python floats: `solve` one lane, `solve_lanes` one per run. After each finite
+Python floats: `solve` one lane, `solve_lanes` one per run. Each lane starts
+as its run starts: `_Lane.start` evaluates the first derivative and picks
+the initial step with the run's own one-run right-hand side, which
+`solve_lanes` is given beside the lanes `Split`, so the lanes call the
+whole derivative nowhere and a lanes `Split` is only stepped. After each finite
 attempt one call of `_Lane.advance` concludes it and proposes the next one,
 so a lane costs one controller call per attempt. `solve_lanes` tests
 finiteness once for the whole batch, and lane by lane only when that test
@@ -101,7 +106,6 @@ _MAX_FACTOR = 10.0
 _BETA_PI = 0.04
 _STEP_FLOOR = 1e-14
 _MAX_STEPS = 20_000_000
-_NORM_OVERFLOWS = "the scaled norm of the initial derivative"
 # the states that `solve` steps in floats: those of a one-dimensional run
 _FLOAT_SIZE = 5
 _WHOLE = slice(None)  # the index of `solve`'s whole state for `_Lane`
@@ -147,9 +151,11 @@ class Split(NamedTuple):
     `solve_lanes` binds once per live set, before its first attempt, and
     calls ``at`` once per attempt.
 
-    Called as rhs(t, z), or rhs(t, Z, lanes) on rows of lanes, a `Split`
-    evaluates the whole derivative at one time: the coefficients there, the
-    motion and the quadrature columns, as the stages of an attempt do.
+    Called as rhs(t, z), a `Split` evaluates the whole derivative at one
+    time: the coefficients there, the motion and the quadrature columns, as
+    the stages of an attempt do. `_Lane.start` calls a run's one-run `Split`
+    so, in `solve` and for each lane of `solve_lanes`; a lanes `Split` is
+    only stepped, never called whole.
 
     ``stage(t, e, z, h, p)``, if given, returns that whole derivative, with
     the same bits, as a sequence of Python floats, at the stage state
@@ -163,69 +169,37 @@ class Split(NamedTuple):
     quadrature: Callable
     stage: Optional[Callable] = None
 
-    def __call__(self, t, z: np.ndarray, *lanes) -> np.ndarray:
-        if lanes:
-            E, P = self.coefficients(*lanes)(t[:, None])
-            e, args = E[:, 0], P[0]
-        else:
-            e = float(self.coefficients(t))
-            args = (t, e)
+    def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
+        e = float(self.coefficients(t))
         out = np.empty(z.shape)
-        self.motion(*args, z, out)
+        self.motion(t, e, z, out)
         self.quadrature(t, e, z, out)
         return out
 
 
-def _split(rhs, on_lanes: bool = False) -> Split:
+def _times(T):
+    """The coefficients of a right-hand side that evaluates its own: the
+    stage times themselves."""
+    return T
+
+
+def _split(rhs) -> Split:
     """rhs itself if it is a `Split`, or a plain callable as one without
-    quadratures: its coefficients are the times themselves (with the bound
-    lane indices, for `solve_lanes`) and its motion writes the whole
-    derivative, so each stage calls rhs once with the time and state that
-    calling it stage by stage would pass."""
+    quadratures: its coefficients are the times themselves and its motion
+    writes the whole derivative, so each stage calls rhs once with the time
+    and state that calling it stage by stage would pass."""
     if isinstance(rhs, Split):
         return rhs
-    if on_lanes:
-        def coefficients(lanes):
-            return lambda T: (T, [(t, lanes) for t in T.T])
 
-        def motion(t, lanes, Z, out):
-            out[...] = rhs(t, Z, lanes)
-    else:
-        def coefficients(T):
-            return T
+    def motion(t, e, z, out):
+        out[...] = rhs(t, z)
 
-        def motion(t, e, z, out):
-            out[...] = rhs(t, z)
-
-    return Split(coefficients, motion, lambda T, E, Z, K: None)
+    return Split(_times, motion, lambda T, E, Z, K: None)
 
 
 def _rms(v: np.ndarray) -> float:
     # bit-equal to np.sqrt(np.mean(v * v)): mean is the same add.reduce over n
     return math.sqrt(float(np.add.reduce(v * v)) / v.shape[0])
-
-
-def _initial_step(rhs, t0, z0, f0, rtol, atol, span):
-    """The first step size from z0 and f0 = rhs(t0, z0), or, when a guess
-    overflows to 0, what overflowed: f0's scaled norm d1 (the first guess is
-    0.01 * d0 / d1; rhs is not called again) or d2, the change of the
-    derivative over the trial step h0 (the second guess is (0.01 / d2) **
-    _ERR_EXP)."""
-    sc = atol + rtol * np.abs(z0)
-    d0, d1 = _rms(z0 / sc), _rms(f0 / sc)
-    if d1 == math.inf:
-        return _NORM_OVERFLOWS
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = rhs(t0 + h0, z0 + h0 * f0)
-    d2 = _rms((f1 - f0) / sc) / h0
-    if d2 == math.inf:
-        return "the change of the derivative over the first trial step"
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** _ERR_EXP
-    return min(100 * h0, h1, span)
 
 
 def _next_h(err, h, h_try, clamped, err_prev, just_rejected) -> float:
@@ -341,27 +315,30 @@ def _generated_attempt(rhs, m: int, rel_tol: float, abs_tol: float):
     """`_attempt` in Python floats, generated from the table at its first
     use (`_float_source`), for states of m components given as tuples of
     floats: attempt(t, z, f, h, t_new) returns z_new and the FSAL row as
-    tuples. The schedule is one call on all stage times. A `Split` with a
-    ``stage`` is called with the stage state's parts as floats; any other
-    rhs is called whole, rhs(t, z1), on a buffer z1 that holds the stage
-    state, once per stage, and its derivative read back as floats."""
+    tuples. A `Split` with a ``stage`` is called with the stage state's
+    parts as floats, and its schedule once on all stage times. Any other
+    rhs, a plain callable or a `Split` without a ``stage``, evaluates its
+    own coefficients: it is called whole, rhs(t, z1), on a buffer z1 that
+    holds the stage state, once per stage, and its derivative read back as
+    floats."""
     make = _compiled(tuple(_C.tolist()), tuple(tuple(a.tolist()) for a in _A),
                      tuple(_E.tolist()), m)
-    coefficients, _, _, stage = _split(rhs)
-    if stage is None:
-        z1 = np.empty(m)
+    if isinstance(rhs, Split) and rhs.stage is not None:
+        return make(rhs.coefficients, rhs.stage, rel_tol, abs_tol)
+    z1 = np.empty(m)
 
-        def stage(t, e, z, h, p):
-            z1[:] = [zj + h * pj for zj, pj in zip(z, p)]
-            return np.asarray(rhs(t, z1), dtype=float).tolist()
+    def stage(t, e, z, h, p):
+        z1[:] = [zj + h * pj for zj, pj in zip(z, p)]
+        return np.asarray(rhs(t, z1), dtype=float).tolist()
 
-    return make(coefficients, stage, rel_tol, abs_tol)
+    return make(_times, stage, rel_tol, abs_tol)
 
 
 class _Lane:
     """Step control of one run in Python floats, shared by `solve` and each
-    lane of `solve_lanes`. `start` checks the first derivative, picks the
-    initial step and proposes the first attempt. After each finite attempt
+    lane of `solve_lanes`. `start` evaluates and checks the first
+    derivative with the run's one-run right-hand side, picks the initial
+    step and proposes the first attempt. After each finite attempt
     one call of `advance` does the rest: it accepts or rejects the attempt
     (`_next_h`, then the underflow test after a rejection) and proposes the
     next one (the step budget, clamping onto the next sample time, the
@@ -397,21 +374,36 @@ class _Lane:
         return IntegrationError(message, t=self.t, state=np.array(Z[p]),
                                 rows=self.rows[: self.next_i].copy(), stats=self.stats())
 
-    def start(self, rhs, z: np.ndarray, f: np.ndarray, rel_tol: float, abs_tol: float):
-        """Check f = rhs(t0, z), pick the initial step, which calls rhs once
-        more unless f's scaled norm overflows, and propose the first attempt
-        from z. An initial step that overflows to 0 is a failure."""
+    def start(self, rhs, z: np.ndarray, rel_tol: float, abs_tol: float):
+        """Evaluate f0 = rhs(t0, z) and check it, pick the initial step,
+        which calls rhs once more unless f0's scaled norm d1 overflows,
+        propose the first attempt from z and return f0. The first guess is
+        0.01 * d0 / d1, d0 being z's scaled norm, the second (0.01 / d2) **
+        _ERR_EXP, d2 being the change of the derivative over the trial step
+        h0; a guess that overflows to 0 is a failure, which names what
+        overflowed."""
+        t0, span = self.t, self.grid[-1] - self.t
+        f0 = rhs(t0, z)
         self.evals = 1
-        if not np.isfinite(f).all():
+        if not np.isfinite(f0).all():
             raise self.error("non-finite derivative at the initial state", z, _WHOLE)
-        h = _initial_step(rhs, self.t, z, f, rel_tol, abs_tol, self.grid[-1] - self.t)
-        if h is not _NORM_OVERFLOWS:  # rhs was called at the trial step
-            self.evals += 1
-        if isinstance(h, str):
-            raise self.error(f"initial step size underflow: {h} overflows at t={self.t:.6g}",
-                             z, _WHOLE)
-        self.h = h
+        sc = abs_tol + rel_tol * np.abs(z)
+        d0, d1 = _rms(z / sc), _rms(f0 / sc)
+        if d1 == math.inf:
+            raise self.error("initial step size underflow: the scaled norm of the initial "
+                             f"derivative overflows at t={t0:.6g}", z, _WHOLE)
+        h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span)
+        f1 = rhs(t0 + h0, z + h0 * f0)
+        self.evals = 2
+        d2 = _rms((f1 - f0) / sc) / h0
+        if d2 == math.inf:
+            raise self.error("initial step size underflow: the change of the derivative over "
+                             f"the first trial step overflows at t={t0:.6g}", z, _WHOLE)
+        d = max(d1, d2)
+        h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** _ERR_EXP
+        self.h = min(100 * h0, h1, span)
         self.advance(None, z, z, _WHOLE)
+        return f0
 
     def non_finite(self, Z: np.ndarray, p) -> IntegrationError:
         """Count the attempt from Z[p], which did not stay finite, and return its error."""
@@ -477,8 +469,7 @@ def solve(
     lane = _Lane(t_samples.tolist(), out)
     if lane.done:
         return out, lane.stats()
-    f = rhs(lane.t, z)
-    lane.start(rhs, z, f, rel_tol, abs_tol)
+    f = lane.start(rhs, z, rel_tol, abs_tol)
     m = z.shape[0]
     if m == _FLOAT_SIZE:
         attempt = _generated_attempt(rhs, m, rel_tol, abs_tol)
@@ -520,13 +511,9 @@ def _lanes_attempt(motion, quadrature):
     return attempt
 
 
-def _one_lane(rhs, i: int):
-    lane = np.array([i])
-    return lambda t, z: rhs(np.array([t]), z[None], lane)[0]
-
-
 def solve_lanes(
-    rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    rhs: Split,
+    fields: list,
     z0: np.ndarray,
     t_samples: np.ndarray,
     rel_tol: float,
@@ -534,23 +521,26 @@ def solve_lanes(
 ) -> list:
     """Integrate the lanes z0[l] over one shared sample grid, each under its own step control.
 
-    ``rhs(t, Z, lanes)`` evaluates the right-hand sides of the lanes whose
-    indices are in ``lanes`` (shape (a,)) at times t (a,) and states Z (a, m)
-    and returns their derivatives (a, m). Each attempt does the elementwise
-    arithmetic and the DP5 weight products of all active lanes at once, as
-    stacked matmuls that run the same per-lane BLAS calls as `solve`. Each
-    lane's step control is a `_Lane`, as in `solve`, so every lane gets
-    exactly the bits `solve` gives it alone, unless m is 5: `solve` steps
-    such states in floats, and `dynamics` does not make lanes of them. The
-    error norms are computed for every row, row by row, so a finite lane's
-    norm does not depend on the others; then one pass over the lanes
-    concludes each attempt. Lanes that did not stay finite, finished or
-    failed leave the arrays at once, and the others run on.
+    ``rhs`` is a lanes `Split`: its ``coefficients`` bind to the live lanes,
+    and its motion and quadrature act on rows of lanes. ``fields[l]`` is
+    lane l's one-run right-hand side, fields[l](t, z), the one `solve`
+    steps for that run alone: `_Lane.start` evaluates each lane's first
+    derivative and initial step with it, so each lane starts exactly as
+    its run does. Each attempt does the elementwise arithmetic and the DP5
+    weight products of all active lanes at once, as stacked matmuls that
+    run the same per-lane BLAS calls as `solve`. Each lane's step control
+    is a `_Lane`, as in `solve`, so every lane gets exactly the bits
+    `solve` gives it alone, unless m is 5: `solve` steps such states in
+    floats, and `dynamics` does not make lanes of them. The error norms are
+    computed for every row, row by row, so a finite lane's norm does not
+    depend on the others; then one pass over the lanes concludes each
+    attempt. Lanes that did not stay finite, finished or failed leave the
+    arrays at once, and the others run on.
 
     Returns one entry per lane: ``(samples, stats)`` as `solve` returns them,
     or the IntegrationError `solve` raises on that lane alone. Exceptions
-    raised by rhs propagate. The samples of all lanes share one
-    (lanes, samples, m) buffer.
+    raised by the right-hand sides propagate. The samples of all lanes
+    share one (lanes, samples, m) buffer.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     Z = np.array(z0, dtype=float)
@@ -563,18 +553,15 @@ def solve_lanes(
     if len(grid) == 1:
         return [(ln.rows, ln.stats()) for ln in lanes]
 
-    F = rhs(np.full(L, grid[0]), Z, np.arange(L))
     K = np.zeros((L, len(_A) + 1, m))
-    K[:, 0] = F
     go = []  # the rows of the lanes that go on to the next attempt
-    for i, ln in enumerate(lanes):
+    for i, (ln, field) in enumerate(zip(lanes, fields)):
         try:
-            ln.start(_one_lane(rhs, i), Z[i], F[i], rel_tol, abs_tol)
+            K[i, 0] = ln.start(field, Z[i], rel_tol, abs_tol)
             go.append(i)
         except IntegrationError as exc:
             results[i] = exc
-    bind, motion, quadrature, _ = _split(rhs, on_lanes=True)
-    attempt = _lanes_attempt(motion, quadrature)
+    attempt = _lanes_attempt(rhs.motion, rhs.quadrature)
     live, at = range(L), None
     while True:
         # lanes that finished or failed leave the arrays, and each live set
@@ -583,7 +570,7 @@ def solve_lanes(
             live, Z, K = [live[p] for p in go], Z[go], K[go]
             if not live:
                 return results
-            at = bind(np.array(live))
+            at = rhs.coefficients(np.array(live))
             running = [lanes[i] for i in live]
         Hc = np.array([ln.h_try for ln in running])[:, None]
         Z_new = attempt(np.array([ln.t for ln in running]), Hc,

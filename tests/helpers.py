@@ -11,7 +11,7 @@ import numpy as np
 
 from tikhoflow import Trajectory
 from tikhoflow.dynamics import _finish, _lifted_z0, sample_times
-from tikhoflow.integrator import IntegrationError
+from tikhoflow.integrator import IntegrationError, Split
 from tikhoflow.problems import _as_vector, min_norm_solution
 
 # Truth table for eps(t) = t^-gamma (scale 1, t0 1), derived by exponent
@@ -121,6 +121,22 @@ def energy_Ebp_sample(obj, s, cfg, params, t, x, v) -> float:
         + 0.5 * t ** (p + 2.0) * s.eps(t) * (float(np.dot(x, x)) - xstar_sq)
         + 0.5 * t**p * float(np.dot(combo, combo))
     )
+
+
+def lanes_split(fields) -> Split:
+    """The lanes `Split` of one-run right-hand sides: lane l's rows are
+    fields[l](t, z), called row by row, so that `solve_lanes(lanes_split(
+    fields), fields, ...)` steps lane l as `solve` steps fields[l] alone."""
+
+    def coefficients(lanes: np.ndarray):
+        chosen = [fields[i] for i in lanes.tolist()]
+        return lambda T: (T, [(t, chosen) for t in T.T])
+
+    def motion(t, chosen, Z, out):
+        for j, field in enumerate(chosen):
+            out[j] = field(float(t[j]), Z[j])
+
+    return Split(coefficients, motion, lambda T, E, Z, K: None)
 
 
 # -- cross-version reference -------------------------------------------------

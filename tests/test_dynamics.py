@@ -16,7 +16,7 @@ from tikhoflow import (
     zero_schedule,
 )
 from tikhoflow.dynamics import _lifted_z0, integrate_lanes
-from tikhoflow.integrator import Split, _split, solve
+from tikhoflow.integrator import Split, _split, solve, solve_lanes
 from tikhoflow.problems import ObjectiveSpec
 
 from helpers import reference_integrate
@@ -484,15 +484,23 @@ def test_objective_without_float_gradient_steps_through_its_array_gradient():
     _assert_same_run(traj, reference_integrate(obj, s, cfg))
 
 
-@pytest.mark.parametrize("obj", [builtin("paper1d"), builtin("shifted_quadratic", c=np.ones(1))],
-                         ids=["paper1d", "shifted"])
-def test_initial_derivative_whose_norm_overflows_fails_alike_in_runs_and_lanes(obj):
-    # from u0 = 1e100 the initial derivative is finite but its scaled norm
-    # overflows, so the first step-size guess is 0: a diagnosed failure of
-    # its own lane, not a ZeroDivisionError that ends every lane
-    cfg = cfg1d(u0=[1e100])
-    runs = [(zero_schedule(), cfg), (power_schedule(1.5), cfg), (power_schedule(2.5), cfg)]
+def _start_failures(obj, u0: float, schedules, monkeypatch) -> list:
+    """The failures that `integrate_lanes` gives runs of obj from u0 under
+    schedules, each checked against what `integrate` raises for that run
+    alone; the runs must step as lanes exactly when obj has dimension 2 or
+    more."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lanes(*args)
+
+    monkeypatch.setattr("tikhoflow.dynamics.solve_lanes", counted)
+    d = obj.dimension
+    cfg = cfg1d(u0=np.full(d, u0), v0=np.zeros(d))
+    runs = [(s, cfg) for s in schedules]
     lanes = list(integrate_lanes(obj, runs))
+    assert len(calls) == (1 if d >= 2 else 0)
     for (s, c), lane in zip(runs, lanes):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as err:
@@ -502,23 +510,47 @@ def test_initial_derivative_whose_norm_overflows_fails_alike_in_runs_and_lanes(o
         assert (str(lane), lane.t, lane.stats) == (str(run), run.t, run.stats)
         assert lane.rows.tobytes() == run.rows.tobytes()
         assert lane.state.tobytes() == run.state.tobytes()
+    return lanes
+
+
+NORM_OVERFLOWS = ("initial step size underflow: the scaled norm of the initial derivative "
+                  "overflows at t=1")
+CHANGE_OVERFLOWS = ("initial step size underflow: the change of the derivative over the first "
+                    "trial step overflows at t=1")
+
+
+@pytest.mark.parametrize("obj", [builtin("paper1d"), builtin("shifted_quadratic", c=np.ones(1)),
+                                 builtin("shifted_quadratic", c=np.ones(2))],
+                         ids=["paper1d", "shifted", "shifted_2d"])
+def test_initial_derivative_whose_norm_overflows_fails_alike_in_runs_and_lanes(obj, monkeypatch):
+    # from u0 = 1e100 the initial derivative is finite but its scaled norm
+    # overflows under the power schedules, so the first step-size guess is
+    # 0: a diagnosed failure of its own lane, not a ZeroDivisionError that
+    # ends every lane. At d = 2 the runs step as lanes.
+    schedules = [zero_schedule(), power_schedule(1.5), power_schedule(2.5)]
+    lanes = _start_failures(obj, 1e100, schedules, monkeypatch)
     for lane in lanes[1:]:
-        assert str(lane) == ("initial step size underflow: the scaled norm of the initial "
-                             "derivative overflows at t=1")
+        assert str(lane) == NORM_OVERFLOWS
         assert lane.stats == {"steps": 0, "rejected": 0, "rhs_evals": 1}
 
 
-def test_initial_derivative_whose_change_overflows_fails_alike_in_runs_and_lanes():
+def test_initial_derivative_whose_change_overflows_fails_alike_in_runs_and_lanes(monkeypatch):
     # from u0 = 1e100 under the zero schedule the initial derivative and its
     # scaled norm are finite, but |x'|^2/t overflows at the trial step, so
-    # the second step-size guess is 0: a failure after two evaluations
-    obj, cfg = builtin("paper1d"), cfg1d(u0=[1e100])
-    lane, _ = integrate_lanes(obj, [(zero_schedule(), cfg), (power_schedule(1.5), cfg)])
-    with pytest.raises(IntegrationError) as err:
-        integrate(obj, zero_schedule(), cfg)
-    run = err.value
-    assert str(run) == ("initial step size underflow: the change of the derivative over "
-                        "the first trial step overflows at t=1")
-    assert run.stats == {"steps": 0, "rejected": 0, "rhs_evals": 2}
-    # the test above compares the rest of the two failures
-    assert (str(lane), lane.t, lane.stats) == (str(run), run.t, run.stats)
+    # the second step-size guess is 0: a failure after two evaluations. The
+    # d = 2 runs step as lanes.
+    for obj in (builtin("paper1d"), builtin("shifted_quadratic", c=np.ones(2))):
+        lane, _ = _start_failures(obj, 1e100, [zero_schedule(), power_schedule(1.5)], monkeypatch)
+        assert str(lane) == CHANGE_OVERFLOWS
+        assert lane.stats == {"steps": 0, "rejected": 0, "rhs_evals": 2}
+
+
+def test_initial_derivative_that_is_not_finite_fails_alike_in_runs_and_lanes(monkeypatch):
+    # from u0 = 1e200 the integrand (eps/t)|x - x*|^2 overflows under a
+    # power schedule and is 0 * inf under the zero schedule: the first
+    # derivative itself is not finite, in each lane as in its run
+    obj = builtin("shifted_quadratic", c=np.ones(2))
+    lanes = _start_failures(obj, 1e200, [zero_schedule(), power_schedule(1.5)], monkeypatch)
+    for lane in lanes:
+        assert str(lane) == "non-finite derivative at the initial state"
+        assert lane.stats == {"steps": 0, "rejected": 0, "rhs_evals": 1}

@@ -22,6 +22,7 @@ from tikhoflow import (
     zero_schedule,
 )
 from tikhoflow import integrator
+from tikhoflow.schedules import TikhonovSchedule
 from tikhoflow.dynamics import _drive, _lifted_z0, integrate_lanes, vector_field
 from tikhoflow.integrator import solve
 from tikhoflow.problems import ObjectiveSpec
@@ -228,3 +229,30 @@ def test_only_one_dimensional_lifted_runs_step_in_floats(run, c, floats, monkeyp
                          sample_count=5)
     run(obj, power_schedule(1.5), cfg)
     assert len(built) == floats
+
+
+def test_stage_without_floats_evaluates_the_schedule_only_inside_the_whole_rhs(monkeypatch):
+    # integrate_direct's `Split` at d = 1 has no float stage: each stage
+    # calls it whole, which evaluates the schedule at its time, so the
+    # attempt makes no batch schedule call on its stage times besides; the
+    # run keeps the reference's bytes and counters
+    obj, s = builtin("paper1d"), power_schedule(1.5)
+    cfg = DynamicsConfig(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0,
+                         sample_count=40)
+    want = reference_integrate(obj, s, cfg, "direct")
+    calls = []
+    span_eps = TikhonovSchedule._span_eps
+
+    def counted_span_eps(self, lo, hi):
+        evaluate = span_eps(self, lo, hi)
+
+        def counted(t):
+            calls.append(np.ndim(t))
+            return evaluate(t)
+
+        return counted
+
+    monkeypatch.setattr(TikhonovSchedule, "_span_eps", counted_span_eps)
+    traj = integrate_direct(obj, s, cfg)
+    _assert_same_run(traj, want)
+    assert calls == [0] * traj.meta["stats"]["rhs_evals"]

@@ -31,7 +31,7 @@ from tikhoflow.dynamics import integrate_lanes
 from tikhoflow.integrator import _MIN_FACTOR, _next_h, solve, solve_lanes
 from tikhoflow.problems import ObjectiveSpec
 
-from helpers import reference_solve
+from helpers import lanes_split, reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
 BASE = dict(alpha=3.0, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=30.0, sample_count=40)
@@ -254,10 +254,11 @@ def test_lanes_call_the_gradient_once_per_stage_for_all_lanes():
     lanes = list(integrate_lanes(obj, runs))
     # every lane attempts in each batched attempt until it is done
     attempts = max(traj.meta["stats"]["steps"] + traj.meta["stats"]["rejected"] for traj in lanes)
-    # one point: each run's initial lift; rows: the first derivative of all
-    # lanes, each lane's initial-step probe, the six stages of each batched
-    # attempt, and one finishing call per run
-    assert calls["gradient"] == [27, 1 + 27 + 6 * attempts + 27]
+    # one point: each run's initial lift, and each lane's first derivative
+    # and initial-step probe, which its run's own right-hand side evaluates;
+    # rows: the six stages of each batched attempt, and one finishing call
+    # per run
+    assert calls["gradient"] == [27 + 27 + 27, 6 * attempts + 27]
     assert calls["value"] == [0, 27]
 
 
@@ -311,18 +312,11 @@ def _decay(t, z):
 LANE_FIELDS = (_oscillator, _non_finite, _pole, _decay)
 
 
-def _lanes_rhs(t, Z, lanes):
-    out = np.empty_like(Z)
-    for j, lane in enumerate(lanes.tolist()):
-        out[j] = LANE_FIELDS[lane](float(t[j]), Z[j])
-    return out
-
-
 def test_failing_lanes_match_solve_and_spare_the_others():
     ts = np.array([1.0, 1.2, 1.4, 2.0, 3.0, 4.0])
     z0 = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0]])
     with np.errstate(invalid="ignore"):
-        lanes = solve_lanes(_lanes_rhs, z0, ts, 1e-9, 1e-12)
+        lanes = solve_lanes(lanes_split(LANE_FIELDS), LANE_FIELDS, z0, ts, 1e-9, 1e-12)
         refs = [_outcome(solve, field, z0[i], ts, 1e-9, 1e-12) for i, field in enumerate(LANE_FIELDS)]
     assert "non-finite state" in str(refs[1]) and "underflow" in str(refs[2])
     assert refs[1].rows.shape[0] > 1 and refs[2].rows.shape[0] > 1
@@ -337,7 +331,7 @@ def test_failing_lanes_match_solve_and_spare_the_others():
 
 def test_single_sample_grid_returns_initial_states():
     z0 = np.array([[1.0, 0.0], [2.0, 1.0]])
-    lanes = solve_lanes(_lanes_rhs, z0, np.array([1.0]), 1e-9, 1e-12)
+    lanes = solve_lanes(lanes_split(LANE_FIELDS), LANE_FIELDS, z0, np.array([1.0]), 1e-9, 1e-12)
     for i, (Z, stats) in enumerate(lanes):
         assert Z.tobytes() == z0[i : i + 1].tobytes()
         assert stats == {"steps": 0, "rejected": 0, "rhs_evals": 0}
@@ -362,7 +356,7 @@ def test_zero_component_without_abs_tol_matches_reference():
     with np.errstate(invalid="ignore"):
         got = _outcome(solve, rhs, z0, ts, 1e-6, 0.0)
         ref = _outcome(reference_solve, rhs, z0, ts, 1e-6, 0.0)
-        lane = solve_lanes(lambda t, Z, lanes: np.array([rhs(t[0], Z[0])]), z0[None], ts, 1e-6, 0.0)
+        lane = solve_lanes(lanes_split([rhs]), [rhs], z0[None], ts, 1e-6, 0.0)
     assert "non-finite state" in str(ref)
     _assert_same_failure(got, ref)
     _assert_same_failure(lane[0], ref)

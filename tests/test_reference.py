@@ -24,7 +24,7 @@ from tikhoflow.integrator import solve
 from tikhoflow.problems import ObjectiveSpec
 
 import helpers
-from helpers import reference_integrate, reference_solve
+from helpers import lanes_split, reference_integrate, reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
 INTEGRATORS = {"lifted": integrate, "direct": integrate_direct}
@@ -94,10 +94,9 @@ def test_dp5_table_drives_all_six_stages():
     assert abs(E.sum()) <= 1e-15
 
 
-def _oscillators(t, Z, lanes):
-    # lane l is x'' = -(l + 1)^2 x, as rows (x, x')
-    w2 = (lanes + 1.0) ** 2
-    return np.stack([Z[:, 1], -w2 * Z[:, 0]], axis=1)
+def _oscillator(w2: float):
+    # x'' = -w2 x, as rows (x, x')
+    return lambda t, z: np.array([z[1], -w2 * z[0]])
 
 
 def test_table_is_the_whole_method(monkeypatch):
@@ -116,10 +115,10 @@ def test_table_is_the_whole_method(monkeypatch):
     assert np.abs(Z[:, 0] - np.cos(ts)).max() <= 10 * rtol
     assert stats["rhs_evals"] == 3 * (stats["steps"] + stats["rejected"]) + 2
     z0 = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, -2.0]])
-    lanes = integrator.solve_lanes(_oscillators, z0, ts, rtol, atol)
+    fields = [_oscillator((i + 1.0) ** 2) for i in range(3)]
+    lanes = integrator.solve_lanes(lanes_split(fields), fields, z0, ts, rtol, atol)
     for i, (Z_lane, stats_lane) in enumerate(lanes):
-        lane = np.array([i])
-        Z_ref, stats_ref = solve(lambda t, z: _oscillators(t, z[None], lane)[0], z0[i], ts, rtol, atol)
+        Z_ref, stats_ref = solve(fields[i], z0[i], ts, rtol, atol)
         assert Z_lane.tobytes() == Z_ref.tobytes(), i
         assert stats_lane == stats_ref, i
     # the reject law, the PI accept law and the initial step take 1/3
@@ -129,8 +128,9 @@ def test_table_is_the_whole_method(monkeypatch):
     accept = safety * 0.5 ** -(1 / 3 - 0.75 * beta_pi) * 1e-4 ** beta_pi
     assert next_h(0.5, 1.0, 1.0, False, 1e-4, False) == accept
     one = np.ones(1)
-    h0 = integrator._initial_step(lambda t, z: one, 0.0, one, one, 0.0, 1.0, 10.0)
-    assert h0 == 0.01 ** (1 / 3)
+    lane = integrator._Lane([0.0, 10.0], np.empty((2, 1)))
+    assert lane.start(lambda t, z: one, one, 0.0, 1.0) is one
+    assert lane.h == 0.01 ** (1 / 3)
 
 
 def _raised(fn, *args):

@@ -19,7 +19,8 @@ from tikhoflow import (
     zero_schedule,
 )
 from tikhoflow.schedules import (
-    _CERT_NOTE, _CLOSED_FORM_NOTE, IntegralClassification, check_limit_condition, check_t2eps_growth,
+    _CERT_NOTE, _CLOSED_FORM_NOTE, IntegralClassification, TikhonovSchedule, _simpson,
+    check_limit_condition, check_t2eps_growth,
 )
 
 GAMMAS = (0.5, 1.0, 1.1, 1.5, 1.9, 2.0, 2.5, 3.0)
@@ -425,3 +426,75 @@ def test_crossing_time_on_grid_matches_closed_form():
     ratio = grid[1] / grid[0]
     assert exact / ratio <= t_cross <= exact * ratio
     assert crossing_time_on_grid(s, bound, np.array([1.0, 2.0])) is None
+
+
+# -- verdict branches against their closed forms -------------------------------
+
+
+def test_condition_a_at_gamma_one_fails_uniformly_above_the_critical_scale():
+    # eps = scale/t: eps' = -scale/t^2 <= -(a beta/2) scale^2/t^2 holds at
+    # every t iff (a beta/2) scale <= 1; here it is 2, so it fails from t0 on
+    s = power_schedule(1.0, scale=2.0)
+    v = check_condition_a(s, beta=1.0, a=2.0)
+    assert v.status == "fails" and v.witness == 1.0
+    assert v.note == "gamma=1: inequality fails uniformly"
+    ts = np.geomspace(1.0, 1e6, 50)
+    assert np.all(s.eps_dot(ts) > -1.0 * s.eps(ts) ** 2)
+
+
+def test_condition_b_on_a_tabulated_schedule_that_holds_on_its_grid_is_unknown():
+    # t * eps = 0.5 <= a = 1 at every grid time; beyond the grid nothing is known
+    grid = np.geomspace(1.0, 100.0, 20)
+    s = tabulated_schedule(grid, 0.5 / grid)
+    assert np.all(grid * s.eps(grid) <= 1.0)
+    v = check_condition_b(s, a=1.0)
+    assert v.status == "unknown"
+    assert v.note == "holds on the tabulated grid; tail behaviour unknown beyond it"
+
+
+def test_t2eps_growth_at_gamma_two_holds_from_t0_at_or_above_the_threshold():
+    # t^2 eps is the scale at gamma = 2: the bound holds at every t iff scale >= threshold
+    bound = t2eps_threshold(6.0, 1.0, 1.0)
+    ts = np.geomspace(1.0, 1e6, 50)
+    for scale in (bound, 2.0 * bound):
+        s = power_schedule(2.0, scale=scale)
+        assert np.all(ts * ts * s.eps(ts) >= bound * (1.0 - 1e-12))
+        v = check_t2eps_growth(s, alpha=6.0, beta=1.0)
+        assert v.holds and v.t1 == 1.0
+        assert v.note == "t^2*eps is constant above the threshold"
+
+
+def test_integral_t_eps_at_gamma_two_is_the_logarithm():
+    # the integral of s * scale s^-2 over [lo, hi] is scale log(hi/lo)
+    s = power_schedule(2.0, scale=3.0)
+    assert s.integral_t_eps(2.0, 50.0) == pytest.approx(3.0 * math.log(25.0), rel=1e-15)
+    assert s.integral_t_eps(7.0, 7.0) == 0.0
+    with pytest.raises(ValueError, match="empty integration interval"):
+        s.integral_t_eps(5.0, 2.0)
+
+
+def test_simpson_on_an_empty_interval_is_zero():
+    def never(t):
+        raise AssertionError("an empty interval evaluates nothing")
+
+    assert _simpson(never, np.array([3.0])) == 0.0
+    assert _simpson(never, np.array([3.0, 2.0])) == 0.0
+    # a tabulated integral over a point has the one-point grid [lo]
+    assert tabulated_schedule([1.0, 10.0], [1.0, 0.5]).integral_t_eps(4.0, 4.0) == 0.0
+
+
+def test_eps_dot_of_the_zero_schedule_is_zero():
+    assert zero_schedule().eps_dot(np.array([1.0, 10.0])).tolist() == [0.0, 0.0]
+    assert zero_schedule().eps_dot(2.0) == 0.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TikhonovSchedule(kind="power", t0=0.0, gamma=1.5), "t0 must be positive"),
+    (lambda: TikhonovSchedule(kind="cubic"), "unknown schedule kind 'cubic'"),
+    (lambda: check_condition_a(power_schedule(1.5), beta=-1.0, a=2.0), "beta must be nonnegative"),
+    (lambda: check_t2eps_growth(power_schedule(1.5), alpha=2.0, beta=1.0), "alpha >= 3"),
+    (lambda: check_limit_condition(power_schedule(1.5), alpha=2.0, beta=1.0), "alpha >= 3"),
+], ids=["t0", "kind", "condition_a_beta", "t2eps_alpha", "limit_alpha"])
+def test_input_checks_name_the_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
