@@ -26,17 +26,25 @@ pairs and the d = 60 compare 4, about 2 minutes in all on one core of a
 2-CPU x86-64 host. It stops with a message if the two sides differ.
 
 It imports whichever `tikhoflow` comes first on the path, so running it
-with PYTHONPATH at another checkout's ``src`` times that checkout.
+with PYTHONPATH at another checkout's ``src`` times that checkout. It then
+also compares that tree with this script's own checkout: it loads this
+checkout's package as well, under another name, builds each input in each
+tree, and each pair also times this checkout's lanes on its input, the
+three sides in alternating order. It stops if the two trees' lanes differ
+in a single byte, and prints a second table: each tree's lanes median
+[q1, q3] and the pairs in which this checkout's lanes were faster. That
+mode takes about half as long again.
 """
 from __future__ import annotations
 
+import importlib.util
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from tikhoflow import DynamicsConfig, IntegrationError, builtin, power_schedule, zero_schedule
+import tikhoflow
 from tikhoflow import dynamics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -45,32 +53,47 @@ from workloads import SWEEP_ALPHAS, SWEEP_BETAS, SWEEP_GAMMAS, lsq_problem  # no
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
 
 
-def _config(d: int, horizon: float, samples: int, u0: float, **rates) -> DynamicsConfig:
-    return DynamicsConfig(t0=1.0, u0=np.full(d, u0), v0=np.zeros(d), horizon=horizon,
-                          sample_count=samples, **rates)
+def _checkout():
+    """This script's checkout's tikhoflow, loaded under another name, or
+    None if it is the `tikhoflow` first on the path."""
+    src = Path(__file__).resolve().parents[1] / "src" / "tikhoflow"
+    if Path(tikhoflow.__file__).resolve().parent == src:
+        return None
+    spec = importlib.util.spec_from_file_location("checkout_tikhoflow", src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def _sweep(obj) -> tuple:
-    runs = [(power_schedule(g), _config(obj.dimension, 1e2, 100, 2.0, alpha=a, beta=b))
-            for a in SWEEP_ALPHAS for b in SWEEP_BETAS for g in SWEEP_GAMMAS]
-    return obj, runs, 7
+def _inputs(tf) -> dict:
+    """Each input as (objective, runs, pairs), built with the package tf."""
 
+    def config(d: int, horizon: float, samples: int, u0: float, **rates):
+        return tf.DynamicsConfig(t0=1.0, u0=np.full(d, u0), v0=np.zeros(d), horizon=horizon,
+                                 sample_count=samples, **rates)
 
-def _inputs() -> dict:
+    def sweep(obj) -> tuple:
+        runs = [(tf.power_schedule(g), config(obj.dimension, 1e2, 100, 2.0, alpha=a, beta=b))
+                for a in SWEEP_ALPHAS for b in SWEEP_BETAS for g in SWEEP_GAMMAS]
+        return obj, runs, 7
+
     A, b = lsq_problem(1)
-    cfg = _config(60, 200.0, 400, 0.0, alpha=3.0, beta=1.0)
+    cfg = config(60, 200.0, 400, 0.0, alpha=3.0, beta=1.0)
     return {
-        "lsq2_sweep": _sweep(builtin("least_squares", A=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-                                     b=np.array([1.0, 2.0, 3.0]))),
-        "quad3_sweep": _sweep(builtin("shifted_quadratic", c=np.array([1.0, -2.0, 0.5]))),
-        "lsq60_compare": (builtin("least_squares", A=A, b=b),
-                          [(zero_schedule(), cfg), (power_schedule(1.5), cfg), (power_schedule(2.5), cfg)],
+        "lsq2_sweep": sweep(tf.builtin("least_squares", A=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                                       b=np.array([1.0, 2.0, 3.0]))),
+        "quad3_sweep": sweep(tf.builtin("shifted_quadratic", c=np.array([1.0, -2.0, 0.5]))),
+        "lsq60_compare": (tf.builtin("least_squares", A=A, b=b),
+                          [(tf.zero_schedule(), cfg), (tf.power_schedule(1.5), cfg),
+                           (tf.power_schedule(2.5), cfg)],
                           4),
     }
 
 
-def _lanes(obj, runs) -> list:
-    return list(dynamics.integrate_lanes(obj, runs))
+def _lanes(tf, obj, runs) -> list:
+    return list(tf.dynamics.integrate_lanes(obj, runs))
 
 
 def _one_by_one(obj, runs) -> list:
@@ -83,14 +106,15 @@ def _one_by_one(obj, runs) -> list:
 
 
 def _bytes(outcome) -> tuple:
-    if isinstance(outcome, IntegrationError):
+    # each tree has its own IntegrationError class
+    if isinstance(outcome, RuntimeError):
         return (str(outcome), outcome.t, outcome.stats, outcome.rows.tobytes(), outcome.state.tobytes())
     return tuple(getattr(outcome, name).tobytes() for name in FIELDS) + (outcome.meta["stats"],)
 
 
-def _timed(fn, *args) -> tuple:
+def _timed(fn) -> tuple:
     started = time.perf_counter()
-    out = fn(*args)
+    out = fn()
     return time.perf_counter() - started, out
 
 
@@ -100,23 +124,41 @@ def _spread(times: list) -> str:
 
 
 def main() -> int:
+    checkout = _checkout()
+    ours = _inputs(checkout) if checkout else {}
     print("input          runs  d   lanes s: median [q1, q3]  one by one s: median [q1, q3]  "
           "ratio  lanes won")
-    for name, (obj, runs, pairs) in _inputs().items():
-        lanes, alone = [], []
+    cross = []
+    for name, (obj, runs, pairs) in _inputs(tikhoflow).items():
+        sides = {"lanes": lambda: _lanes(tikhoflow, obj, runs),
+                 "alone": lambda: _one_by_one(obj, runs)}
+        if checkout:
+            sides["checkout"] = lambda: _lanes(checkout, *ours[name][:2])
+        times = {side: [] for side in sides}
         for k in range(pairs):
-            sides = [(lanes, _lanes), (alone, _one_by_one)]
-            results = []
-            for times, fn in sides if k % 2 == 0 else sides[::-1]:
-                seconds, out = _timed(fn, obj, runs)
-                times.append(seconds)
-                results.append([_bytes(o) for o in out])
-            if results[0] != results[1]:
+            results = {}
+            for side in list(sides) if k % 2 == 0 else list(sides)[::-1]:
+                seconds, out = _timed(sides[side])
+                times[side].append(seconds)
+                results[side] = [_bytes(o) for o in out]
+            if results["lanes"] != results["alone"]:
                 sys.exit(f"lanes_ab.py: {name}: the lanes and the runs one by one differ")
+            if checkout and results["checkout"] != results["lanes"]:
+                sys.exit(f"lanes_ab.py: {name}: the lanes of the two trees differ")
+        lanes, alone = times["lanes"], times["alone"]
         wins = sum(a < b for a, b in zip(lanes, alone))
         print(f"{name:<14} {len(runs):>4} {obj.dimension:>2}   {_spread(lanes):<26} "
               f"{_spread(alone):<31} {np.median(alone) / np.median(lanes):5.2f}x  "
               f"{wins}/{pairs}  bytes identical")
+        if checkout:
+            won = sum(c < a for c, a in zip(times["checkout"], lanes))
+            cross.append(f"{name:<14} {_spread(lanes):<26} {_spread(times['checkout']):<28} "
+                         f"{won}/{pairs}  bytes identical")
+    if checkout:
+        print(f"\nlanes of the tree on the path ({Path(tikhoflow.__file__).parent}) against "
+              f"this checkout's ({Path(checkout.__file__).parent})")
+        print("input          path s: median [q1, q3]    checkout s: median [q1, q3]  checkout won")
+        print("\n".join(cross))
     return 0
 
 

@@ -240,8 +240,6 @@ def _cg(apply_op, rhs: np.ndarray, rel_residual: float, max_iter: int) -> np.nda
     p = r.copy()
     rs = float(np.dot(r, r))
     bnorm = math.sqrt(float(np.dot(rhs, rhs)))
-    if bnorm == 0.0:
-        return x
     for _ in range(max_iter):
         if math.sqrt(rs) <= rel_residual * bnorm:
             return x

@@ -15,18 +15,14 @@ lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
 eps(t) as inputs: a run forms them as floats at each stage, the lanes form
 them for all stage times of an attempt at once, as columns, and make one
 gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
-One run uses numpy on views of its state. Only the lanes copy: their
-stage rows hold x and y as (lanes, d) views with gaps between rows, so
-the motion copies each into one block, and the coefficient columns of each
-stage time are built as one block too; numpy then runs every later
-operation of the motion on contiguous operands. A run of dimension 1, the
-paper's worked example, also gives `solve` its motion and integrands in
-Python floats (`_lifted_floats`, which calls the objective's float
-gradient where it has one), and `solve` steps each of its attempts in
-straight-line float code: on 1-element arrays numpy's per-call cost, not
-the arithmetic, sets the price. Its weight products are left-to-right
-float sums, not BLAS gemv calls, so a run of dimension 1 does not depend
-on the BLAS kernel. The lanes serve two or more runs of dimension 2 or
+Runs and lanes alike read x and y as views of their state, with no copy.
+A run of dimension 1, the paper's worked example, also gives `solve` its
+motion and integrands in Python floats (`_lifted_floats`, which calls the
+objective's float gradient where it has one), and `solve` steps each of
+its attempts in straight-line float code: on 1-element arrays numpy's
+per-call cost, not the arithmetic, sets the price. Its weight products are
+left-to-right float sums, not BLAS gemv calls, so a run of dimension 1
+does not depend on the BLAS kernel. The lanes serve two or more runs of dimension 2 or
 more: `integrate_lanes` steps any other run on its own, as `integrate`
 steps it. The lanes bind their columns of alpha and beta and
 their schedule evaluators once per live set (`integrator.Split`), not once
@@ -261,9 +257,7 @@ def _lifted(d: int, grad):
     holds the lanes' states as rows and grad maps rows of x to rows of
     gradients.
 
-    One run uses numpy on the views z[:d] and z[d:2d]. The lanes copy x and
-    y once into contiguous blocks, so that numpy runs every later operation
-    on contiguous operands, which saves more than the copies cost. The
+    Both read x and y as the views z[..., :d] and z[..., d:2d]. The
     gradient is read as float64 on both, as the lanes' float64 columns
     promote a float32 gradient; Python float coefficients would keep it in
     float32.
@@ -273,8 +267,6 @@ def _lifted(d: int, grad):
 
     def motion(a, b, e, beta, z: np.ndarray, out: np.ndarray) -> None:
         x, y = z[xs], z[ys]
-        if z.ndim > 1:
-            x, y = x.copy(), y.copy()
         g = grad(x).astype(float, copy=False)
         np.subtract(y, beta * g, out=out[xs])
         out[ys] = a * y - b * g - e * x
@@ -460,9 +452,8 @@ def integrate_lanes(
 
         def at(T: np.ndarray):
             E = np.array([ev(row) for ev, row in zip(chosen, T)])
-            # (k, lanes, 1) copies: each time's columns come out as one block
-            Tc = T.T.copy()[..., None]
-            columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T.copy()[..., None])
+            Tc = T.T[..., None]
+            columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T[..., None])
             return E, [(a, b, e, beta) for a, b, e in columns]
 
         return at

@@ -15,7 +15,10 @@ tail argument available for the analytic kinds. From t1 >= T_CHECK that grid
 is empty: "holds" then rests on the closed form alone, and its note says that
 no grid point was checked. A power law's threshold or witness is its closed
 form, ratio^(1/exponent); where that exceeds the float range it is inf, and
-the verdict keeps the status the closed form gives.
+the verdict keeps the status the closed form gives. A logarithmic schedule
+has no closed form: its threshold or witness is searched by doubling t until
+the inequality flips, and the verdict is "unknown" if t leaves the float
+range first.
 """
 from __future__ import annotations
 
@@ -233,20 +236,22 @@ _CERT_NOTE = "grid-certified on {t1*1.05^k} up to 1e6 with analytic tail"
 _CLOSED_FORM_NOTE = "from the closed form alone: t1 >= 1e6, so no grid point was checked"
 
 
-def _certify(pred, t1: float, fail_note: str = "") -> Verdict:
+def _certify(pred, t1: float, fail_note: str = "", how: str = "") -> Verdict:
     """The one certification rule: "holds" from t1 when pred holds on the
     grid {t1 * 1.05^k} up to T_CHECK, else "fails" at the first grid time
     violating it, with fail_note. From t1 >= T_CHECK, inf included, that
-    grid is empty and "holds" rests on the closed form alone."""
+    grid is empty and "holds" rests on the closed form alone. A "holds"
+    note starts with how, which says how t1 was found where that is not
+    the closed form."""
     if t1 >= T_CHECK:
-        return _holds(t1, note=_CLOSED_FORM_NOTE)
+        return _holds(t1, note=how + _CLOSED_FORM_NOTE)
     n = int(math.log(T_CHECK / t1) / math.log(_GRID_RATIO)) + 1
     grid = t1 * _GRID_RATIO ** np.arange(n + 1)
     grid = grid[grid <= T_CHECK * (1.0 + 1e-12)]
     bad = np.nonzero(~pred(grid))[0]
     if bad.size:
         return _fails(grid[bad[0]], note=fail_note)
-    return _holds(t1, note=_CERT_NOTE)
+    return _holds(t1, note=how + _CERT_NOTE)
 
 
 def check_condition_a(s: TikhonovSchedule, beta: float, a: float) -> Verdict:
@@ -317,10 +322,10 @@ def check_condition_b(s: TikhonovSchedule, a: float) -> Verdict:
     if s.kind == "logarithmic":
         # need t <= a*log(offset+t): fails once t outgrows the logarithm
         t = max(s.t0, 1.0)
-        for _ in range(200):
-            if t > a * math.log(s.offset + t):
-                return _fails(t, note="t/log(offset+t) is unbounded")
+        while t <= a * math.log(s.offset + t):
             t *= 2.0
+            if t == math.inf:
+                return _unknown("t/log(offset+t) exceeds a only past the float range")
         return _fails(t, note="t/log(offset+t) is unbounded")
     bad = ~pred(s.grid_t)
     if np.any(bad):
@@ -388,10 +393,14 @@ def check_t2eps_growth(s: TikhonovSchedule, alpha: float, beta: float, c: float 
         return _fails(max(s.t0, _root(s.scale / bound, s.gamma - 2.0)) * 2.0,
                       note="t^2*eps decays below any positive threshold")
     if s.kind == "logarithmic":
+        # t^2*eps = t^2/log(offset+t) grows without bound
         t1 = max(s.t0, 1.0)
-        while t1 * t1 < bound * math.log(s.offset + t1) and t1 < 1e12:
+        while t1 * t1 < bound * math.log(s.offset + t1):
             t1 *= 2.0
-        return _certify(pred, t1)
+        if t1 * t1 == math.inf:
+            return _unknown("t^2*eps reaches the threshold only past the float range")
+        how = "t1 is the first of max(t0, 1) * 2^k with t1^2 >= threshold * log(offset + t1); "
+        return _certify(pred, t1, how=how)
     if not pred(s.grid_t[-1:])[0]:
         return _unknown("below the threshold at the grid end; tail unknown")
     return _unknown("eventual lower bound cannot be certified from a finite grid")

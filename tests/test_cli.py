@@ -283,6 +283,13 @@ def test_compare_requires_gammas(base_config, tmp_path):
     assert exc.value.code == 2
 
 
+def test_compare_experiment_refuses_an_empty_gamma_list(base_config, tmp_path):
+    # the CLI's --gammas needs a value, so only a direct call reaches this check
+    exp = resolve(load_config(base_config), out_override=tmp_path / "o")
+    with pytest.raises(ConfigError, match="compare needs a nonempty gamma list"):
+        cli.compare_experiment(exp, [])
+
+
 def test_compare_tikhonov_pulls_toward_origin(base_config, tmp_path):
     out = tmp_path / "out"
     main(["compare", str(base_config), "--gammas", "1.5", "--out", str(out)])

@@ -368,6 +368,45 @@ def test_tikhonov_point_on_a_concave_objective_reports_its_curvature():
     assert exc.value.residual == 1.0
 
 
+def test_tikhonov_point_backtracks_on_a_pseudo_huber_objective():
+    # g(x) = sqrt(1 + (x - 3)^2) at eps = 0.01: the first Newton step from
+    # 0, about 22.8, raises the merit, so the line search halves it
+    tried = []
+
+    def value(x):
+        tried.append(x[0])
+        return float(np.sqrt(1.0 + (x[0] - 3.0) ** 2))
+
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=value,
+        gradient=lambda x: (x - 3.0) / np.sqrt(1.0 + (x - 3.0) ** 2),
+        hessian_vec=lambda x, v: v / (1.0 + (x - 3.0) ** 2) ** 1.5,
+        min_value=1.0,
+    )
+    x = tikhonov_point(obj, 0.01)
+    # the merit at 0, then at the full step and at its half
+    assert tried[0] == 0.0 and tried[1] > 20.0 and tried[2] == 0.5 * tried[1]
+    resid = np.asarray(obj.gradient(x)) + 0.01 * x
+    assert np.linalg.norm(resid) <= 1e-10 * (1 + np.linalg.norm(x))
+
+
+def test_tikhonov_point_whose_value_contradicts_its_gradient_stagnates():
+    # the value 10x rises along every Newton step that the gradient x - 3
+    # asks for, so no halving of it meets the Armijo test; the residual is
+    # |g'(0)| = 3
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: float(10.0 * x[0]),
+        gradient=lambda x: x - 3.0,
+        hessian_vec=lambda x, v: v,
+        min_value=-math.inf,
+    )
+    with pytest.raises(SolverError, match="line search stagnated on the Tikhonov system") as exc:
+        tikhonov_point(obj, 0.01)
+    assert exc.value.residual == 3.0
+
+
 def test_tikhonov_curve_approaches_min_norm_solution():
     for obj in (
         builtin("shifted_quadratic", c=np.array([1.0, 2.0])),
@@ -478,6 +517,19 @@ def test_drift_bound_rejects_run_ending_before_t2(alpha, b, case):
         eb_drift_bound_check(traj, s, cfg, params, a=2.0, case=case)
 
 
+@pytest.mark.parametrize("alpha, b, case, message", [
+    (4.0, 2.5, "c", "case must be 'a' or 'b'"),
+    (4.0, 2.0, "a", "need 2 < b < alpha-1 = 3, got b=2"),  # b = 2 is only allowed at alpha = 3
+], ids=["unknown-case", "b-at-the-lower-end"])
+def test_drift_bound_rejects_invalid_parameters(alpha, b, case, message):
+    obj = builtin("paper1d")
+    s = power_schedule(1.5)
+    cfg = DynamicsConfig(alpha=alpha, beta=1.0, t0=1.0, u0=[2.0], v0=[0.0], horizon=10.0)
+    traj = integrate(obj, s, cfg)
+    with pytest.raises(ValueError, match=message):
+        eb_drift_bound_check(traj, s, cfg, EnergyParams(b=b, xstar=np.zeros(1)), a=2.0, case=case)
+
+
 # -- vanishing average (integrable eps/t) ------------------------------------------
 
 
@@ -487,6 +539,12 @@ def test_averaged_t_eps_decays():
     late = averaged_t_eps(s, 1e5)
     assert early == pytest.approx(2.0 * (np.sqrt(10.0) - 1.0) / 100.0, rel=1e-12)
     assert late <= 1e-3 * early
+
+
+def test_averaged_t_eps_needs_a_horizon_past_the_schedule_start():
+    for T in (1.0, 0.5):
+        with pytest.raises(ValueError, match="T must exceed the schedule start"):
+            averaged_t_eps(power_schedule(1.5), T)
 
 
 def test_default_energy_index():

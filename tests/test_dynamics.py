@@ -161,6 +161,13 @@ def test_vector_field_rejects_schedule_not_covering_run():
         vector_field(obj, power_schedule(1.5, t0=2.0), cfg1d())
 
 
+def test_initial_data_of_another_dimension_is_refused():
+    # DynamicsConfig does not know the objective; the run checks u0 against it
+    cfg = cfg1d(u0=[2.0, 1.0], v0=[0.0, 0.0])
+    with pytest.raises(ValueError, match=r"u0 has shape \(2,\), expected vector of dimension 1"):
+        integrate(builtin("paper1d"), power_schedule(1.5), cfg)
+
+
 # -- integration -----------------------------------------------------------------
 
 
@@ -479,8 +486,6 @@ def test_objective_without_float_gradient_steps_through_its_array_gradient():
     # one point: the initial lift, every right-hand side evaluation and one
     # call per sample to finish
     assert calls == [1] * (1 + traj.meta["stats"]["rhs_evals"] + traj.n_samples)
-    (lane,) = integrate_lanes(obj, [(s, cfg)])
-    _assert_same_run(traj, lane)
     _assert_same_run(traj, reference_integrate(obj, s, cfg))
 
 

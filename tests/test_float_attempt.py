@@ -23,7 +23,7 @@ from tikhoflow import (
 )
 from tikhoflow import integrator
 from tikhoflow.schedules import TikhonovSchedule
-from tikhoflow.dynamics import _drive, _lifted_z0, integrate_lanes, vector_field
+from tikhoflow.dynamics import _drive, _lifted_z0, vector_field
 from tikhoflow.integrator import solve
 from tikhoflow.problems import ObjectiveSpec
 
@@ -59,11 +59,6 @@ def _assert_same(got, want):
     assert got.state.tobytes() == want.state.tobytes()
     if got.partial is not None and want.partial is not None:
         _assert_same_run(got.partial, want.partial)
-
-
-def _lane(obj, s, cfg):
-    (outcome,) = integrate_lanes(obj, [(s, cfg)])
-    return outcome
 
 
 _FINITE = st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -107,11 +102,9 @@ def _runs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_runs())
-def test_one_dimensional_run_equals_its_lane_and_the_reference(run):
+def test_one_dimensional_run_equals_the_reference(run):
     obj, s, cfg = run
-    got = _outcome(integrate, obj, s, cfg)
-    _assert_same(got, _outcome(_lane, obj, s, cfg))
-    _assert_same(got, _outcome(reference_integrate, obj, s, cfg))
+    _assert_same(_outcome(integrate, obj, s, cfg), _outcome(reference_integrate, obj, s, cfg))
 
 
 def _rhs_forms(obj, s, cfg):

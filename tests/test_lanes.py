@@ -5,9 +5,10 @@ bits, counters and failures that `solve` gives the same run alone. Only two
 or more runs of dimension 2 or more take the lanes: `integrate_lanes` steps
 a run of dimension 1 (in floats) or a lone run on its own, so the lane
 mechanics are tested on two or more runs of d = 2 objectives; the d = 1
-cases check the run-by-run route. The CLI tests check that `compare` and
-`sweep` still write what `run` writes for each cell and fail as a
-sequential loop of cells does.
+cases check the run-by-run route. The helper that compares lanes with
+`integrate` also checks that exactly such batches reached `solve_lanes`.
+The CLI tests check that `compare` and `sweep` still write what `run`
+writes for each cell and fail as a sequential loop of cells does.
 """
 import dataclasses
 import json
@@ -79,7 +80,17 @@ def _assert_same_trajectory(got, ref):
 
 
 def _assert_lanes_match_integrate(obj, runs):
-    lanes = list(integrate_lanes(obj, runs))
+    # and `solve_lanes` ran exactly for two or more runs of dimension 2 or more
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lanes(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("tikhoflow.dynamics.solve_lanes", counted)
+        lanes = list(integrate_lanes(obj, runs))
+    assert len(calls) == (1 if len(runs) >= 2 and obj.dimension >= 2 else 0)
     assert len(lanes) == len(runs)
     for (s, cfg), got in zip(runs, lanes):
         ref = _outcome(integrate, obj, s, cfg)
@@ -91,20 +102,19 @@ def _assert_lanes_match_integrate(obj, runs):
     return lanes
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_float32_gradient_run_matches_its_lanes(d):
+def test_float32_gradient_run_matches_its_lanes():
     # a run reads the gradient as a float64, as the lanes' float64
     # coefficient columns promote it; numpy with float coefficients would
     # have rounded beta g and b g in float32
     obj = ObjectiveSpec(
-        dimension=d,
+        dimension=2,
         value=lambda x: 0.5 * float(np.dot(x - 1.0, x - 1.0)),
         gradient=lambda x: (x - 1.0).astype(np.float32),
         hessian_vec=lambda x, v: v,
         min_value=0.0,
-        min_norm_solution=np.ones(d),
+        min_norm_solution=np.ones(2),
     )
-    cfg = DynamicsConfig(**{**BASE, "u0": np.full(d, 2.0), "v0": np.zeros(d), "horizon": 100.0})
+    cfg = DynamicsConfig(**{**BASE, "u0": [2.0, 2.0], "v0": [0.0, 0.0], "horizon": 100.0})
     # two runs: a lone run does not take the lanes
     _assert_lanes_match_integrate(obj, [(power_schedule(1.5), cfg)] * 2)
 
@@ -132,32 +142,24 @@ def test_float32_objective_finishes_in_float64():
         assert traj.v.tobytes() == (traj.y - beta * G).tobytes()
 
 
-def test_only_two_or_more_runs_of_dimension_two_or_more_take_the_lanes(monkeypatch):
+def test_only_two_or_more_runs_of_dimension_two_or_more_take_the_lanes():
     # a lone run of dimension 2 and runs of dimension 1 step alone through
     # `solve`, with `integrate`'s bytes; two runs of dimension 2 are lanes
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve_lanes(*args)
-
-    monkeypatch.setattr("tikhoflow.dynamics.solve_lanes", counted)
+    # (the helper checks which of them called `solve_lanes`)
     cfg, cfg2 = DynamicsConfig(**BASE), DynamicsConfig(**BASE2)
     _assert_lanes_match_integrate(SHIFTED2, [(power_schedule(1.5), cfg2)])
     _assert_lanes_match_integrate(builtin("paper1d"), [(power_schedule(1.5), cfg), (zero_schedule(), cfg)])
-    assert calls == []
     _assert_lanes_match_integrate(SHIFTED2, [(power_schedule(1.5), cfg2), (zero_schedule(), cfg2)])
-    assert len(calls) == 1
 
 
-def test_paper1d_grid_lanes_match_integrate():
+def test_grid_lanes_match_integrate():
     runs = [
-        (power_schedule(g), DynamicsConfig(**{**BASE, "alpha": a, "beta": b}))
+        (power_schedule(g), DynamicsConfig(**{**BASE2, "alpha": a, "beta": b}))
         for a in (3.0, 10.0, 200.0)
         for b in (0.0, 0.5, 1.0)
         for g in (1.1, 1.5, 1.9)
     ]
-    lanes = _assert_lanes_match_integrate(builtin("paper1d"), runs)
+    lanes = _assert_lanes_match_integrate(SHIFTED2, runs)
     # the grid must exercise per-lane step control: lanes finish after
     # different numbers of steps, and some reject steps
     stats = [traj.meta["stats"] for traj in lanes]

@@ -181,6 +181,23 @@ def test_condition_b_fails_for_logarithmic():
     assert s.eps(v.witness) > 1.0 / v.witness
 
 
+@pytest.mark.parametrize("a", [1e60, 1e100])
+def test_condition_b_fails_for_logarithmic_with_a_real_witness_at_large_a(a):
+    # t/log(e + t) first exceeds a near 1.4e62 and 2.3e102, past any fixed
+    # number of doublings; the witness must be a time where eps(t) > a/t
+    s = logarithmic_schedule()
+    v = check_condition_b(s, a)
+    assert v.status == "fails"
+    assert s.eps(v.witness) > a / v.witness
+    assert s.eps(v.witness / 2) <= a / (v.witness / 2)
+
+
+def test_condition_b_for_logarithmic_past_the_float_range_is_unknown():
+    # t/log(e + t) exceeds 1e306 only from about 7e308, past the largest float
+    v = check_condition_b(logarithmic_schedule(), 1e306)
+    assert v.status == "unknown" and "float range" in v.note
+
+
 def test_condition_b_rejects_nonpositive_a():
     with pytest.raises(ValueError):
         check_condition_b(power_schedule(1.5), a=0.0)
@@ -317,6 +334,24 @@ def test_t2eps_growth_above_alpha3_off_the_power_law(s, status, t1, note):
     v = check_t2eps_growth(s, alpha=4.0, beta=1.0)
     assert (v.status, v.t1) == (status, t1)
     assert note in v.note
+
+
+def test_t2eps_growth_of_logarithmic_holds_from_where_t2eps_reaches_the_threshold():
+    # alpha = 1e12 puts the threshold at 2.2e23: t^2/log(e + t) reaches it
+    # between 2.2e12 and 4.4e12, past 1e12
+    s = logarithmic_schedule()
+    bound = t2eps_threshold(1e12, 1.0, 1.0)
+    v = check_t2eps_growth(s, alpha=1e12, beta=1.0)
+    assert v.status == "holds"
+    assert v.t1 * v.t1 * s.eps(v.t1) >= bound
+    assert (v.t1 / 2) ** 2 * s.eps(v.t1 / 2) < bound
+    assert v.note.startswith("t1 is the first of max(t0, 1) * 2^k") and v.note.endswith(_CLOSED_FORM_NOTE)
+
+
+def test_t2eps_growth_of_logarithmic_past_the_float_range_is_unknown():
+    # at alpha = 1e160 the threshold itself overflows to inf
+    v = check_t2eps_growth(logarithmic_schedule(), alpha=1e160, beta=1.0)
+    assert v.status == "unknown" and "float range" in v.note
 
 
 # a threshold or witness (ratio)^(1/exponent) past the float range is inf,
