@@ -21,9 +21,12 @@ Both sides finish every trajectory. Each pair also checks that the two
 sides give the same bytes: every trajectory column, the counters and, for a
 failed run, the error. The output is one line per input: the median and
 quartiles of each side in seconds, the run-by-run median over the lanes'
-median, and the pairs in which the lanes were faster. The sweeps take 7
-pairs and the d = 60 compare 4, about 2 minutes in all on one core of a
-2-CPU x86-64 host. It stops with a message if the two sides differ.
+median, and the pairs in which the lanes were faster. lsq2_sweep takes 7
+pairs, quad3_sweep 21, since one busy minute of a shared host can move the
+median of its 0.35-s lanes by half over 7 pairs, and the d = 60 compare 4:
+3.7 minutes in all on one core of a busy 2-CPU x86-64 host, on which the
+runs one by one took 1.5 times as long as on a quiet one. It stops with a
+message if the two sides differ.
 
 It imports whichever `tikhoflow` comes first on the path, so running it
 with PYTHONPATH at another checkout's ``src`` times that checkout. It then
@@ -33,7 +36,7 @@ tree, and each pair also times this checkout's lanes on its input, the
 three sides in alternating order. It stops if the two trees' lanes differ
 in a single byte, and prints a second table: each tree's lanes median
 [q1, q3] and the pairs in which this checkout's lanes were faster. That
-mode takes about half as long again.
+mode takes about a quarter as long again (4.6 minutes on the same host).
 """
 from __future__ import annotations
 
@@ -74,17 +77,17 @@ def _inputs(tf) -> dict:
         return tf.DynamicsConfig(t0=1.0, u0=np.full(d, u0), v0=np.zeros(d), horizon=horizon,
                                  sample_count=samples, **rates)
 
-    def sweep(obj) -> tuple:
+    def sweep(obj, pairs: int) -> tuple:
         runs = [(tf.power_schedule(g), config(obj.dimension, 1e2, 100, 2.0, alpha=a, beta=b))
                 for a in SWEEP_ALPHAS for b in SWEEP_BETAS for g in SWEEP_GAMMAS]
-        return obj, runs, 7
+        return obj, runs, pairs
 
     A, b = lsq_problem(1)
     cfg = config(60, 200.0, 400, 0.0, alpha=3.0, beta=1.0)
     return {
         "lsq2_sweep": sweep(tf.builtin("least_squares", A=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-                                       b=np.array([1.0, 2.0, 3.0]))),
-        "quad3_sweep": sweep(tf.builtin("shifted_quadratic", c=np.array([1.0, -2.0, 0.5]))),
+                                       b=np.array([1.0, 2.0, 3.0])), 7),
+        "quad3_sweep": sweep(tf.builtin("shifted_quadratic", c=np.array([1.0, -2.0, 0.5])), 21),
         "lsq60_compare": (tf.builtin("least_squares", A=A, b=b),
                           [(tf.zero_schedule(), cfg), (tf.power_schedule(1.5), cfg),
                            (tf.power_schedule(2.5), cfg)],

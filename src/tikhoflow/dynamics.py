@@ -10,25 +10,28 @@ integrated through its Hessian-free lifted form in (x, y), y = x' + beta*grad g(
     x' = y - beta * grad g(x)
     y' = -(alpha/t) y - (1 - alpha*beta/t) grad g(x) - eps(t) x.
 
-The lifted motion is written once (`_lifted`), for one run or for rows of
-lanes. It takes the time-only coefficients -(alpha/t), 1 - alpha*beta/t and
-eps(t) as inputs: a run forms them as floats at each stage, the lanes form
-them for all stage times of an attempt at once, as columns, and make one
-gradient call per stage for all live lanes (`ObjectiveSpec.gradient_rows`).
-Runs and lanes alike read x and y as views of their state, with no copy.
-A run of dimension 1, the paper's worked example, also gives `solve` its
-motion and integrands in Python floats (`_lifted_floats`, which calls the
-objective's float gradient where it has one), and `solve` steps each of
-its attempts in straight-line float code: on 1-element arrays numpy's
-per-call cost, not the arithmetic, sets the price. Its weight products are
-left-to-right float sums, not BLAS gemv calls, so a run of dimension 1
-does not depend on the BLAS kernel. The lanes serve two or more runs of dimension 2 or
-more: `integrate_lanes` steps any other run on its own, as `integrate`
-steps it. The lanes bind their columns of alpha and beta and
-their schedule evaluators once per live set (`integrator.Split`), not once
-per attempt. Each lane starts, its first derivative and initial step, with
-its run's own `vector_field`, as `integrate` starts that run; that field's
-schedule evaluator also serves the lane's stages.
+The lifted motion (x', y'), its time-only coefficients a = -(alpha/t) and
+b = 1 - alpha*beta/t, and the three running integrands are written once, as
+Python expressions (`_COEFFICIENTS`, `_MOTION`, `_INTEGRANDS`), and every
+form is derived from them. On arrays (`_lifted`, `_quadrature`) they serve
+one run or rows of lanes: a run forms a and b as floats at each stage, the
+lanes form them for all stage times of an attempt at once, as columns, and
+make one gradient call per stage for all live lanes
+(`ObjectiveSpec.gradient_rows`). Runs and lanes alike read x and y as views
+of their state, with no copy. A run of dimension 1, the paper's worked
+example, also gives `solve` the same expressions as Python float statements
+(`_float_body`), which `solve` inlines into each stage of its straight-line
+float attempt, so that a stage calls nothing but the objective's float
+gradient: on 1-element arrays numpy's per-call cost, not the arithmetic,
+sets the price. Its weight products are left-to-right float sums, not BLAS
+gemv calls, so a run of dimension 1 does not depend on the BLAS kernel.
+The lanes serve two or more runs of dimension 2 or more: `integrate_lanes`
+steps any other run on its own, as `integrate` steps it. The lanes bind
+their columns of alpha and beta and their schedule evaluators once per live
+set (`integrator.Split`), not once per attempt. Each lane starts, its
+first derivative and initial step, with its run's own `vector_field`, as
+`integrate` starts that run; that field's schedule evaluator also serves
+the lane's stages.
 `vector_field` is the lifted right-hand side and `integrate` steps
 exactly it; `integrate_lanes` integrates several runs of it that differ
 only in alpha, beta and the schedule, as lanes of one loop, each
@@ -40,8 +43,8 @@ objective value of all samples as float64 through `gradient_rows` and
 `value_rows` (one call each when the objective maps rows). Running
 integrals needed by the ergodic diagnostics are accumulated as extra state
 components, not by post-hoc quadrature. Each formulation supplies only its
-motion, the derivative of (x, y) or (x, x'); with the schedule and the one
-implementation of the integrands (`_quadrature`) it makes the right-hand
+motion, the derivative of (x, y) or (x, x'); with the schedule and the
+integrands on arrays (`_quadrature`) it makes the right-hand
 side, an `integrator.Split` (`_field`), whose schedule and integrands
 `solve` evaluates once per step attempt for all its stages.
 """
@@ -184,6 +187,30 @@ class Trajectory:
         return self.x.shape[1]
 
 
+# The lifted motion, its time coefficients a and b and the three running
+# integrands, each written once, as Python expressions over t, the schedule
+# value e there, the state x and y, g = grad g(x), rr = |x - x*|^2 and
+# vv = |x'|^2. Arrays evaluate them as functions of those names; a run of
+# dimension 1 inlines them as Python float statements into each stage of
+# its generated attempt (`_float_body`). Both give the same bits: a numpy
+# ufunc on float64 rounds each multiply, add and divide on its own, as a
+# Python float operation does, nothing is fused, the order is the same,
+# and a 1-element dot is one product. Float operations raise no numpy
+# floating-point warning; a state that overflows or turns NaN is caught by
+# `solve`'s finiteness test after the attempt.
+_COEFFICIENTS = ("-(alpha / t)", "1.0 - alpha * beta / t")  # a, b
+_MOTION = ("y - beta * g", "a * y - b * g - e * x")  # x', y'
+_INTEGRANDS = ("(e_t := e / t)", "e_t * rr", "vv / t")  # eps/t, (eps/t)|x - x*|^2, |x'|^2/t
+_coefficients = eval(f"lambda alpha, beta, t: ({', '.join(_COEFFICIENTS)})")  # the lanes' columns
+_motion = eval(f"lambda a, b, e, beta, x, y, g: ({', '.join(_MOTION)})")
+_integrands = eval(f"lambda t, e, rr, vv: ({', '.join(_INTEGRANDS)})")
+# one run's motion(t, e, z, out), with a and b formed inline as floats at
+# each stage: compiled once, bound to a run's lifted, alpha and beta as the
+# globals of `eval` (`vector_field`)
+_run_motion = compile(f"lambda t, e, z, out: lifted({', '.join(_COEFFICIENTS)}, e, beta, z, out)",
+                      "<run motion>", "eval")
+
+
 def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     """The lifted right-hand side rhs(t, z) that `integrate` steps.
 
@@ -191,49 +218,34 @@ def vector_field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig):
     integrands eps/t, (eps/t)|x - x*|^2 and |x'|^2/t. The schedule is checked
     against [t0, horizon] once here; rhs evaluates it unchecked. rhs is an
     `integrator.Split`: `solve` steps its motion stage by stage and evaluates
-    the schedule and the integrands once per attempt. For d = 1 it also has
-    a ``stage`` in Python floats (`_lifted_floats`), which `solve`'s
-    straight-line float attempt calls.
+    the schedule and the integrands once per attempt. For d = 1 its ``body``
+    is the same derivative in Python floats (`_float_body`), which `solve`
+    inlines into each stage of its straight-line float attempt.
     """
-    lifted = _lifted(obj.dimension, obj.gradient)
-    alpha, beta = cfg.alpha, cfg.beta
+    alpha, beta, lifted = cfg.alpha, cfg.beta, _lifted(obj.dimension, obj.gradient)
+    motion = eval(_run_motion, {"lifted": lifted, "alpha": alpha, "beta": beta})
+    body = None
+    if obj.dimension == 1:
+        body = (_float_body, {"grad": obj.gradient_float or _float_gradient(obj.gradient),
+                              "alpha": alpha, "beta": beta, "xstar": min_norm_solution(obj).item()})
+    return _field(obj, s, cfg, motion)._replace(body=body)
 
-    def motion(t: float, e: float, z: np.ndarray, out: np.ndarray) -> None:
-        lifted(-(alpha / t), 1.0 - alpha * beta / t, e, beta, z, out)
 
-    stage = _lifted_floats(obj, cfg) if obj.dimension == 1 else None
-    return _field(obj, s, cfg, motion)._replace(stage=stage)
-
-
-def _lifted_floats(obj: ObjectiveSpec, cfg: DynamicsConfig):
-    """The lifted derivative of a run of dimension 1 as stage(t, e, z, h, p),
-    for `integrator.Split.stage`: x' = y - beta g, y' = -(alpha/t) y
-    - (1 - alpha beta/t) g - e x and the integrands of `_quadrature`, as a
-    tuple of Python floats, at time t, with e the schedule value there, and
-    the stage state x = z[0] + h p[0], y = z[1] + h p[1] (the integrals are
-    not read). g is the objective's `gradient_float`, or, for an objective
-    without one, its one-point gradient adapted once per run to the same
-    interface (`_float_gradient`). The bits are those of `vector_field`'s
-    motion and `_quadrature` on 1-element arrays: a numpy ufunc on float64
-    rounds each multiply, add and divide on its own, as a Python float
-    operation does, nothing is fused, the order is the same, and a
-    1-element dot is one product. Float operations raise no numpy
-    floating-point warning; a state that overflows or turns NaN here is
-    caught by `solve`'s finiteness test after the attempt."""
-    alpha, beta, xstar = cfg.alpha, cfg.beta, min_norm_solution(obj).item()
-    grad = obj.gradient_float or _float_gradient(obj.gradient)
-
-    def stage(t: float, e: float, z: tuple, h: float, p: tuple) -> tuple:
-        x = z[0] + h * p[0]
-        y = z[1] + h * p[1]
-        g = grad(x)
-        dx = y - beta * g
-        e_t = e / t
-        r = x - xstar
-        return (dx, -(alpha / t) * y - (1.0 - alpha * beta / t) * g - e * x,
-                e_t, e_t * (r * r), dx * dx / t)
-
-    return stage
+def _float_body(s: list, f: list) -> list:
+    """The lifted derivative of a run of dimension 1 as the Python float
+    statements that `integrator._float_source` inlines into each stage
+    (`integrator.Split.body`): they read the stage time t, the schedule
+    value e there and the stage state's x = s[0] and y = s[1], no other
+    component, call the float gradient grad once and assign the five
+    components of the derivative to the names f. alpha, beta and xstar are
+    the run's."""
+    return [f"x, y = {s[0]}, {s[1]}",
+            "g = grad(x)",
+            f"a, b = {', '.join(_COEFFICIENTS)}",
+            f"{f[0]}, {f[1]} = {', '.join(_MOTION)}",
+            "r = x - xstar",
+            f"rr, vv = r * r, {f[0]} * {f[0]}",
+            f"{', '.join(f[2:])} = {', '.join(_INTEGRANDS)}"]
 
 
 def _float_gradient(gradient):
@@ -250,12 +262,11 @@ def _float_gradient(gradient):
 
 def _lifted(d: int, grad):
     """The lifted motion as motion(a, b, e, beta, z, out), which writes
-    x' = y - beta g and y' = a y - b g - e x, with g = grad(x), into
-    out[..., :2d]; a = -(alpha/t), b = 1 - alpha beta/t and the schedule
-    value e are the time-only coefficients. For one run they and beta are
-    floats and z is one state; for lanes they are (lanes, 1) columns, z
-    holds the lanes' states as rows and grad maps rows of x to rows of
-    gradients.
+    x' and y' (`_MOTION`), with g = grad(x), into out[..., :2d]; the
+    coefficients a and b (`_COEFFICIENTS`) and the schedule value e are the
+    time-only ones. For one run they and beta are floats and z is one
+    state; for lanes they are (lanes, 1) columns, z holds the lanes' states
+    as rows and grad maps rows of x to rows of gradients.
 
     Both read x and y as the views z[..., :d] and z[..., d:2d]. The
     gradient is read as float64 on both, as the lanes' float64 columns
@@ -268,8 +279,7 @@ def _lifted(d: int, grad):
     def motion(a, b, e, beta, z: np.ndarray, out: np.ndarray) -> None:
         x, y = z[xs], z[ys]
         g = grad(x).astype(float, copy=False)
-        np.subtract(y, beta * g, out=out[xs])
-        out[ys] = a * y - b * g - e * x
+        out[xs], out[ys] = _motion(a, b, e, beta, x, y, g)
 
     return motion
 
@@ -284,15 +294,13 @@ def _field(obj: ObjectiveSpec, s: TikhonovSchedule, cfg: DynamicsConfig, motion)
 
 def _quadrature(d: int, xstar: np.ndarray):
     """quadrature(T, E, Z, K): the running integrands eps/t, (eps/t)|x - x*|^2
-    and |x'|^2/t written into K[..., 2d:], for times T, schedule values E,
+    and |x'|^2/t (`_INTEGRANDS`) written into K[..., 2d:], for times T, schedule values E,
     states Z and derivatives K, on one row or on rows of any shape; x' is
     K[..., :d] in both formulations."""
 
     def quadrature(T, E, Z: np.ndarray, K: np.ndarray) -> None:
-        e_t = E / T
-        K[..., 2 * d] = e_t
-        K[..., 2 * d + 1] = e_t * _row_dots(Z[..., :d] - xstar)
-        K[..., 2 * d + 2] = _row_dots(K[..., :d]) / T
+        rr, vv = _row_dots(Z[..., :d] - xstar), _row_dots(K[..., :d])
+        K[..., 2 * d], K[..., 2 * d + 1], K[..., 2 * d + 2] = _integrands(T, E, rr, vv)
 
     return quadrature
 
@@ -448,12 +456,10 @@ def integrate_lanes(
         chosen = [run_fields[i].coefficients for i in lanes.tolist()]
         # alphas[lanes][:, None]: a 1-d take is 2x faster than one on a column
         alpha, beta = alphas[lanes][:, None], betas[lanes][:, None]
-        alpha_beta = alpha * beta
 
         def at(T: np.ndarray):
             E = np.array([ev(row) for ev, row in zip(chosen, T)])
-            Tc = T.T[..., None]
-            columns = zip(-(alpha / Tc), 1.0 - alpha_beta / Tc, E.T[..., None])
+            columns = zip(*_coefficients(alpha, beta, T.T[..., None]), E.T[..., None])
             return E, [(a, b, e, beta) for a, b, e in columns]
 
         return at

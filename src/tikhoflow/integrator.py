@@ -19,13 +19,15 @@ one-dimensional run, goes further: `_generated_attempt` steps each attempt
 in straight-line Python floats, generated from the table at its first use
 and compiled once per table. Its weight products, z_new and the error
 estimate are left-to-right float sums over the table's nonzero weights, so
-such a run calls no BLAS and its bits do not depend on the BLAS kernel. A
-`Split` with a float ``stage`` is called with floats, its schedule once on
-all stage times; any other right-hand side, a plain callable or a `Split`
-without a stage, is called whole on a buffer that holds the stage state,
-with the same bits, and evaluates its schedule itself, once per stage.
-Every other state steps with numpy
-(`_attempt`), its weight products BLAS gemv calls (ndarray.dot).
+such a run calls no BLAS and its bits do not depend on the BLAS kernel.
+Each stage's derivative is a body of float statements inlined into that
+stage (`_float_source`), so a stage calls only what its body calls. A
+`Split` may carry its derivative as such a body (``body``), its schedule
+then evaluated once on all stage times; the body of any other right-hand
+side, a plain callable or a `Split` without one, calls it whole on a buffer
+that holds the stage state, with the same bits, and it evaluates its
+schedule itself, once per stage (`_whole`). Every other state steps with
+numpy (`_attempt`), its weight products BLAS gemv calls (ndarray.dot).
 `dynamics` checks the schedule domain once per run before calling `solve`;
 the public `TikhonovSchedule.eps` still checks on every call.
 
@@ -157,17 +159,20 @@ class Split(NamedTuple):
     so, in `solve` and for each lane of `solve_lanes`; a lanes `Split` is
     only stepped, never called whole.
 
-    ``stage(t, e, z, h, p)``, if given, returns that whole derivative, with
-    the same bits, as a sequence of Python floats, at the stage state
-    z + h p of the tuples of floats z and p, h a float; it need form only
-    the components of z + h p that the derivative reads. `solve` calls it
-    on states of 5 components (`_generated_attempt`).
+    ``body``, if given, is (source, names): that whole derivative, with the
+    same bits, as Python float statements that `solve` inlines into each
+    stage of its attempt on states of 5 components (`_float_source`).
+    source(s, f) returns the statements, one per line. They read the stage
+    time t, the coefficient e there and the stage state's components s[j],
+    expressions of which only those they read are evaluated, and assign
+    component j of the derivative to the name f[j]; names binds every other
+    name they read.
     """
 
     coefficients: Callable
     motion: Callable
     quadrature: Callable
-    stage: Optional[Callable] = None
+    body: Optional[tuple] = None
 
     def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
         e = float(self.coefficients(t))
@@ -256,17 +261,19 @@ def _attempt(rhs, m: int, rel_tol: float, abs_tol: float):
     return attempt
 
 
-def _float_source(C: tuple, A: tuple, E: tuple, m: int) -> str:
-    """The source of make(coefficients, stage, rel_tol, abs_tol), which
+def _float_source(C: tuple, A: tuple, E: tuple, m: int, body: Callable, names: tuple) -> str:
+    """The source of make(coefficients, rel_tol, abs_tol, *names), which
     returns the attempt of the table C, A, E on states of m components in
-    straight-line Python floats (`_generated_attempt`). T holds the stage
-    times, stage row k the floats k{k}_0 .. k{k}_{m-1}, and each weight
-    product p is a left-to-right sum over the table's nonzero weights. The
-    finiteness test is one sum: the error norm is finite only if z_new and
-    every row that E weights are, so z_new and the rows that E drops join
-    it, and the new rows and z_new are tested one by one only when that sum
-    is not finite. K[0] is finite when an attempt starts (`_Lane.start`
-    tests it, and each accepted attempt its last row)."""
+    straight-line Python floats (`_generated_attempt`), with each stage's
+    derivative inlined from body (`Split.body`). T holds the stage times,
+    stage row k the floats k{k}_0 .. k{k}_{m-1}, and each weight product is
+    a left-to-right sum over the table's nonzero weights, formed only for
+    the components that body reads, or for all of z_new at the last stage.
+    The finiteness test is one sum: the error norm is finite only if z_new
+    and every row that E weights are, so z_new and the rows that E drops
+    join it, and the new rows and z_new are tested one by one only when
+    that sum is not finite. K[0] is finite when an attempt starts
+    (`_Lane.start` tests it, and each accepted attempt its last row)."""
     def dot(w, j):
         return " + ".join(f"{a!r} * k{i}_{j}" for i, a in enumerate(w) if a) or "0.0"
 
@@ -275,19 +282,23 @@ def _float_source(C: tuple, A: tuple, E: tuple, m: int) -> str:
 
     n, cols = len(A), range(m)
     K = [[f"k{k}_{j}" for j in cols] for k in range(n + 1)]
-    z, z_new, p = ([f"{v}{j}" for j in cols] for v in "znp")
+    z, z_new = ([f"{v}{j}" for j in cols] for v in "zn")
     dropped = [v for k in range(1, n + 1) if not E[k] for v in K[k]]
-    lines = ["def make(coefficients, stage, rel_tol, abs_tol):",
-             "    def attempt(t, z, f, h, t_new):",
+    lines = [f"def make(coefficients, rel_tol, abs_tol, {', '.join(names)}):",
+             "    def attempt(t0, z, f, h, t_new):",
              f"        {tup(z)} = z",
              f"        {tup(K[0])} = f",
-             f"        T = ({''.join(f't + {c!r} * h, ' for c in C)}t_new)",
+             f"        T = ({''.join(f't0 + {c!r} * h, ' for c in C)}t_new)",
              f"        {tup([f'e{k}' for k in range(n)])} = coefficients(array(T)).tolist()"]
     for k, a in enumerate(A):
-        # the last row is z_new's weights: the last stage evaluates at z_new (FSAL)
-        lines += [f"        p{j} = {dot(a, j)}" for j in cols]
-        lines.append(f"        {tup(K[k + 1])} = stage(T[{k}], e{k}, z, h, {tup(p)})")
-    lines += [f"        n{j} = z{j} + h * p{j}" for j in cols] + ["        try:"]
+        s = [f"z{j} + h * ({dot(a, j)})" for j in cols]  # the stage state
+        if k == n - 1:
+            # the last row is z_new's weights: the last stage evaluates at z_new (FSAL)
+            lines += [f"        {v} = {p}" for v, p in zip(z_new, s)]
+            s = z_new
+        # the stage's time and coefficient, then its derivative
+        lines += [f"        {line}" for line in [f"t, e = T[{k}], e{k}", *body(s, K[k + 1])]]
+    lines.append("        try:")
     for j in cols:
         lines += [f"            a, b = abs(z{j}), abs(n{j})",
                   f"            v{j} = h * ({dot(E, j)}) / (abs_tol + rel_tol * (a if a >= b else b))"]
@@ -304,34 +315,36 @@ def _float_source(C: tuple, A: tuple, E: tuple, m: int) -> str:
 
 
 @functools.cache
-def _compiled(C: tuple, A: tuple, E: tuple, m: int):
-    """The make function of `_float_source`, compiled once per table and m."""
+def _compiled(C: tuple, A: tuple, E: tuple, m: int, body: Callable, names: tuple):
+    """The make function of `_float_source`, compiled once per table, m,
+    body and names."""
     namespace = {"array": np.array, "isfinite": math.isfinite, "sqrt": math.sqrt, "nan": math.nan}
-    exec(compile(_float_source(C, A, E, m), "<float attempt>", "exec"), namespace)
+    exec(compile(_float_source(C, A, E, m, body, names), "<float attempt>", "exec"), namespace)
     return namespace["make"]
+
+
+def _whole(s: list, f: list) -> list:
+    """The body of a right-hand side rhs that has none (`Split.body`), a
+    plain callable or a `Split` without one: rhs evaluates its own
+    coefficients, so it is called whole, rhs(t, buf), on a buffer buf that
+    holds the stage state, and the array it returns, as `_Lane.start`
+    requires, is read back as floats."""
+    return [f"buf[:] = ({', '.join(s)},)", f"({', '.join(f)},) = rhs(t, buf).tolist()"]
 
 
 def _generated_attempt(rhs, m: int, rel_tol: float, abs_tol: float):
     """`_attempt` in Python floats, generated from the table at its first
     use (`_float_source`), for states of m components given as tuples of
     floats: attempt(t, z, f, h, t_new) returns z_new and the FSAL row as
-    tuples. A `Split` with a ``stage`` is called with the stage state's
-    parts as floats, and its schedule once on all stage times. Any other
-    rhs, a plain callable or a `Split` without a ``stage``, evaluates its
-    own coefficients: it is called whole, rhs(t, z1), on a buffer z1 that
-    holds the stage state, once per stage, and its derivative read back as
-    floats."""
-    make = _compiled(tuple(_C.tolist()), tuple(tuple(a.tolist()) for a in _A),
-                     tuple(_E.tolist()), m)
-    if isinstance(rhs, Split) and rhs.stage is not None:
-        return make(rhs.coefficients, rhs.stage, rel_tol, abs_tol)
-    z1 = np.empty(m)
-
-    def stage(t, e, z, h, p):
-        z1[:] = [zj + h * pj for zj, pj in zip(z, p)]
-        return np.asarray(rhs(t, z1), dtype=float).tolist()
-
-    return make(_times, stage, rel_tol, abs_tol)
+    tuples. The derivative is rhs's float body, inlined into each stage,
+    with rhs's schedule evaluated once on all stage times, or, for a plain
+    callable or a `Split` without a body, the call of the whole rhs on a
+    buffer (`_whole`), once per stage."""
+    coefficients, body, names = _times, _whole, {"rhs": rhs, "buf": np.empty(m)}
+    if isinstance(rhs, Split) and rhs.body is not None:
+        coefficients, (body, names) = rhs.coefficients, rhs.body
+    table = tuple(_C.tolist()), tuple(tuple(a.tolist()) for a in _A), tuple(_E.tolist())
+    return _compiled(*table, m, body, tuple(names))(coefficients, rel_tol, abs_tol, **names)
 
 
 class _Lane:

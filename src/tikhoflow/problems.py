@@ -79,8 +79,6 @@ def _as_vector(x, dimension: int, name: str = "x") -> Vector:
         raise ValueError(
             f"{name} has shape {x.shape}, expected vector of dimension {dimension}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
     return x
 
 

@@ -393,14 +393,19 @@ def check_t2eps_growth(s: TikhonovSchedule, alpha: float, beta: float, c: float 
         return _fails(max(s.t0, _root(s.scale / bound, s.gamma - 2.0)) * 2.0,
                       note="t^2*eps decays below any positive threshold")
     if s.kind == "logarithmic":
-        # t^2*eps = t^2/log(offset+t) grows without bound
-        t1 = max(s.t0, 1.0)
+        # t^2*eps = t^2/log(offset+t) grows without bound. It does not
+        # decrease where 2(offset + t) log(offset + t) >= t, a condition that
+        # once met stays met (its left side less t grows for offset + t > 1)
+        # and is met from offset + t >= 3 and t >= -2 offset on
+        t1, start = max(s.t0, 1.0), "max(t0, 1)"
+        if 2.0 * (s.offset + t1) * math.log(s.offset + t1) < t1:
+            t1, start = max(3.0 - s.offset, -2.0 * s.offset), "max(3 - offset, -2 offset)"
         while t1 * t1 < bound * math.log(s.offset + t1):
             t1 *= 2.0
         if t1 * t1 == math.inf:
             return _unknown("t^2*eps reaches the threshold only past the float range")
-        how = "t1 is the first of max(t0, 1) * 2^k with t1^2 >= threshold * log(offset + t1); "
-        return _certify(pred, t1, how=how)
+        how = f"t1 is the first of {start} * 2^k with t1^2 >= threshold * log(offset + t1); "
+        return _certify(pred, t1, "grid check contradicts the doubling search", how=how)
     if not pred(s.grid_t[-1:])[0]:
         return _unknown("below the threshold at the grid end; tail unknown")
     return _unknown("eventual lower bound cannot be certified from a finite grid")

@@ -25,6 +25,7 @@ from tikhoflow import (
     tikhonov_point,
     zero_schedule,
 )
+from tikhoflow.diagnostics import _cg
 
 from helpers import (
     energy_Eb_regrouped,
@@ -137,6 +138,8 @@ def test_energy_Eb_validates_index():
         energy_Eb_series(_cfg(3.0, 1.0), params, traj)
     with pytest.raises(ValueError, match="2 <= b"):
         energy_Eb_series(_cfg(4.0, 1.0), EnergyParams(b=3.5, xstar=np.zeros(1)), traj)
+    with pytest.raises(ValueError, match="defined for alpha >= 3"):
+        energy_Eb_series(_cfg(2.5, 1.0), EnergyParams(b=2.0, xstar=np.zeros(1)), traj)
 
 
 def test_energy_Eb_identity_regrouped_on_run():
@@ -405,6 +408,15 @@ def test_tikhonov_point_whose_value_contradicts_its_gradient_stagnates():
     with pytest.raises(SolverError, match="line search stagnated on the Tikhonov system") as exc:
         tikhonov_point(obj, 0.01)
     assert exc.value.residual == 3.0
+
+
+def test_conjugate_gradients_out_of_iterations_stagnate():
+    # one step on diag(1, 1e6, 1e12) cuts the residual of (1, 1, 1) to about
+    # 1, far above the 100 * 1e-12 of its norm that the last test accepts
+    D = np.array([1.0, 1e6, 1e12])
+    with pytest.raises(SolverError, match="conjugate gradients stagnated") as exc:
+        _cg(lambda v: D * v, np.ones(3), rel_residual=1e-12, max_iter=1)
+    assert exc.value.residual > 0.5
 
 
 def test_tikhonov_curve_approaches_min_norm_solution():

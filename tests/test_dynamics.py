@@ -118,6 +118,19 @@ def test_vector_field_flat_region():
 EDGE = [0.0, -0.0, 5e-324, -2.5e-310, 1.5, -1e308, 1e308, np.inf, -np.inf, np.nan]
 
 
+def _float_stage(rhs):
+    """rhs's float body as stage(t, e, z, h, p): the derivative at the stage
+    state z + h p, from the statements `integrator._float_source` inlines
+    into a stage, with the names they bind."""
+    body, names = rhs.body
+    f = [f"f{j}" for j in range(5)]
+    lines = body([f"z[{j}] + h * p[{j}]" for j in range(5)], f)
+    source = "def stage(t, e, z, h, p):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = dict(names)
+    exec(source + f"    return {', '.join(f)}\n", namespace)
+    return namespace["stage"]
+
+
 def _same_or_both_nan(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
@@ -127,13 +140,14 @@ def _same_or_both_nan(got, want):
 @pytest.mark.parametrize("schedule", [power_schedule(1.5), zero_schedule()], ids=["power", "zero"])
 @pytest.mark.parametrize("alpha,beta,t", [(3.0, 0.0, 2.0), (3.0, 1.0, 2.0), (3.0, 1.0, 3.0), (0.0, 2.5, 1e300)])
 def test_one_run_motion_in_floats_matches_numpy_on_edge_values(schedule, alpha, beta, t):
-    # a d = 1 run steps its attempts with the field's float stage; numpy on
+    # a d = 1 run steps its attempts with the field's float body; numpy on
     # 1-vectors must give the same bytes for signed zeros, subnormals,
     # products that overflow to inf, and inf/NaN states (NaN compared by
     # position), in the motion and in the integrands
     obj = builtin("shifted_quadratic", c=np.zeros(1))
     cfg = cfg1d(alpha=alpha, beta=beta, horizon=1e300)
     rhs = vector_field(obj, schedule, cfg)
+    stage = _float_stage(rhs)
     e = float(schedule.eps(t))
     a, b = -(alpha / t), 1.0 - alpha * beta / t
     for x0 in EDGE:
@@ -148,7 +162,7 @@ def test_one_run_motion_in_floats_matches_numpy_on_edge_values(schedule, alpha, 
             # the float operations raise no numpy floating-point condition;
             # -0.0 + 1.0 * z is z, signed zeros included
             with np.errstate(all="raise"):
-                got = np.array(rhs.stage(t, e, [-0.0] * 5, 1.0, z.tolist()))
+                got = np.array(stage(t, e, [-0.0] * 5, 1.0, z.tolist()))
             _same_or_both_nan(got, whole)
 
 
@@ -481,7 +495,7 @@ def test_objective_without_float_gradient_steps_through_its_array_gradient():
     )
     assert obj.gradient_float is None
     s, cfg = power_schedule(1.5), cfg1d(horizon=40.0, sample_count=60)
-    assert vector_field(obj, s, cfg).stage is not None
+    assert vector_field(obj, s, cfg).body is not None
     traj = integrate(obj, s, cfg)
     # one point: the initial lift, every right-hand side evaluation and one
     # call per sample to finish

@@ -1,10 +1,13 @@
 """A run of dimension 1 steps each attempt in straight-line Python floats
 generated from the table (`integrator._generated_attempt`), whatever form
-its right-hand side takes: a `Split` with a float ``stage``, a `Split`
+its right-hand side takes: a `Split` with a float ``body``, a `Split`
 without one and a plain callable must give the same bytes, and those of the
 frozen reference, whose weight products at d = 1 are left-to-right sums,
 failures included. Every other run and each lane step with numpy.
 """
+import ast
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,13 +26,17 @@ from tikhoflow import (
 )
 from tikhoflow import integrator
 from tikhoflow.schedules import TikhonovSchedule
-from tikhoflow.dynamics import _drive, _lifted_z0, vector_field
+from tikhoflow.dynamics import _drive, _float_body, _lifted_z0, vector_field
 from tikhoflow.integrator import solve
 from tikhoflow.problems import ObjectiveSpec
 
 from helpers import reference_integrate, reference_solve
 
 FIELDS = ("t", "x", "v", "y", "eps", "gap", "grad_norm", "int_eps_over_t", "int_erg_num", "int_vel")
+# the float body of the lifted field and the names it binds (`Split.body`)
+_LIFTED_BODY = (_float_body, ("grad", "alpha", "beta", "xstar"))
+# Bogacki-Shampine 3(2) as C, A and E, a table of three stages
+_BS23 = ((1 / 2, 3 / 4), ((1 / 2,), (0.0, 3 / 4), (2 / 9, 1 / 3, 4 / 9)), (-5 / 72, 1 / 12, 1 / 9, -1 / 8))
 
 
 def _outcome(fn, *args):
@@ -108,10 +115,10 @@ def test_one_dimensional_run_equals_the_reference(run):
 
 
 def _rhs_forms(obj, s, cfg):
-    """The lifted right-hand side as a `Split` with a stage, as one
+    """The lifted right-hand side as a `Split` with a float body, as one
     without, and as a plain callable, as a traced run hands it to `solve`."""
     rhs = vector_field(obj, s, cfg)
-    return {"stage": rhs, "split": rhs._replace(stage=None), "plain": lambda t, z: rhs(t, z)}
+    return {"body": rhs, "split": rhs._replace(body=None), "plain": lambda t, z: rhs(t, z)}
 
 
 _FORM_RUNS = {
@@ -186,9 +193,8 @@ def test_table_is_the_whole_method_on_the_float_path(monkeypatch):
     ))
     monkeypatch.setattr(integrator, "_E", np.array([-5 / 72, 1 / 12, 1 / 9, -1 / 8]))
     monkeypatch.setattr(integrator, "_ERR_EXP", 1 / 3)
-    source = integrator._float_source((1 / 2, 3 / 4), ((1 / 2,), (0.0, 3 / 4), (2 / 9, 1 / 3, 4 / 9)),
-                                      (-5 / 72, 1 / 12, 1 / 9, -1 / 8), 5)
-    assert source.count("= stage(") == 3 and "0.0 *" not in source
+    source = integrator._float_source(*_BS23, 5, *_LIFTED_BODY)
+    assert source.count("= grad(") == 3 and "0.0 *" not in source
     built = _float_attempts(monkeypatch)
     traj = integrate(obj, s, cfg)
     assert len(built) == 1
@@ -205,6 +211,23 @@ def test_table_is_the_whole_method_on_the_float_path(monkeypatch):
     monkeypatch.setattr("tikhoflow.dynamics.solve", plain_solve)
     _assert_same_run(integrate(obj, s, cfg), traj)
     assert len(built) == 2
+
+
+def _calls(C: tuple, A: tuple, E: tuple) -> Counter:
+    source = integrator._float_source(C, A, E, 5, *_LIFTED_BODY)
+    return Counter(ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call))
+
+
+def test_lifted_float_attempt_calls_nothing_per_stage_but_the_gradient():
+    # the lifted derivative is inlined into each stage, so the gradient is
+    # the one call that the six stages of DP5 make twice as often as the
+    # three of Bogacki-Shampine; every other call is made once per attempt
+    dp5 = _calls(tuple(integrator._C.tolist()), tuple(tuple(a.tolist()) for a in integrator._A),
+                 tuple(integrator._E.tolist()))
+    bs23 = _calls(*_BS23)
+    assert (dp5.pop("grad"), bs23.pop("grad")) == (6, 3)
+    assert dp5 == bs23
 
 
 @pytest.mark.parametrize("run, c, floats", [

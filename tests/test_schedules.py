@@ -348,6 +348,20 @@ def test_t2eps_growth_of_logarithmic_holds_from_where_t2eps_reaches_the_threshol
     assert v.note.startswith("t1 is the first of max(t0, 1) * 2^k") and v.note.endswith(_CLOSED_FORM_NOTE)
 
 
+@pytest.mark.parametrize("offset, t0, alpha", [(0.1, 1.0, 6.47), (-0.5, 2.0, 8.2082), (-0.9, 2.0, 11.1047)])
+def test_t2eps_growth_of_logarithmic_holds_where_the_ratio_first_falls(offset, t0, alpha):
+    # t^2/log(offset + t) falls from max(t0, 1) before it grows without
+    # bound (at offset 0.1 from 10.5 at t = 1 to 4.79 near 1.5, below the
+    # threshold 4.99): the doubling starts past its minimum, so t^2*eps
+    # stays above the threshold from t1 on
+    s = logarithmic_schedule(offset=offset, t0=t0)
+    v = check_t2eps_growth(s, alpha=alpha, beta=0.0)
+    assert v.status == "holds" and v.t1 >= max(3.0 - offset, -2.0 * offset)
+    ts = np.geomspace(v.t1, 1e6, 2000)
+    assert np.all(ts * ts * s.eps(ts) >= t2eps_threshold(alpha, 0.0, 1.0))
+    assert v.note.startswith("t1 is the first of max(3 - offset, -2 offset) * 2^k")
+
+
 def test_t2eps_growth_of_logarithmic_past_the_float_range_is_unknown():
     # at alpha = 1e160 the threshold itself overflows to inf
     v = check_t2eps_growth(logarithmic_schedule(), alpha=1e160, beta=1.0)
