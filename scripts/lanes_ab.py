@@ -16,17 +16,17 @@ as lanes:
 
 Each pair times both sides once, in alternating order: the lanes
 (``list(integrate_lanes(obj, runs))``) and the runs one by one, each
-through `dynamics._solved` and finished as `integrate_lanes` finishes it.
+through `integrate`, its failure caught.
 Both sides finish every trajectory. Each pair also checks that the two
 sides give the same bytes: every trajectory column, the counters and, for a
 failed run, the error. The output is one line per input: the median and
 quartiles of each side in seconds, the run-by-run median over the lanes'
 median, and the pairs in which the lanes were faster. lsq2_sweep takes 7
-pairs, quad3_sweep 21, since one busy minute of a shared host can move the
-median of its 0.35-s lanes by half over 7 pairs, and the d = 60 compare 4:
-3.7 minutes in all on one core of a busy 2-CPU x86-64 host, on which the
-runs one by one took 1.5 times as long as on a quiet one. It stops with a
-message if the two sides differ.
+pairs, quad3_sweep 21 and the d = 60 compare 12, since one busy minute of
+a shared host can move the median of a short side by half over 4 to 7
+pairs: 4.0 minutes in all on one core of a busy 2-CPU x86-64 host, on which
+the runs one by one took 1.5 times as long as on a quiet one. It stops with
+a message if the two sides differ.
 
 It imports whichever `tikhoflow` comes first on the path, so running it
 with PYTHONPATH at another checkout's ``src`` times that checkout. It then
@@ -36,7 +36,7 @@ tree, and each pair also times this checkout's lanes on its input, the
 three sides in alternating order. It stops if the two trees' lanes differ
 in a single byte, and prints a second table: each tree's lanes median
 [q1, q3] and the pairs in which this checkout's lanes were faster. That
-mode takes about a quarter as long again (4.6 minutes on the same host).
+mode takes about a fifth as long again (4.7 minutes on the same host).
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def _inputs(tf) -> dict:
         "lsq60_compare": (tf.builtin("least_squares", A=A, b=b),
                           [(tf.zero_schedule(), cfg), (tf.power_schedule(1.5), cfg),
                            (tf.power_schedule(2.5), cfg)],
-                          4),
+                          12),
     }
 
 
@@ -100,11 +100,12 @@ def _lanes(tf, obj, runs) -> list:
 
 
 def _one_by_one(obj, runs) -> list:
-    ts = dynamics.sample_times(runs[0][1])
     outcomes = []
     for s, c in runs:
-        result = dynamics._solved(dynamics.vector_field(obj, s, c), dynamics._lifted_z0(obj, c), ts, c)
-        outcomes.append(dynamics._outcome(obj, s, c, ts, result, "lifted"))
+        try:
+            outcomes.append(dynamics.integrate(obj, s, c))
+        except dynamics.IntegrationError as exc:
+            outcomes.append(exc)
     return outcomes
 
 

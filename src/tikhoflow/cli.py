@@ -4,10 +4,13 @@ Verbs: ``run`` (single experiment), ``compare`` (zero schedule against a list
 of power-law decays, shared dynamics), ``sweep`` (Cartesian grid over alpha,
 beta, gamma), ``check-schedule`` (hypothesis verdicts only, no integration).
 ``compare`` and ``sweep`` step their runs (cells) as lanes of one integration
-loop (`dynamics.integrate_lanes`); each cell's artifacts are byte-identical to
-``run`` on its manifest. Memory grows as cells x samples x (2d+3) floats for
-the samples of all cells, plus samples x (d+3) floats for each of the at most
-two finished cells in hand.
+loop (`dynamics.integrate_lanes`) when two or more cells of dimension 2 or
+more share it. A cell that shares no lanes, of dimension 1 or alone, is a
+``run``: it is integrated through `integrate` when its turn comes. Each
+cell's artifacts are byte-identical to ``run`` on its manifest. Memory for
+lanes grows as cells x samples x (2d+3) floats for the samples of all cells,
+plus samples x (d+3) floats for each of the at most two finished cells in
+hand.
 
 Each run writes three artifacts into <out>/<label>/, in this order and all
 through `run_experiment`: ``manifest.json`` holding the fully resolved flat
@@ -285,13 +288,15 @@ def _variant(exp: ExperimentConfig, label: str, overrides: dict) -> ExperimentCo
 def _write_cells(
     exp: ExperimentConfig, variants: Sequence[tuple[str, dict]], name: str, header: list, row
 ) -> Path:
-    """Resolve the cells of ``compare``/``sweep``, integrate them as lanes of
-    one loop and write each in order through `run_experiment`; then write
-    the summary file <out>/<exp label>/<name>, with the row
-    ``row(cell, _summary_block(trajectory))`` for each cell.
-    The artifacts and the order of failure are those of running the cells
-    one after another: a config or integration error at a cell leaves every
-    earlier cell complete, no later one started and no summary written."""
+    """Resolve the cells of ``compare``/``sweep``, integrate the cells that
+    share lanes as lanes of one loop (`integrate_lanes`) and write each cell
+    in order through `run_experiment`, which integrates a cell that shares no
+    lanes as ``run`` does, when its turn comes; then write the summary file
+    <out>/<exp label>/<name>, with the row
+    ``row(cell, _summary_block(trajectory))`` for each cell. The artifacts
+    and the order of failure are those of running the cells one after
+    another: a config or integration error at a cell leaves every earlier
+    cell complete, no later one started and no summary written."""
     cells, error = [], None
     try:
         for label, overrides in variants:

@@ -25,8 +25,9 @@ float attempt, so that a stage calls nothing but the objective's float
 gradient: on 1-element arrays numpy's per-call cost, not the arithmetic,
 sets the price. Its weight products are left-to-right float sums, not BLAS
 gemv calls, so a run of dimension 1 does not depend on the BLAS kernel.
-The lanes serve two or more runs of dimension 2 or more: `integrate_lanes`
-steps any other run on its own, as `integrate` steps it. The lanes bind
+The lanes serve two or more runs of dimension 2 or more, and only them:
+`integrate_lanes` leaves any other run to `integrate`, so a run that
+shares no lanes is stepped as `run` steps it. The lanes bind
 their columns of alpha and beta and their schedule evaluators once per live
 set (`integrator.Split`), not once per attempt. Each lane starts, its
 first derivative and initial step, with its run's own `vector_field`, as
@@ -37,16 +38,17 @@ exactly it; `integrate_lanes` integrates several runs of it that differ
 only in alpha, beta and the schedule, as lanes of one loop, each
 byte-identical to `integrate`; `integrate_direct` integrates the original
 second-order system in (x, x') via Hessian-vector products and serves as a
-cross-validation oracle. Both formulations are stepped by `_drive`, and every run, alone or
-as a lane, is finished by `_outcome`, which reads the gradient and the
-objective value of all samples as float64 through `gradient_rows` and
-`value_rows` (one call each when the objective maps rows). Running
-integrals needed by the ergodic diagnostics are accumulated as extra state
-components, not by post-hoc quadrature. Each formulation supplies only its
-motion, the derivative of (x, y) or (x, x'); with the schedule and the
-integrands on arrays (`_quadrature`) it makes the right-hand
-side, an `integrator.Split` (`_field`), whose schedule and integrands
-`solve` evaluates once per step attempt for all its stages.
+cross-validation oracle. Both formulations are stepped by `_drive`, through
+`solve`, and every run, alone or as a lane, is finished by `_outcome`,
+which reads the gradient and the objective value of all samples as
+float64 through `gradient_rows` and `value_rows` (one call each when the
+objective maps rows). Running integrals needed by the ergodic diagnostics
+are accumulated as extra state components, not by post-hoc quadrature.
+Each formulation supplies only its motion, the derivative of (x, y) or
+(x, x'); with the schedule and the integrands on arrays (`_quadrature`) it
+makes the right-hand side, an `integrator.Split` (`_field`), whose
+schedule and integrands `solve` evaluates once per step attempt for all
+its stages.
 """
 from __future__ import annotations
 
@@ -348,24 +350,17 @@ def _drive(
     z0: np.ndarray,
     formulation: str,
 ) -> Trajectory:
-    """Step rhs from z0 over the sample grid and return its `_outcome`,
-    raising it if it is an IntegrationError."""
+    """Step rhs from z0 over the sample grid with `solve` and return its
+    `_outcome`, raising it if it is an IntegrationError. A state that
+    overflows or turns NaN is diagnosed by `solve`, so numpy's overflow and
+    invalid warnings are off while it steps."""
     ts = sample_times(cfg)
-    outcome = _outcome(obj, s, cfg, ts, _solved(rhs, z0, ts, cfg), formulation)
-    if isinstance(outcome, IntegrationError):
-        raise outcome
-    return outcome
-
-
-def _solved(rhs, z0: np.ndarray, ts: np.ndarray, cfg: DynamicsConfig):
-    """What `solve` returns for rhs from z0 over ts, or the IntegrationError
-    it raises. A state that overflows or turns NaN is diagnosed by `solve`,
-    so numpy's overflow and invalid warnings are off while it steps."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
+            result = solve(rhs, z0, ts, cfg.rel_tol, cfg.abs_tol)
     except IntegrationError as exc:
-        return exc
+        raise _outcome(obj, s, cfg, ts, exc, formulation)
+    return _outcome(obj, s, cfg, ts, result, formulation)
 
 
 def _outcome(
@@ -417,33 +412,32 @@ def integrate_lanes(
 ) -> Iterator:
     """`integrate` for several runs, stepped together as lanes of `solve_lanes`.
 
-    The runs share the objective and every DynamicsConfig field but alpha
-    and beta; each has its own schedule. They step as lanes only when there
-    are two or more of dimension 2 or more. Otherwise each steps alone
-    through `solve`: a run of dimension 1 in its float attempt, which costs
-    less than a lane's array work, and a lone run because lanes of one share
-    nothing. Each lane starts with its run's `vector_field`, the right-hand
-    side `integrate` steps. All runs are integrated before this returns; the
-    result then yields, for each run in order, what `integrate` gives that
-    run alone, byte for byte: its Trajectory, or the
-    IntegrationError it raises, with ``partial`` attached. A failed run does
-    not stop the others. Memory: the samples of all runs, lanes x samples x
-    (2d+3) floats, are held at once; each Trajectory is finished only when
-    it is drawn, so a caller that drops it holds no more than that.
+    The runs share the objective; each has its own schedule. They step as
+    lanes only when there are two or more of dimension 2 or more, and then
+    must share every DynamicsConfig field but alpha and beta. Any other
+    batch is not stepped here: the result yields None for each of its runs,
+    which its caller integrates with `integrate`, as `run` does. A run of
+    dimension 1 steps cheaper in its float attempt than as a lane's array
+    work, and a lone run shares nothing. Each lane starts with its run's
+    `vector_field`, the right-hand side `integrate` steps. All lanes are
+    integrated before this returns; the result then yields, for each run in
+    order, what `integrate` gives that run alone, byte for byte: its
+    Trajectory, or the IntegrationError it raises, with ``partial``
+    attached. A failed lane does not stop the others. Memory: the samples
+    of all lanes, lanes x samples x (2d+3) floats, are held at once; each
+    Trajectory is finished only when it is drawn, so a caller that drops it
+    holds no more than that.
     """
     if not runs:
         raise ValueError("integrate_lanes needs at least one run; the run list is empty")
+    if obj.dimension == 1 or len(runs) == 1:
+        return (None for _ in runs)
     cfg = runs[0][1]
     shared = [f.name for f in fields(DynamicsConfig) if f.name not in ("alpha", "beta")]
     if not all(np.array_equal(getattr(c, k), getattr(cfg, k)) for _, c in runs for k in shared):
         raise ValueError("lanes must share every dynamics setting but alpha and beta")
     d, ts = obj.dimension, sample_times(cfg)
     run_fields = [vector_field(obj, s, c) for s, c in runs]
-    if d == 1 or len(runs) == 1:
-        # a run of dimension 1 steps in floats (`integrator.solve`), and a
-        # lone run shares no array work: each steps alone, as `integrate`
-        results = [_solved(f, _lifted_z0(obj, c), ts, c) for f, (_, c) in zip(run_fields, runs)]
-        return (_outcome(obj, s, c, ts, res, "lifted") for (s, c), res in zip(runs, results))
     # the lanes start each run with its right-hand side, and step its
     # stages with that side's schedule evaluator
     alphas = np.array([c.alpha for _, c in runs])

@@ -47,7 +47,7 @@ quadratures (`_split`), called once per stage.
 
 `solve_lanes` spreads that overhead over many runs (lanes) on one sample
 grid, as `compare` and `sweep` use it for two or more runs of dimension 2
-or more (`dynamics.integrate_lanes` steps any other run through `solve`): each
+or more (any other run is a `dynamics.integrate`, stepped by `solve`): each
 attempt does its elementwise work and weight products for all active lanes
 at once, and its `Split` gathers the per-lane coefficients of all stages in
 one call, so that each stage makes one motion call for all lanes. The stage

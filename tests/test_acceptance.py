@@ -63,14 +63,16 @@ def run_lanes(problem, cells, horizon):
     """Cache the `run` of each (alpha, beta, sched_key) cell of one problem at
     the default tolerances, integrated together as lanes of one
     `integrate_lanes` call; each lane is byte for byte what `integrate` gives
-    that run alone (tests/test_lanes.py)."""
+    that run alone (tests/test_lanes.py). A cell that shares no lanes
+    (d = 1) is left to `run`, which integrates it when it is read."""
     cells = [c for c in cells if (problem, *c, horizon, 1e-9) not in _RUNS]
     obj = _problem(problem)[0]
     runs = [(_schedule(sched), _config(problem, a, b, horizon)) for a, b, sched in cells]
     for cell, (s, cfg), traj in zip(cells, runs, integrate_lanes(obj, runs) if runs else ()):
         if isinstance(traj, tf.IntegrationError):
             raise traj
-        _RUNS[(problem, *cell, horizon, 1e-9)] = (obj, s, cfg, traj)
+        if traj is not None:
+            _RUNS[(problem, *cell, horizon, 1e-9)] = (obj, s, cfg, traj)
 
 
 def _report(num: int, name: str, passed: bool, detail: str = ""):
@@ -88,7 +90,7 @@ def test_criterion_01_energy_dissipation():
         for sched in (("zero",), ("power", 1.5), ("power", 2.5))
     ]
     for problem in ("paper1d", "shifted_quadratic", "least_squares"):
-        run_lanes(problem, cells, 300.0)  # 18 lanes per problem
+        run_lanes(problem, cells, 300.0)  # 18 lanes per problem of d >= 2
         for alpha, beta, sched in cells:
             obj, s, cfg, traj = run(problem, alpha, beta, sched, 300.0)
             W = tf.energy_W_series(obj, traj)

@@ -410,6 +410,53 @@ def test_tikhonov_point_whose_value_contradicts_its_gradient_stagnates():
     assert exc.value.residual == 3.0
 
 
+def test_tikhonov_point_whose_line_search_stagnates_within_the_accept_bound_returns():
+    # the same contradiction with the gradient x - 1e-11 at eps 1: no halving
+    # meets the Armijo test, but the residual 1e-11 at the origin already
+    # lies within the accept bound 1e-10, so the origin is returned
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: float(10.0 * x[0]),
+        gradient=lambda x: x - 1e-11,
+        hessian_vec=lambda x, v: v,
+        min_value=-math.inf,
+    )
+    assert tikhonov_point(obj, 1.0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("k, converges", [(8.0, True), (20.0, False)])
+def test_tikhonov_point_with_an_overstated_hessian_ends_on_its_iteration_budget(k, converges):
+    # the gradient x - 2 at eps 1 has the root x = 1 of 2x - 2, but a
+    # Hessian stated as k v makes each full Newton step cut the residual
+    # only by (k - 1)/(k + 1): after 100 steps it reads 2 (7/9)^100 = 2.4e-11
+    # at k = 8, inside the accept bound 1e-10 (1 + |x|) but not below the
+    # target 1e-12 (1 + |x|) one step before, and 2 (19/21)^100 = 9e-5 at
+    # k = 20, outside it. The value -2x makes the merit fall by about the
+    # step along each step, so every full step passes the Armijo test; the
+    # quadratic fall of (x - 2)^2 / 2 would sink below rounding near x = 1.
+    obj = ObjectiveSpec(
+        dimension=1,
+        value=lambda x: -2.0 * float(x[0]),
+        gradient=lambda x: x - 2.0,
+        hessian_vec=lambda x, v: k * v,
+        min_value=-math.inf,
+    )
+    if converges:
+        assert abs(tikhonov_point(obj, 1.0)[0] - 1.0) <= 1e-10
+        return
+    with pytest.raises(SolverError, match="Newton iteration did not reach the target residual") as exc:
+        tikhonov_point(obj, 1.0)
+    assert exc.value.residual == pytest.approx(2.0 * (19.0 / 21.0) ** 100, rel=1e-9)
+
+
+def test_conjugate_gradients_out_of_iterations_within_100x_the_target_return():
+    # one step on diag(1, 4) from b = (1, 1) goes to x = 0.4 b and leaves the
+    # residual (0.6, -0.6), 0.6 |b|: above the 0.01 |b| asked for, but within
+    # the 100x that the last test accepts
+    x = _cg(lambda v: np.array([1.0, 4.0]) * v, np.ones(2), rel_residual=0.01, max_iter=1)
+    assert x.tolist() == pytest.approx([0.4, 0.4], rel=1e-15)
+
+
 def test_conjugate_gradients_out_of_iterations_stagnate():
     # one step on diag(1, 1e6, 1e12) cuts the residual of (1, 1, 1) to about
     # 1, far above the 100 * 1e-12 of its norm that the last test accepts

@@ -504,10 +504,11 @@ def test_objective_without_float_gradient_steps_through_its_array_gradient():
 
 
 def _start_failures(obj, u0: float, schedules, monkeypatch) -> list:
-    """The failures that `integrate_lanes` gives runs of obj from u0 under
-    schedules, each checked against what `integrate` raises for that run
-    alone; the runs must step as lanes exactly when obj has dimension 2 or
-    more."""
+    """The failures that runs of obj from u0 under schedules get in
+    `compare` or `sweep`: as lanes of `integrate_lanes` when obj has
+    dimension 2 or more, each checked against what `integrate` raises for
+    that run alone, and otherwise what `integrate` raises, since
+    `integrate_lanes` then yields None for each run."""
     calls = []
 
     def counted(*args):
@@ -520,16 +521,22 @@ def _start_failures(obj, u0: float, schedules, monkeypatch) -> list:
     runs = [(s, cfg) for s in schedules]
     lanes = list(integrate_lanes(obj, runs))
     assert len(calls) == (1 if d >= 2 else 0)
+    failures = []
     for (s, c), lane in zip(runs, lanes):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as err:
                 integrate(obj, s, c)
         run = err.value
+        if d == 1:
+            assert lane is None
+            failures.append(run)
+            continue
         assert isinstance(lane, IntegrationError)
         assert (str(lane), lane.t, lane.stats) == (str(run), run.t, run.stats)
         assert lane.rows.tobytes() == run.rows.tobytes()
         assert lane.state.tobytes() == run.state.tobytes()
-    return lanes
+        failures.append(lane)
+    return failures
 
 
 NORM_OVERFLOWS = ("initial step size underflow: the scaled norm of the initial derivative "

@@ -2,13 +2,14 @@
 
 `solve_lanes` steps many runs in one loop; every lane must get exactly the
 bits, counters and failures that `solve` gives the same run alone. Only two
-or more runs of dimension 2 or more take the lanes: `integrate_lanes` steps
-a run of dimension 1 (in floats) or a lone run on its own, so the lane
-mechanics are tested on two or more runs of d = 2 objectives; the d = 1
-cases check the run-by-run route. The helper that compares lanes with
-`integrate` also checks that exactly such batches reached `solve_lanes`.
-The CLI tests check that `compare` and `sweep` still write what `run`
-writes for each cell and fail as a sequential loop of cells does.
+or more runs of dimension 2 or more take the lanes: for any other batch, of
+dimension 1 or a lone run, `integrate_lanes` yields None for each run and
+leaves it to `integrate`, so the lane mechanics are tested on two or more
+runs of d = 2 objectives. The helper that compares lanes with `integrate`
+also checks that exactly such batches reached `solve_lanes`. The CLI tests
+check that `compare` and `sweep` still write what `run` writes for each
+cell, integrate each cell that shares no lanes as `run` does, and fail as a
+sequential loop of cells does.
 """
 import dataclasses
 import json
@@ -80,7 +81,8 @@ def _assert_same_trajectory(got, ref):
 
 
 def _assert_lanes_match_integrate(obj, runs):
-    # and `solve_lanes` ran exactly for two or more runs of dimension 2 or more
+    # and `solve_lanes` ran exactly for two or more runs of dimension 2 or
+    # more; any other batch yields None for each run, left to `integrate`
     calls = []
 
     def counted(*args):
@@ -90,7 +92,11 @@ def _assert_lanes_match_integrate(obj, runs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("tikhoflow.dynamics.solve_lanes", counted)
         lanes = list(integrate_lanes(obj, runs))
-    assert len(calls) == (1 if len(runs) >= 2 and obj.dimension >= 2 else 0)
+    as_lanes = len(runs) >= 2 and obj.dimension >= 2
+    assert len(calls) == as_lanes
+    if not as_lanes:
+        assert lanes == [None] * len(runs)
+        return lanes
     assert len(lanes) == len(runs)
     for (s, cfg), got in zip(runs, lanes):
         ref = _outcome(integrate, obj, s, cfg)
@@ -143,9 +149,9 @@ def test_float32_objective_finishes_in_float64():
 
 
 def test_only_two_or_more_runs_of_dimension_two_or_more_take_the_lanes():
-    # a lone run of dimension 2 and runs of dimension 1 step alone through
-    # `solve`, with `integrate`'s bytes; two runs of dimension 2 are lanes
-    # (the helper checks which of them called `solve_lanes`)
+    # a lone run of dimension 2 and runs of dimension 1 are left to
+    # `integrate` (None each); two runs of dimension 2 are lanes (the helper
+    # checks which of them called `solve_lanes`)
     cfg, cfg2 = DynamicsConfig(**BASE), DynamicsConfig(**BASE2)
     _assert_lanes_match_integrate(SHIFTED2, [(power_schedule(1.5), cfg2)])
     _assert_lanes_match_integrate(builtin("paper1d"), [(power_schedule(1.5), cfg), (zero_schedule(), cfg)])
@@ -286,10 +292,11 @@ def test_integrate_finishes_with_one_gradient_and_one_value_call():
     ],
 )
 def test_lanes_must_share_dynamics(name, value):
-    cfg = DynamicsConfig(**BASE)
-    other = dataclasses.replace(cfg, **{name: value})
+    # checked only for runs that step as lanes: two of dimension 2
+    cfg = DynamicsConfig(**BASE2)
+    other = dataclasses.replace(cfg, **{name: np.full(2, value) if name in ("u0", "v0") else value})
     with pytest.raises(ValueError, match="alpha and beta"):
-        integrate_lanes(builtin("paper1d"), [(zero_schedule(), cfg), (zero_schedule(), other)])
+        integrate_lanes(SHIFTED2, [(zero_schedule(), cfg), (zero_schedule(), other)])
 
 
 # Hand-written lanes of one 2-component system. Lane 1 turns non-finite at
@@ -422,18 +429,17 @@ def test_compare_cells_match_run(cell_config, tmp_path):
 def test_sweep_middle_cell_failure_stops_like_sequential_cells(cell_config, tmp_path, monkeypatch):
     import tikhoflow.cli as cli_mod
 
-    real = cli_mod.integrate_lanes
+    real, calls = cli_mod.integrate, []
 
-    def middle_lane_fails(obj, runs):
-        outcomes = list(real(obj, runs))
-        s, cfg = runs[1]
-        blown_up = dataclasses.replace(cfg, u0=np.array([800.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes[1] = next(real(COSH, [(s, blown_up), (s, blown_up)]))
-        assert isinstance(outcomes[1], IntegrationError)
-        return outcomes
+    def middle_cell_fails(obj, s, cfg):
+        # the d = 1 cells share no lanes, so each is integrated as `run`
+        # integrates it, in order; the second blows up
+        calls.append(cfg)
+        if len(calls) == 2:
+            obj, cfg = COSH, dataclasses.replace(cfg, u0=np.array([800.0]))
+        return real(obj, s, cfg)
 
-    monkeypatch.setattr(cli_mod, "integrate_lanes", middle_lane_fails)
+    monkeypatch.setattr(cli_mod, "integrate", middle_cell_fails)
     out = tmp_path / "s"
     argv = ["sweep", str(cell_config), "--alpha", "3", "--beta", "0", "0.5", "1",
             "--gamma", "1.5", "--out", str(out)]
@@ -448,6 +454,43 @@ def test_sweep_middle_cell_failure_stops_like_sequential_cells(cell_config, tmp_
     assert not (failed / "report.json").exists()
     assert not later.exists()
     assert not (top / "sweep_summary.csv").exists()
+    assert len(calls) == 2
+
+
+def test_cells_that_share_no_lanes_are_integrated_as_run_integrates_them(cell_config, tmp_path,
+                                                                        monkeypatch):
+    # d = 1 cells and a lone cell go through `cli.integrate`, one call per
+    # cell; two or more cells of d = 2 make one `solve_lanes` call and none
+    import tikhoflow.cli as cli_mod
+    import tikhoflow.dynamics as dynamics_mod
+
+    counts = {"integrate": 0, "solve_lanes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "integrate", counted("integrate", cli_mod.integrate))
+    monkeypatch.setattr(dynamics_mod, "solve_lanes", counted("solve_lanes", dynamics_mod.solve_lanes))
+    d2_config = tmp_path / "d2.cfg"
+    d2_config.write_text(
+        CELL_CONFIG.replace("paper1d", "shifted_quadratic\nproblem.c = 1 -2")
+        .replace("u0 = 2", "u0 = 2 0.5").replace("v0 = 0", "v0 = 0 0")
+    )
+    cases = [
+        (["sweep", str(cell_config), "--alpha", "3", "10", "--beta", "0", "1"], (4, 0)),
+        (["compare", str(cell_config), "--gammas", "1.5", "2.5"], (3, 0)),
+        (["sweep", str(d2_config)], (1, 0)),
+        (["sweep", str(d2_config), "--beta", "0", "0.5", "1"], (0, 1)),
+        (["compare", str(d2_config), "--gammas", "1.5"], (0, 1)),
+    ]
+    for k, (argv, expected) in enumerate(cases):
+        counts.update(integrate=0, solve_lanes=0)
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == 0
+        assert (counts["integrate"], counts["solve_lanes"]) == expected, argv
 
 
 def test_sweep_config_error_keeps_earlier_cells(cell_config, tmp_path):

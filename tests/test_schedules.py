@@ -19,7 +19,7 @@ from tikhoflow import (
     zero_schedule,
 )
 from tikhoflow.schedules import (
-    _CERT_NOTE, _CLOSED_FORM_NOTE, IntegralClassification, TikhonovSchedule, _simpson,
+    _CERT_NOTE, _CLOSED_FORM_NOTE, IntegralClassification, TikhonovSchedule, _certify, _simpson,
     check_limit_condition, check_t2eps_growth,
 )
 
@@ -400,6 +400,13 @@ def test_threshold_below_the_check_grid_end_is_grid_certified():
     v = check_t2eps_growth(power_schedule(1.5), 4, 1)
     assert v.status == "holds" and v.t1 < 1e6
     assert v.note == _CERT_NOTE
+
+
+def test_certification_fails_at_the_first_grid_point_violating_the_predicate():
+    # the grid {1.05^k} first reaches 50 at k = 81, 1.05^81 = 52.2
+    v = _certify(lambda g: g < 50.0, 1.0, "note")
+    assert (v.status, v.note) == ("fails", "note")
+    assert 50.0 <= v.witness < 50.0 * 1.05
 
 
 # -- strong-convergence hypothesis reports ------------------------------------
